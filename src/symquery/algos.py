@@ -1,10 +1,9 @@
-"""Exact query algorithms as exhaustive branch enumerations over the simulator.
+"""Exact query algorithms: explicit branch enumeration and weight-class
+verification.
 
-Each algorithm returns an AlgorithmRun listing every measurement branch with
-probability above the pruning threshold, together with the branch's final
-output and oracle-query count.  ``verify_exact`` replays an algorithm over
-every promised input of a target function and confirms that every branch
-agrees with the function, reporting the worst-case query count.
+Each algorithm returns an AlgorithmRun listing every measurement branch of
+one input's dense simulation with probability above the pruning threshold,
+together with the branch's final output and oracle-query count.
 
 Two one-query subroutines power everything:
 
@@ -15,8 +14,14 @@ Two one-query subroutines power everything:
   measured index is certainly a 1-position at weight n/4 and certainly a
   0-position at weight 3n/4.
 
-Both also come with closed-form outcome laws in exact rationals, used as an
-independent cross-check of the double-precision simulation.
+Both come with closed-form outcome laws in exact rationals, per input and
+per weight.  Every algorithm reads explicit bits and calls these
+subroutines, so its law of (output, queries used) depends only on the weight
+of the input and, where it reads x_1 first, on x_1.  ``verify_exact``
+computes that law exactly, in Fractions, once per weight class, and so
+certifies the whole promise domain in time polynomial in n;
+``simulate_domain`` is the exponential reference that replays every promised
+input through the simulation, and tests check that the two agree.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -238,9 +243,50 @@ def grover1_exact_distribution(x: str) -> list[tuple[int, Fraction]]:
     return out
 
 
+def xquery_weight_law(t: int, m: int) -> tuple[Fraction, Fraction]:
+    """Pair-test law on every m-bit input of weight t: the probability of the
+    flat outcome, ((m - 2t)/m)^2, and of a differing pair, 4t(m - t)/m^2."""
+    return Fraction((m - 2 * t) ** 2, m * m), Fraction(4 * t * (m - t), m * m)
+
+
+def grover1_weight_law(t: int, n: int) -> tuple[Fraction, Fraction]:
+    """One-iteration search law on every n-bit input of weight t: the mass on
+    the t 1-positions and on the n - t 0-positions, from the amplitude
+    (2s/n -+ 1)/sqrt(n), s = n - 2t, of grover1_exact_distribution."""
+    mean2 = Fraction(2 * (n - 2 * t), n)
+    return t * (mean2 + 1) ** 2 / n, (n - t) * (mean2 - 1) ** 2 / n
+
+
 # ---------------------------------------------------------------------------
 # Algorithms
 # ---------------------------------------------------------------------------
+
+
+def _check_dj(n: int, k: int) -> None:
+    if n < 2 or n % 2:
+        raise ValueError(f"dj needs even n >= 2, got n={n}")
+    if not 0 <= k < n // 2:
+        raise ValueError(f"dj needs 0 <= k < n/2, got k={k}")
+
+
+def _check_dhw(n: int, k: int) -> None:
+    if not (n + 1) // 2 <= k <= n:
+        raise ValueError(f"dhw needs ceil(n/2) <= k <= n, got k={k} with n={n}")
+
+
+def _check_odd(alg: str, n: int, least: int) -> None:
+    if n < least or n % 2 == 0:
+        raise ValueError(f"{alg} needs odd n >= {least}, got n={n}")
+
+
+def _check_quarter(alg: str, n: int) -> None:
+    if n % 4:
+        raise ValueError(f"{alg} needs n divisible by 4, got n={n}")
+
+
+def _check_f2(n: int, k: int) -> None:
+    if not 0 < k < n or 4 * k < n:
+        raise ValueError(f"f2 needs n/4 <= k < n with k >= 1, got k={k}, n={n}")
 
 
 def xquery(m: int, x: str) -> AlgorithmRun:
@@ -261,10 +307,7 @@ def dj(n: int, k: int, x: str) -> AlgorithmRun:
     in the final round settles 1.  Inputs off the promise are simulated as-is
     and may produce either output.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"dj needs even n >= 2, got n={n}")
-    if not 0 <= k < n // 2:
-        raise ValueError(f"dj needs 0 <= k < n/2, got k={k}")
+    _check_dj(n, k)
     _check_bits(x, n)
     branches: list[BranchTrace] = []
 
@@ -292,8 +335,7 @@ def dj(n: int, k: int, x: str) -> AlgorithmRun:
 def dhw(n: int, k: int, x: str) -> AlgorithmRun:
     """Distinguish weight 0 from weight k >= ceil(n/2) with a single query,
     padding 2k-n zeros so weight k becomes balanced."""
-    if not (n + 1) // 2 <= k <= n:
-        raise ValueError(f"dhw needs ceil(n/2) <= k <= n, got k={k} with n={n}")
+    _check_dhw(n, k)
     _check_bits(x, n)
     padded = x + "0" * (2 * k - n)
     branches = tuple(
@@ -314,8 +356,7 @@ def _with_prefix(x: str, step: str, sub: AlgorithmRun, extra_queries: int = 1) -
 def f1(n: int, x: str) -> AlgorithmRun:
     """Two queries for the odd-n promise {0, floor(n/2)}: read x_1; a one
     settles 1, otherwise run the one-query weight test on the rest."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"f1 needs odd n >= 3, got n={n}")
+    _check_odd("f1", n, 3)
     _check_bits(x, n)
     if x[0] == "1":
         return AlgorithmRun(x, (BranchTrace(("x1=1",), 1.0, 1, 1),))
@@ -326,8 +367,7 @@ def f3(n: int, x: str) -> AlgorithmRun:
     """Two queries for the odd-n promise {0, n, ceil(n/2)}: read x_1, then
     run balanced detection (x_1 = 1) or the one-query weight test (x_1 = 0)
     on the remaining n-1 bits."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"f3 needs odd n >= 3, got n={n}")
+    _check_odd("f3", n, 3)
     _check_bits(x, n)
     rest = x[1:]
     if x[0] == "1":
@@ -349,8 +389,7 @@ def grover1(n: int, x: str) -> AlgorithmRun:
 def dw1(n: int, x: str) -> AlgorithmRun:
     """Two queries separating weight n/4 from 3n/4 (n divisible by 4):
     search once, read the reported position, answer its negation."""
-    if n % 4:
-        raise ValueError(f"dw1 needs n divisible by 4, got n={n}")
+    _check_quarter("dw1", n)
     _check_bits(x, n)
     branches = tuple(
         BranchTrace((f"grover:{i}", f"x{i}={x[i-1]}"), p, 1 - int(x[i - 1]), 2)
@@ -362,14 +401,26 @@ def dw1(n: int, x: str) -> AlgorithmRun:
 def dw2(n: int, x: str) -> AlgorithmRun:
     """Two queries separating weight 0 from n/4 (n divisible by 4):
     search once, read the reported position, answer the bit itself."""
-    if n % 4:
-        raise ValueError(f"dw2 needs n divisible by 4, got n={n}")
+    _check_quarter("dw2", n)
     _check_bits(x, n)
     branches = tuple(
         BranchTrace((f"grover:{i}", f"x{i}={x[i-1]}"), p, int(x[i - 1]), 2)
         for i, p in grover_outcomes(x)
     )
     return AlgorithmRun(x, branches)
+
+
+def _dw_padding(n: int, k: int, l: int) -> tuple[int, int]:
+    """Padded length and number of padded ones of dw_general's reduction:
+    zeros then ones are appended, and the padded input goes to dw1 when
+    k > 0 and to dw2 when k = 0."""
+    if not 0 <= k < l <= n:
+        raise ValueError(f"need 0 <= k < l <= n, got k={k}, l={l}, n={n}")
+    if k > 0 and 3 * k < n and 3 * l >= 2 * n + k and l >= 3 * k and (l - k) % 2 == 0:
+        return 2 * (l - k), (l - 3 * k) // 2
+    if k == 0 and 4 * l >= n and l < n // 2:
+        return 4 * l, 0
+    raise UnsupportedParameters(f"no two-query padding reduction for n={n}, k={k}, l={l}")
 
 
 def dw_general(n: int, k: int, l: int, x: str) -> AlgorithmRun:
@@ -381,20 +432,10 @@ def dw_general(n: int, k: int, l: int, x: str) -> AlgorithmRun:
     instance on 2(l-k) bits); or k = 0 with n/4 <= l < floor(n/2) (pad
     4l - n zeros).  Raises UnsupportedParameters otherwise.
     """
-    if not 0 <= k < l <= n:
-        raise ValueError(f"need 0 <= k < l <= n, got k={k}, l={l}, n={n}")
+    length, ones = _dw_padding(n, k, l)
     _check_bits(x, n)
-    if k > 0 and 3 * k < n and 3 * l >= 2 * n + k and l >= 3 * k and (l - k) % 2 == 0:
-        zeros = (3 * l - k) // 2 - n
-        ones = (l - 3 * k) // 2
-        sub = dw1(2 * (l - k), x + "0" * zeros + "1" * ones)
-    elif k == 0 and 4 * l >= n and l < n // 2:
-        sub = dw2(4 * l, x + "0" * (4 * l - n))
-    else:
-        raise UnsupportedParameters(
-            f"no two-query padding reduction for n={n}, k={k}, l={l}"
-        )
-    return AlgorithmRun(x, sub.branches)
+    padded = x + "0" * (length - n - ones) + "1" * ones
+    return AlgorithmRun(x, (dw1 if k else dw2)(length, padded).branches)
 
 
 def f2(n: int, k: int, x: str) -> AlgorithmRun:
@@ -406,8 +447,7 @@ def f2(n: int, k: int, x: str) -> AlgorithmRun:
     k+1, all zeros at weight 0).  Padded positions read as constant 0 and
     still cost a query.
     """
-    if not 0 < k < n or 4 * k < n:
-        raise ValueError(f"f2 needs n/4 <= k < n with k >= 1, got k={k}, n={n}")
+    _check_f2(n, k)
     _check_bits(x, n)
     first_pad = x + "0" * (4 * k - n)
     branches: list[BranchTrace] = []
@@ -436,8 +476,7 @@ def f4(n: int, x: str) -> AlgorithmRun:
     """At most five queries for the odd-n promise {0, n, floor(n/2),
     ceil(n/2)}: read x_1, then solve the two-adjacent-weights problem on the
     rest (complemented when x_1 = 1)."""
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"f4 needs odd n >= 5, got n={n}")
+    _check_odd("f4", n, 5)
     _check_bits(x, n)
     rest = x[1:]
     if x[0] == "1":
@@ -446,8 +485,122 @@ def f4(n: int, x: str) -> AlgorithmRun:
 
 
 # ---------------------------------------------------------------------------
+# Weight-class laws
+# ---------------------------------------------------------------------------
+
+# (output, queries used) -> exact probability, on every input of one class;
+# zero-probability branches are left out.
+Law = dict[tuple[object, int], Fraction]
+
+
+def _law(*branches: tuple[tuple[object, int], Fraction]) -> Law:
+    law: Law = {}
+    for key, p in branches:
+        if p:
+            law[key] = law.get(key, 0) + p
+    return law
+
+
+def _then(queries: int, law: Law) -> Law:
+    """The law of a step run after `queries` queries already spent."""
+    return {(out, used + queries): p for (out, used), p in law.items()}
+
+
+def _dj_law(n: int, k: int, t: int) -> Law:
+    """dj's rounds on weight t: the flat outcome ends with 0; a differing
+    pair removes one 1 and one 0, and in round k+1 ends with 1."""
+    _check_dj(n, k)
+    law: Law = {}
+    reach = Fraction(1)
+    for used in range(1, k + 2):
+        flat, pair = xquery_weight_law(t, n)
+        if flat:
+            law[0, used] = reach * flat
+        reach *= pair
+        if not reach:
+            return law
+        t, n = t - 1, n - 2
+    law[1, k + 1] = reach
+    return law
+
+
+def _dhw_law(n: int, k: int, t: int) -> Law:
+    _check_dhw(n, k)
+    flat, pair = xquery_weight_law(t, 2 * k)
+    return _law(((0, 1), flat), ((1, 1), pair))
+
+
+def _dw1_law(n: int, t: int) -> Law:
+    _check_quarter("dw1", n)
+    on_ones, on_zeros = grover1_weight_law(t, n)
+    return _law(((0, 2), on_ones), ((1, 2), on_zeros))
+
+
+def _dw2_law(n: int, t: int) -> Law:
+    _check_quarter("dw2", n)
+    on_ones, on_zeros = grover1_weight_law(t, n)
+    return _law(((1, 2), on_ones), ((0, 2), on_zeros))
+
+
+def _dw_law(n: int, k: int, l: int, t: int) -> Law:
+    length, ones = _dw_padding(n, k, l)
+    return _dw1_law(length, t + ones) if k else _dw2_law(length, t)
+
+
+def _f2_law(n: int, k: int, t: int) -> Law:
+    """A 1-position found by the first search settles 1 after 2 queries;
+    otherwise the bit at the second search's position is the answer."""
+    _check_f2(n, k)
+    on_ones, on_zeros = grover1_weight_law(t, 4 * k)
+    on_ones2, on_zeros2 = grover1_weight_law(t, 4 * (k + 1))
+    return _law(((1, 2), on_ones), ((1, 4), on_zeros * on_ones2), ((0, 4), on_zeros * on_zeros2))
+
+
+# Per-class laws of one algorithm at input weight t: a list of (prefix, law),
+# where prefix is the bits the class fixes at the front of the input.
+Classes = list[tuple[str, Law]]
+
+
+def _whole(law: Callable[..., Law]) -> Callable[..., Classes]:
+    """Classes of an algorithm that reads no bit before its first
+    subroutine call: the whole weight class."""
+    return lambda *args: [("", law(*args))]
+
+
+def _split(n: int, t: int, one: Callable[[int], Law], zero: Callable[[int], Law]) -> Classes:
+    """The subclasses x_1 = 1 and x_1 = 0 of weight t, whose laws `one` and
+    `zero` take the weight of x_2..x_n; reading x_1 costs a query.  A
+    subclass with no inputs is skipped."""
+    classes: Classes = []
+    if t > 0:
+        classes.append(("1", _then(1, one(t - 1))))
+    if t < n:
+        classes.append(("0", _then(1, zero(t))))
+    return classes
+
+
+def _f1_classes(n: int, t: int) -> Classes:
+    _check_odd("f1", n, 3)
+    return _split(n, t, lambda r: {(1, 0): Fraction(1)}, lambda r: _dhw_law(n - 1, n // 2, r))
+
+
+def _f3_classes(n: int, t: int) -> Classes:
+    _check_odd("f3", n, 3)
+    return _split(n, t, lambda r: _dj_law(n - 1, 0, r), lambda r: _dhw_law(n - 1, (n + 1) // 2, r))
+
+
+def _f4_classes(n: int, t: int) -> Classes:
+    _check_odd("f4", n, 5)
+    return _split(n, t, lambda r: _f2_law(n - 1, n // 2, n - 1 - r), lambda r: _f2_law(n - 1, n // 2, r))
+
+
+# ---------------------------------------------------------------------------
 # Exactness verification
 # ---------------------------------------------------------------------------
+
+# Largest n verify_exact accepts.  Its slowest instance, dj at k = n/2 - 1,
+# takes about 4 s at n = 1000 on a 2-core x86 VM.
+MAX_VERIFY_N = 1000
 
 
 @dataclass(frozen=True)
@@ -456,18 +609,19 @@ class _AlgInfo:
     runner: Callable[..., AlgorithmRun]
     family: Callable[..., SymPartialFn]
     budget: Callable[[Mapping[str, int]], int]
+    classes: Callable[..., Classes]  # (*params, weight) -> per-class laws
 
 
 DECISION_ALGORITHMS: dict[str, _AlgInfo] = {
-    "dj": _AlgInfo(("n", "k"), dj, family_dj, lambda p: p["k"] + 1),
-    "dhw": _AlgInfo(("n", "k"), dhw, family_f1, lambda p: 1),
-    "f1": _AlgInfo(("n",), f1, lambda n: family_f1(n, n // 2), lambda p: 2),
-    "f3": _AlgInfo(("n",), f3, lambda n: family_f3(n, (n + 1) // 2), lambda p: 2),
-    "dw1": _AlgInfo(("n",), dw1, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda p: 2),
-    "dw2": _AlgInfo(("n",), dw2, lambda n: family_dw(n, 0, n // 4), lambda p: 2),
-    "dw": _AlgInfo(("n", "k", "l"), dw_general, family_dw, lambda p: 2),
-    "f2": _AlgInfo(("n", "k"), f2, family_f2, lambda p: 4),
-    "f4": _AlgInfo(("n",), f4, family_f4, lambda p: 5),
+    "dj": _AlgInfo(("n", "k"), dj, family_dj, lambda p: p["k"] + 1, _whole(_dj_law)),
+    "dhw": _AlgInfo(("n", "k"), dhw, family_f1, lambda p: 1, _whole(_dhw_law)),
+    "f1": _AlgInfo(("n",), f1, lambda n: family_f1(n, n // 2), lambda p: 2, _f1_classes),
+    "f3": _AlgInfo(("n",), f3, lambda n: family_f3(n, (n + 1) // 2), lambda p: 2, _f3_classes),
+    "dw1": _AlgInfo(("n",), dw1, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda p: 2, _whole(_dw1_law)),
+    "dw2": _AlgInfo(("n",), dw2, lambda n: family_dw(n, 0, n // 4), lambda p: 2, _whole(_dw2_law)),
+    "dw": _AlgInfo(("n", "k", "l"), dw_general, family_dw, lambda p: 2, _whole(_dw_law)),
+    "f2": _AlgInfo(("n", "k"), f2, family_f2, lambda p: 4, _whole(_f2_law)),
+    "f4": _AlgInfo(("n",), f4, family_f4, lambda p: 5, _f4_classes),
 }
 
 SUBROUTINE_ALGORITHMS = ("xquery", "grover1")
@@ -480,8 +634,12 @@ def query_budget(alg: str, params: Mapping[str, int]) -> int:
     return DECISION_ALGORITHMS[alg].budget(params)
 
 
+def _complement_input(transform: str) -> bool:
+    return transform in ("reverse", "reverse_complement")
+
+
 def _premap_input(x: str, transform: str) -> str:
-    if transform in ("reverse", "reverse_complement"):
+    if _complement_input(transform):
         return "".join("1" if c == "0" else "0" for c in x)
     return x
 
@@ -496,36 +654,35 @@ def canonical_function(alg: str, params: Mapping[str, int]) -> SymPartialFn:
     return info.family(*(params[p] for p in info.params))
 
 
-def verify_exact(
-    alg: str,
-    params: Mapping[str, int],
-    f: SymPartialFn | None = None,
-    transform: str = "identity",
-) -> VerificationReport:
-    """Replay an algorithm over every promised input and check exactness.
-
-    For decision algorithms the target defaults to the canonical promise
-    function; a caller-supplied f may restrict it to fewer weights but must
-    agree where defined.  ``transform`` runs the algorithm through the orbit
-    wrapper (inputs complemented and/or outputs negated) and verifies it
-    against the correspondingly transformed function.  The bare subroutines
-    xquery and grover1 are verified against their output contracts instead.
-    """
+def _check_request(alg: str, params: Mapping[str, int], transform: str) -> None:
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
-    if alg == "xquery":
-        return _verify_xquery(params["n"])
-    if alg == "grover1":
-        return _verify_grover1(params["n"])
-    if alg not in DECISION_ALGORITHMS:
+    if alg in SUBROUTINE_ALGORITHMS:
+        names: tuple[str, ...] = ("n",)
+    elif alg in DECISION_ALGORITHMS:
+        names = DECISION_ALGORITHMS[alg].params
+    else:
         raise ValueError(f"unknown algorithm {alg!r}")
-    info = DECISION_ALGORITHMS[alg]
-    missing = [p for p in info.params if p not in params]
+    missing = [p for p in names if p not in params]
     if missing:
-        raise ValueError(f"{alg} needs parameters {info.params}, missing {missing}")
+        raise ValueError(f"{alg} needs parameters {names}, missing {missing}")
+    n = params["n"]
+    if n > MAX_VERIFY_N:
+        raise ValueError(f"verification is capped at n={MAX_VERIFY_N}, got n={n}")
+    if alg in SUBROUTINE_ALGORITHMS and n < 1:
+        raise ValueError(f"{alg} contract needs n >= 1, got n={n}")
+    if alg == "grover1" and n % 4:
+        raise ValueError(f"grover1 contract needs n divisible by 4, got n={n}")
+
+
+def _target(
+    alg: str, params: Mapping[str, int], f: SymPartialFn | None, transform: str
+) -> SymPartialFn:
+    """The function a decision algorithm is checked against under
+    `transform`; a given f must agree with it wherever f is defined."""
     expected = isomorphs(canonical_function(alg, params))[TRANSFORMS.index(transform)]
     if f is None:
-        f = expected
+        return expected
     if f.n != expected.n:
         raise ValueError(f"domain mismatch: function has n={f.n}, algorithm n={expected.n}")
     for w in f.domain_weights:
@@ -534,19 +691,125 @@ def verify_exact(
                 f"domain mismatch: weight {w} is {f.values[w]} but the "
                 f"algorithm promises {expected.values[w]}"
             )
+    return f
 
-    if alg == "dj":
-        return _verify_dj(params["n"], params["k"], f, transform)
 
+def verify_exact(
+    alg: str,
+    params: Mapping[str, int],
+    f: SymPartialFn | None = None,
+    transform: str = "identity",
+) -> VerificationReport:
+    """Certify an algorithm's exactness on every promised input.
+
+    For decision algorithms the target defaults to the canonical promise
+    function; a caller-supplied f may restrict it to fewer weights but must
+    agree where defined.  ``transform`` runs the algorithm through the orbit
+    wrapper (inputs complemented and/or outputs negated) and verifies it
+    against the correspondingly transformed function.  The bare subroutines
+    xquery and grover1 are verified against their output contracts instead.
+
+    No input is simulated: each class of inputs that share a weight (and,
+    where the algorithm reads it first, x_1) is certified by its exact law
+    of (output, queries used), whose probabilities must total exactly 1.
+    A failure names one input of its class.  Instances with n above
+    MAX_VERIFY_N are refused.
+    """
+    _check_request(alg, params, transform)
+    n = params["n"]
+    if alg == "xquery":
+        return _certify(f"xquery-contract:m={n}", _xquery_classes(n))
+    if alg == "grover1":
+        return _certify(f"grover1-contract:n={n}", _grover1_classes(n))
+    f = _target(alg, params, f, transform)
+    return _certify(str(f), _decision_classes(alg, params, f, transform))
+
+
+# One certified class: an input it contains, how many inputs it has, the
+# exact law they share, and the outputs allowed on them.
+_Class = tuple[str, int, Law, frozenset]
+
+
+def _class_input(n: int, t: int, prefix: str) -> str:
+    ones = t - prefix.count("1")
+    return prefix + "1" * ones + "0" * (n - len(prefix) - ones)
+
+
+def _decision_classes(
+    alg: str, params: Mapping[str, int], f: SymPartialFn, transform: str
+) -> Iterator[_Class]:
+    info = DECISION_ALGORITHMS[alg]
     args = [params[p] for p in info.params]
+    negate = _negate_output(transform)
+    for w in f.domain_weights:
+        want = frozenset({int(f.values[w] is ONE)})
+        t = f.n - w if _complement_input(transform) else w  # the weight the algorithm sees
+        for prefix, law in info.classes(*args, t):
+            x = _premap_input(_class_input(f.n, t, prefix), transform)
+            count = math.comb(f.n - len(prefix), t - prefix.count("1"))
+            if negate:
+                law = {(1 - out, used): p for (out, used), p in law.items()}
+            yield x, count, law, want
+
+
+def _xquery_classes(m: int) -> Iterator[_Class]:
+    """The flat outcome may appear only off balance.  The law has no
+    same-bit pair: a pair's amplitude is the difference of its two phases."""
+    for t in range(m + 1):
+        flat, pair = xquery_weight_law(t, m)
+        allowed = {"differing pair"} if 2 * t == m else {"flat", "differing pair"}
+        law = _law((("flat", 1), flat), (("differing pair", 1), pair))
+        yield _class_input(m, t, ""), math.comb(m, t), law, frozenset(allowed)
+
+
+def _grover1_classes(n: int) -> Iterator[_Class]:
+    """The reported index is a 1-position at weight n/4 and a 0-position at
+    weight 3n/4."""
+    for t, want in ((n // 4, "1-position"), (3 * n // 4, "0-position")):
+        on_ones, on_zeros = grover1_weight_law(t, n)
+        law = _law((("1-position", 1), on_ones), (("0-position", 1), on_zeros))
+        yield _class_input(n, t, ""), math.comb(n, t), law, frozenset({want})
+
+
+def _certify(function: str, classes: Iterator[_Class]) -> VerificationReport:
+    failures: list[tuple[str, str]] = []
+    worst = 0
+    checked = 0
+    for x, count, law, allowed in classes:
+        total = sum(law.values())
+        if total != 1:
+            raise RuntimeError(f"branch probabilities sum to {total}, not 1, on the class of {x}")
+        for (out, used), p in law.items():
+            worst = max(worst, used)
+            if out not in allowed:
+                expected = " or ".join(sorted(map(str, allowed)))
+                failures.append(
+                    (x, f"weight-class branch output={out} expected={expected} (prob {p})")
+                )
+        checked += count
+    return VerificationReport(function, checked, not failures, worst, tuple(failures))
+
+
+def simulate_domain(
+    alg: str, params: Mapping[str, int], transform: str = "identity"
+) -> VerificationReport:
+    """Reference for verify_exact: simulate every promised input densely,
+    in floats, and check every branch.  Exponential in n."""
+    _check_request(alg, params, transform)
+    if alg == "xquery":
+        return _simulate_xquery(params["n"])
+    if alg == "grover1":
+        return _simulate_grover1(params["n"])
+    f = _target(alg, params, None, transform)
+    run = DECISION_ALGORITHMS[alg].runner
+    args = [params[p] for p in DECISION_ALGORITHMS[alg].params]
     negate = _negate_output(transform)
     failures: list[tuple[str, str]] = []
     worst = 0
     checked = 0
     for x in domain_inputs(f):
         fx = 1 if f.values[x.count("1")] is ONE else 0
-        run = info.runner(*args, _premap_input(x, transform))
-        for br in run.branches:
+        for br in run(*args, _premap_input(x, transform)).branches:
             out = 1 - br.output if negate else br.output
             worst = max(worst, br.queries_used)
             if out != fx:
@@ -557,68 +820,7 @@ def verify_exact(
     return VerificationReport(str(f), checked, not failures, worst, tuple(failures))
 
 
-def _verify_dj(n: int, k: int, f: SymPartialFn, transform: str) -> VerificationReport:
-    """Whole-domain check of the balanced-weight algorithm.
-
-    Branches that continue identically (same remaining weight and length)
-    are grouped, so the check covers every measurement branch of every input
-    in O(n^2) work instead of materializing the full outcome tree.
-    """
-    tol = qsim.PRUNE_TOL
-    memo: dict[tuple[int, int], tuple[tuple[tuple[int, float], ...], int]] = {}
-
-    def summary(t: int, m: int, used: int) -> tuple[tuple[tuple[int, float], ...], int]:
-        key = (t, m)
-        if key in memo:
-            return memo[key]
-        p_flat = ((m - 2 * t) / m) ** 2
-        p_pair = 4 * t * (m - t) / (m * m)
-        outs: dict[int, float] = {}
-        deepest = 0
-        if p_flat >= tol:
-            outs[0] = outs.get(0, 0.0) + p_flat
-            deepest = used + 1
-        if p_pair >= tol:
-            if used == k:
-                outs[1] = outs.get(1, 0.0) + p_pair
-                deepest = max(deepest, used + 1)
-            else:
-                sub, sub_deepest = summary(t - 1, m - 2, used + 1)
-                for out, p in sub:
-                    outs[out] = outs.get(out, 0.0) + p_pair * p
-                deepest = max(deepest, sub_deepest)
-        result = (tuple(sorted(outs.items())), deepest)
-        memo[key] = result
-        return result
-
-    flip_input = transform in ("reverse", "reverse_complement")
-    negate = _negate_output(transform)
-    failures: list[tuple[str, str]] = []
-    worst = 0
-    checked = 0
-    for w in f.domain_weights:
-        fx = 1 if f.values[w] is ONE else 0
-        t0 = n - w if flip_input else w
-        outs, deepest = summary(t0, n, 0)
-        total = sum(p for _, p in outs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise RuntimeError(f"branch probabilities sum to {total!r} at weight {w}")
-        worst = max(worst, deepest)
-        checked += math.comb(n, w)
-        representative = "1" * w + "0" * (n - w)
-        for out, p in outs:
-            final = 1 - out if negate else out
-            if final != fx:
-                failures.append(
-                    (
-                        representative,
-                        f"weight-class branch output={final} expected={fx} (prob {p:.6g})",
-                    )
-                )
-    return VerificationReport(str(f), checked, not failures, worst, tuple(failures))
-
-
-def _verify_xquery(m: int) -> VerificationReport:
+def _simulate_xquery(m: int) -> VerificationReport:
     """Contract check over all m-bit inputs: (0,0) appears only off balance,
     and every reported pair really differs."""
     failures: list[tuple[str, str]] = []
@@ -637,11 +839,9 @@ def _verify_xquery(m: int) -> VerificationReport:
     return VerificationReport(f"xquery-contract:m={m}", checked, not failures, 1, tuple(failures))
 
 
-def _verify_grover1(n: int) -> VerificationReport:
+def _simulate_grover1(n: int) -> VerificationReport:
     """Contract check at weights n/4 and 3n/4: the measured index is a
     1-position at quarter weight and a 0-position at three-quarter weight."""
-    if n % 4:
-        raise ValueError(f"grover1 contract needs n divisible by 4, got n={n}")
     failures: list[tuple[str, str]] = []
     checked = 0
     for w, want in ((n // 4, "1"), (3 * n // 4, "0")):

@@ -1,5 +1,6 @@
 """Algorithms: branch enumeration, exactness, query budgets, padding routes."""
 
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -415,3 +416,114 @@ class TestRunInvariants:
         half = algos.BranchTrace(("x1=0",), 0.5, 0, 1)
         with pytest.raises(ValueError, match="sum"):
             algos.AlgorithmRun("01", (half,))
+
+
+def valid_instances(alg, n_max):
+    """Every parameter set of a decision algorithm with n <= n_max, as the
+    family constructor and the runner accept them."""
+    for n in range(1, n_max + 1):
+        if alg in ("f1", "f3", "dw1", "dw2", "f4"):
+            candidates = [{"n": n}]
+        elif alg == "dw":
+            candidates = [
+                {"n": n, "k": k, "l": l} for k in range(n) for l in range(k + 1, n + 1)
+            ]
+        else:
+            candidates = [{"n": n, "k": k} for k in range(n + 1)]
+        for params in candidates:
+            try:
+                algos.canonical_function(alg, params)
+                algos.DECISION_ALGORITHMS[alg].runner(*params.values(), "0" * n)
+            except ValueError:  # includes UnsupportedParameters
+                continue
+            yield params
+
+
+def summary(report):
+    return (report.function, report.inputs_checked, report.all_exact, report.worst_case_queries)
+
+
+class TestWeightClassEngine:
+    @pytest.mark.parametrize("alg", sorted(algos.DECISION_ALGORITHMS))
+    def test_agrees_with_simulation(self, alg):
+        instances = list(valid_instances(alg, 8))
+        assert instances
+        for params in instances:
+            for t in TRANSFORMS:
+                exact = algos.verify_exact(alg, params, transform=t)
+                assert exact.all_exact, (params, t)
+                assert summary(exact) == summary(algos.simulate_domain(alg, params, t)), (params, t)
+
+    @pytest.mark.parametrize("alg", sorted(algos.DECISION_ALGORITHMS))
+    def test_class_laws_match_simulated_branches(self, alg):
+        info = algos.DECISION_ALGORITHMS[alg]
+        for params in valid_instances(alg, 8):
+            args = list(params.values())
+            for x in sq.domain_inputs(algos.canonical_function(alg, params)):
+                classes = info.classes(*args, x.count("1"))
+                (law,) = [law for prefix, law in classes if x.startswith(prefix)]
+                simulated: dict = {}
+                for b in info.runner(*args, x).branches:
+                    key = (b.output, b.queries_used)
+                    simulated[key] = simulated.get(key, 0.0) + b.probability
+                assert set(simulated) == set(law), (params, x)
+                assert all(abs(simulated[k] - float(p)) < 1e-9 for k, p in law.items()), (params, x)
+
+    def test_contracts_agree_with_simulation(self):
+        cases = [("xquery", m) for m in range(1, 11)] + [("grover1", 4), ("grover1", 8)]
+        for alg, n in cases:
+            exact = algos.verify_exact(alg, {"n": n})
+            assert exact.all_exact, (alg, n)
+            assert summary(exact) == summary(algos.simulate_domain(alg, {"n": n})), (alg, n)
+        assert algos.verify_exact("grover1", {"n": 8}).inputs_checked == 2 * 28
+
+    def test_weight_laws_sum_the_per_input_laws(self):
+        for m in range(1, 17):
+            for t in range(m + 1):
+                x = "1" * t + "0" * (m - t)
+                pairs = algos.xquery_exact_distribution(x)
+                flat = sum(p for o, p in pairs if o == (0, 0))
+                differing = sum(p for o, p in pairs if o != (0, 0))
+                assert algos.xquery_weight_law(t, m) == (flat, differing), (m, t)
+                indices = algos.grover1_exact_distribution(x)
+                on_ones = sum(p for i, p in indices if x[i - 1] == "1")
+                on_zeros = sum(p for i, p in indices if x[i - 1] == "0")
+                assert algos.grover1_weight_law(t, m) == (on_ones, on_zeros), (m, t)
+
+    def test_wrong_target_fails_both_verifiers(self, monkeypatch):
+        info = algos.DECISION_ALGORITHMS["f1"]
+        wrong = dataclasses.replace(info, family=lambda n: sq.family_f1(n, n // 2 + 1))
+        monkeypatch.setitem(algos.DECISION_ALGORITHMS, "f1", wrong)
+        for report in (algos.verify_exact("f1", {"n": 7}), algos.simulate_domain("f1", {"n": 7})):
+            assert not report.all_exact
+            assert report.failures
+            # x_1 = 1 answers 1 correctly; the weight test on the rest fails
+            assert all(x.count("1") == 4 and x[0] == "0" for x, _ in report.failures)
+
+    @pytest.mark.parametrize(
+        "alg,params",
+        [
+            ("f4", {"n": 101}),
+            ("dw1", {"n": 400}),
+            ("dw", {"n": 200, "k": 1, "l": 135}),
+            ("dj", {"n": 200, "k": 99}),
+        ],
+    )
+    def test_large_instances_exact(self, alg, params):
+        report = algos.verify_exact(alg, params)
+        assert report.all_exact
+        assert report.inputs_checked == sq.domain_size(algos.canonical_function(alg, params))
+        assert report.worst_case_queries == algos.query_budget(alg, params)
+
+    def test_size_cap(self):
+        cap = algos.MAX_VERIFY_N
+        assert algos.verify_exact("dw1", {"n": cap}).all_exact
+        with pytest.raises(ValueError, match="capped"):
+            algos.verify_exact("dw1", {"n": cap + 1})
+        with pytest.raises(ValueError, match="capped"):
+            algos.verify_exact("dj", {"n": 2400, "k": 1100})
+
+    @pytest.mark.parametrize("alg,n", [("xquery", -1), ("xquery", 0), ("grover1", -4), ("grover1", 0)])
+    def test_contract_needs_positive_n(self, alg, n):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            algos.verify_exact(alg, {"n": n})

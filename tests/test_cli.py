@@ -1,9 +1,11 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
+from symquery import algos, family_f1
 from symquery.cli import main
 
 
@@ -96,6 +98,32 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--alg", "xquery", "--n", "5")
         assert code == 0
         assert "xquery-contract" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--alg", "xquery", "--n", "-1"),
+            ("--alg", "xquery", "--n", "0"),
+            ("--alg", "grover1", "--n", "-4"),
+            ("--alg", "grover1", "--n", "0"),
+            ("--alg", "f4", "--n", str(algos.MAX_VERIFY_N + 1)),
+            ("--alg", "dj", "--n", "2400", "--k", "1100"),
+        ],
+    )
+    def test_refused_sizes_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in out + err
+
+    def test_inexact_exit_one(self, capsys, monkeypatch):
+        info = algos.DECISION_ALGORITHMS["f1"]
+        wrong = dataclasses.replace(info, family=lambda n: family_f1(n, n // 2 + 1))
+        monkeypatch.setitem(algos.DECISION_ALGORITHMS, "f1", wrong)
+        code, out, _ = run_cli(capsys, "verify", "--alg", "f1", "--n", "7")
+        assert code == 1
+        assert "all_exact           False" in out
+        assert "FAILURE on 0" in out
 
 
 class TestClassicalClassifyDet:

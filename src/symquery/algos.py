@@ -52,6 +52,9 @@ from .symfun import (
 
 PROB_SUM_TOL = 1e-9
 MAX_EXPLICIT_BRANCHES = 2_000_000  # guard for the explicit branch tree
+# largest dense map dimension a subroutine circuit may build: the pair test at
+# m = 32 bits, (32+1)^2 = 1089, takes about 1.2 s and 190 MB
+MAX_DENSE_DIM = 33 * 33
 
 
 class UnsupportedParameters(ValueError):
@@ -114,7 +117,12 @@ def _check_bits(x: str, n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _check_dense_dim(what: str, dim: int) -> None:
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"{what} needs dense {dim}-dimensional maps; simulation is capped at {MAX_DENSE_DIM}")
+
+
+@lru_cache(maxsize=4)
 def xquery_unitaries(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Spread and recombine maps for the one-query pair test on m bits.
 
@@ -127,6 +135,7 @@ def xquery_unitaries(m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need m >= 1, got {m}")
     width = m + 1
     dim = width * width
+    _check_dense_dim(f"the pair test on m={m} bits", dim)
     idx = lambda i, j: i * width + j
 
     uniform = np.zeros(dim)
@@ -169,13 +178,14 @@ def xquery_outcomes(x: str) -> tuple[tuple[tuple[int, int], float], ...]:
     return tuple(qsim.measure(xquery_state(x)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def grover_unitaries(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform preparation over indices 1..n and the post-oracle reflection
     (inversion about the uniform state, globally sign-flipped)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     dim = n + 1
+    _check_dense_dim(f"the one-iteration search on n={n} bits", dim)
     uniform = np.zeros(dim)
     uniform[1:] = 1.0 / math.sqrt(n)
     w = qsim.householder_map(dim, 1, uniform)

@@ -64,7 +64,7 @@ def _cmd_degree(args: argparse.Namespace) -> int:
     eps = Fraction(args.eps)
     d = polydeg.degree(f, eps)
     witness = polydeg.lp_feasible(f, eps, d).witness
-    lower = polydeg.qe_lower_bound(f) if eps == 0 else (d + 1) // 2
+    lower = (d + 1) // 2
     payload = {
         "command": "degree",
         "fn": args.fn,

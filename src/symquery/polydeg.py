@@ -3,10 +3,11 @@
 A weight profile of degree d is stored in the binomial basis: on inputs of
 weight w it evaluates to sum_k c_k * C(w, k) with rational coefficients
 c_0..c_d.  Whether some degree-d profile fits a function within error eps is
-a linear feasibility question, decided here by a Phase-I simplex over
-``fractions.Fraction`` so that verdicts at eps = 0 are exact.  The least
-feasible degree is found by binary search, and a complete catalogue matcher
-identifies every function of degree at most 2 up to isomorphism.
+a linear feasibility question, decided exactly by a Phase-I simplex.  The
+least feasible degree is found by binary search, and a complete catalogue
+matcher identifies every function of degree at most 2 up to isomorphism.
+Both the simplex and the eps = 0 elimination pivot fraction-free (Edmonds
+1967, Bareiss 1968), on integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .symfun import (
     ONE,
@@ -114,19 +115,32 @@ def check_representation(q: PolyV, f: SymPartialFn, eps: RationalLike) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Phase-I simplex over exact rationals
+# Phase-I simplex over an integer tableau
 # ---------------------------------------------------------------------------
 
 
-def _pivot(tableau: list[list[Fraction]], r: int, c: int) -> None:
-    piv = tableau[r][c]
-    if piv != 1:
-        tableau[r] = [v / piv for v in tableau[r]]
-    prow = tableau[r]
-    for i, row in enumerate(tableau):
-        if i != r and row[c]:
-            factor = row[c]
-            tableau[i] = [a - factor * b for a, b in zip(row, prow)]
+def _pivot_int(rows: list[list[int]], r: int, c: int, D: int) -> int:
+    """Fraction-free pivot on rows[r][c] of rows / D; returns the new D, |rows[r][c]|."""
+    if rows[r][c] < 0:
+        rows[r] = [-v for v in rows[r]]
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f:
+            rows[i] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        elif i != r and p != D:
+            rows[i] = [p * a // D for a in row]
+    return p
+
+
+def _integral(
+    rows: list[list[Fraction | int]], rhs: list[Fraction | int]
+) -> tuple[list[list[int]], list[int]]:
+    """The system times the lcm of all its denominators: one factor for every row."""
+    s = lcm(*(v.denominator for row in rows for v in row), *(b.denominator for b in rhs))
+    scaled = lambda v: v.numerator * (s // v.denominator)
+    return [[scaled(v) for v in row] for row in rows], [scaled(b) for b in rhs]
 
 
 def _feasible_nonneg(
@@ -147,18 +161,18 @@ def _feasible_nonneg(
     m = len(rows)
     nv = len(rows[0]) if m else 0
     art_base = nv + m
-    zero = Fraction(0)
+    rows, rhs = _integral(rows, rhs)
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     n_art = 0
     for i in range(m):
         flip = -1 if rhs[i] < 0 else 1
-        row = [zero] * art_base
+        row = [0] * art_base
         for j, a in enumerate(rows[i]):
             if a:
                 row[j] = flip * a
-        row[nv + i] = Fraction(flip)
+        row[nv + i] = flip
         tableau.append(row)
         if flip < 0:
             basis.append(art_base + n_art)
@@ -167,12 +181,13 @@ def _feasible_nonneg(
             basis.append(nv + i)
     width = art_base + n_art
     for i in range(m):
-        pad = [zero] * (n_art + 1)
+        pad = [0] * (n_art + 1)
         if basis[i] >= art_base:
-            pad[basis[i] - art_base] = Fraction(1)
+            pad[basis[i] - art_base] = 1
         pad[-1] = abs(rhs[i])
         tableau[i] = tableau[i] + pad
 
+    D = 1
     while True:
         art_rows = [r for r in range(m) if basis[r] >= art_base]
         if not art_rows:
@@ -188,28 +203,24 @@ def _feasible_nonneg(
         if enter < 0:
             break  # phase-I optimum reached with artificials still positive
         leave = -1
-        best: Fraction | None = None
         for r in range(m):
             a = tableau[r][enter]
             if a > 0:
-                ratio = tableau[r][width] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
+                if leave >= 0:  # sign of ratio(r) - ratio(leave)
+                    cross = tableau[r][width] * tableau[leave][enter] - tableau[leave][width] * a
+                if leave < 0 or cross < 0 or (cross == 0 and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:  # cannot happen: phase-I objective is bounded below
             raise RuntimeError("phase-I simplex lost boundedness")
-        _pivot(tableau, leave, enter)
+        D = _pivot_int(tableau, leave, enter, D)
         basis[leave] = enter
 
-    residual = sum(
-        (tableau[r][width] for r in range(m) if basis[r] >= art_base), zero
-    )
-    if residual != 0:
+    if any(tableau[r][width] for r in range(m) if basis[r] >= art_base):
         return None
-    y = [zero] * nv
+    y = [Fraction(0)] * nv
     for r in range(m):
         if basis[r] < nv:
-            y[basis[r]] = tableau[r][width]
+            y[basis[r]] = Fraction(tableau[r][width], D)
     return y
 
 
@@ -226,23 +237,19 @@ def _solve_linear(
     rows: list[list[Fraction]], rhs: list[Fraction], nv: int
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
     """Exact solution set of rows·c = rhs: a particular solution plus a basis
-    of the homogeneous solutions, or None when inconsistent."""
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    of the homogeneous solutions, or None when inconsistent.  Gauss–Jordan
+    elimination with the integer pivot of the simplex."""
+    rows, rhs = _integral(rows, rhs)
+    aug = [row + [b] for row, b in zip(rows, rhs)]
     pivot_cols: list[int] = []
+    D = 1
     r = 0
     for c in range(nv):
         pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        if piv != 1:
-            aug[r] = [v / piv for v in aug[r]]
-        prow = aug[r]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], prow)]
+        D = _pivot_int(aug, r, c, D)
         pivot_cols.append(c)
         r += 1
         if r == len(aug):
@@ -252,35 +259,35 @@ def _solve_linear(
     zero = Fraction(0)
     particular = [zero] * nv
     for i, c in enumerate(pivot_cols):
-        particular[c] = aug[i][nv]
+        particular[c] = Fraction(aug[i][nv], D)
     free_cols = [c for c in range(nv) if c not in pivot_cols]
     basis: list[list[Fraction]] = []
     for fc in free_cols:
         vec = [zero] * nv
         vec[fc] = Fraction(1)
         for i, c in enumerate(pivot_cols):
-            vec[c] = -aug[i][fc]
+            vec[c] = Fraction(-aug[i][fc], D)
         basis.append(vec)
     return particular, basis
 
 
-def _binom_row(w: int, nv: int) -> list[Fraction]:
-    return [Fraction(comb(w, k)) for k in range(nv)]
+def _binom_row(w: int, nv: int) -> list[int]:
+    return [comb(w, k) for k in range(nv)]
 
 
 def _lp_feasible_eps_zero(f: SymPartialFn, nv: int) -> FeasibilityResult:
     """eps = 0 fast path: defined weights pin q exactly, so eliminate those
     equalities first and run the simplex only on the residual box system over
     the undefined weights."""
-    eq_rows: list[list[Fraction]] = []
-    eq_rhs: list[Fraction] = []
+    eq_rows: list[list[int]] = []
+    eq_rhs: list[int] = []
     box_weights: list[int] = []
     for w, b in enumerate(f.values):
         if b is UNDEFINED:
             box_weights.append(w)
         else:
             eq_rows.append(_binom_row(w, nv))
-            eq_rhs.append(Fraction(1) if b is ONE else Fraction(0))
+            eq_rhs.append(int(b is ONE))
     solved = _solve_linear(eq_rows, eq_rhs, nv)
     if solved is None:
         return FeasibilityResult(False, None)
@@ -332,6 +339,14 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     returned witness is whichever basic solution the search lands on.  At
     eps = 0 the defined weights are exact equalities and are eliminated ahead
     of the simplex.
+
+    Both solvers scale the system once by the lcm of its denominators and
+    pivot an integer tableau over one positive denominator D: pivot p makes
+    row i (p*row_i - row_i[c]*row_p) // D, exact as every entry is a minor.
+    Scaling is uniform, not per row, so every sign and ratio test (ratios by
+    cross-multiplication) decides as over the rationals and the pivots and
+    witness are unchanged; per-row factors would reweight the phase-I
+    objective and could change Bland's entering column.
     """
     eps = _as_eps(eps)
     if not 0 <= d <= f.n:
@@ -339,7 +354,7 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     nv = d + 1
     if eps == 0:
         return _lp_feasible_eps_zero(f, nv)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
     for w, b in enumerate(f.values):
         a = _binom_row(w, nv)

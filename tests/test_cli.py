@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -63,6 +64,29 @@ class TestRun:
         )
         assert code == 0
         assert "outside the promise" in out
+
+    @pytest.mark.parametrize(
+        "alg, n",
+        [
+            ("grover1", algos.MAX_DENSE_DIM),  # dimension n + 1 = cap + 1
+            ("xquery", math.isqrt(algos.MAX_DENSE_DIM)),  # least m with (m + 1)^2 > cap
+        ],
+    )
+    def test_oversize_simulation_refused_before_allocating(self, capsys, monkeypatch, alg, n):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used before the size check")
+
+        monkeypatch.setattr(algos, "np", NoNumpy())
+        code, out, err = run_cli(capsys, "run", "--alg", alg, "--n", str(n), "--input", "0" * n)
+        assert code == 2
+        assert err.startswith("error:") and f"capped at {algos.MAX_DENSE_DIM}" in err
+        assert "Traceback" not in out + err
+
+    def test_dense_cap_admits_pair_test_at_32_bits(self):
+        assert (32 + 1) ** 2 <= algos.MAX_DENSE_DIM < (33 + 1) ** 2
+        for build in (algos.xquery_unitaries, algos.grover_unitaries):
+            assert build.cache_info().maxsize <= 8
 
     def test_missing_parameter(self, capsys):
         code, _, err = run_cli(capsys, "run", "--alg", "dj", "--n", "8", "--input", "10000000")

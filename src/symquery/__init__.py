@@ -28,7 +28,6 @@ from .polydeg import (
     lp_feasible,
     qe_lower_bound,
 )
-from .qsim import QState, apply_map, apply_oracle, basis_state, measure
 from .symfun import (
     FnValue,
     SymPartialFn,
@@ -91,3 +90,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Re-exported from qsim on first use (PEP 562), so that importing symquery
+# does not load numpy.
+_QSIM_EXPORTS = frozenset({"QState", "apply_map", "apply_oracle", "basis_state", "measure"})
+
+
+def __getattr__(name: str):
+    if name in _QSIM_EXPORTS:
+        from . import qsim
+
+        return getattr(qsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

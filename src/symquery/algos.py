@@ -33,9 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping
 
-import numpy as np
-
-from . import qsim
 from .symfun import (
     ONE,
     TRANSFORMS,
@@ -114,6 +111,9 @@ def _check_bits(x: str, n: int) -> None:
 
 # ---------------------------------------------------------------------------
 # Circuits for the two one-query subroutines
+#
+# numpy and qsim are imported inside the dense functions only, so importing
+# symquery (and every CLI command but `run`) never loads numpy.
 # ---------------------------------------------------------------------------
 
 
@@ -136,6 +136,10 @@ def xquery_unitaries(m: int) -> tuple[np.ndarray, np.ndarray]:
     width = m + 1
     dim = width * width
     _check_dense_dim(f"the pair test on m={m} bits", dim)
+    import numpy as np
+
+    from . import qsim
+
     idx = lambda i, j: i * width + j
 
     uniform = np.zeros(dim)
@@ -164,6 +168,8 @@ def xquery_unitaries(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def xquery_state(x: str) -> qsim.QState:
     """Post-circuit state of the pair test on input x (one oracle call)."""
+    from . import qsim
+
     m = len(x)
     u1, u2 = xquery_unitaries(m)
     state = qsim.basis_state(m, m + 1, 0, 0)
@@ -175,6 +181,8 @@ def xquery_state(x: str) -> qsim.QState:
 @lru_cache(maxsize=65536)
 def xquery_outcomes(x: str) -> tuple[tuple[tuple[int, int], float], ...]:
     """Measured outcomes of the pair test: (0,0) and/or pairs (i, j), i < j."""
+    from . import qsim
+
     return tuple(qsim.measure(xquery_state(x)))
 
 
@@ -186,6 +194,10 @@ def grover_unitaries(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need n >= 1, got {n}")
     dim = n + 1
     _check_dense_dim(f"the one-iteration search on n={n} bits", dim)
+    import numpy as np
+
+    from . import qsim
+
     uniform = np.zeros(dim)
     uniform[1:] = 1.0 / math.sqrt(n)
     w = qsim.householder_map(dim, 1, uniform)
@@ -201,6 +213,8 @@ def grover_unitaries(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def grover1_state(x: str) -> qsim.QState:
     """State after one inversion-about-uniform iteration on input x."""
+    from . import qsim
+
     n = len(x)
     w, reflect = grover_unitaries(n)
     state = qsim.basis_state(n, 1, 1, 0)
@@ -212,6 +226,8 @@ def grover1_state(x: str) -> qsim.QState:
 @lru_cache(maxsize=65536)
 def grover_outcomes(x: str) -> tuple[tuple[int, float], ...]:
     """Measured index distribution of the one-iteration search."""
+    from . import qsim
+
     return tuple((i, p) for (i, _), p in qsim.measure(grover1_state(x)))
 
 

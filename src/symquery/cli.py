@@ -62,8 +62,8 @@ def _collect_params(args: argparse.Namespace, names: tuple[str, ...]) -> dict[st
 def _cmd_degree(args: argparse.Namespace) -> int:
     f = symfun.from_string(args.fn)
     eps = Fraction(args.eps)
-    d = polydeg.degree(f, eps)
-    witness = polydeg.lp_feasible(f, eps, d).witness
+    d, result = polydeg.least_degree(f, eps)
+    witness = result.witness
     lower = (d + 1) // 2
     payload = {
         "command": "degree",

@@ -373,21 +373,30 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     return FeasibilityResult(True, witness)
 
 
-def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
-    """Least d with a feasible degree-d profile, by binary search on [0, n].
+def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
+    """Least d with a feasible degree-d profile, by binary search on [0, n],
+    with the feasible result (and witness) of the search's probe at d.
 
     Always terminates with d <= n: interpolating the defined values (zero at
-    undefined weights) is feasible at degree n.
+    undefined weights) is feasible at degree n.  The last feasible probe is
+    always at the returned d, so its witness needs no second solve.
     """
     eps = _as_eps(eps)
     lo, hi = 0, f.n
+    best = None
     while lo <= hi:
         d = (lo + hi) // 2
-        if lp_feasible(f, eps, d).feasible:
-            hi = d - 1
+        result = lp_feasible(f, eps, d)
+        if result.feasible:
+            hi, best = d - 1, result
         else:
             lo = d + 1
-    return lo
+    return lo, best
+
+
+def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
+    """Least d with a feasible degree-d profile (see ``least_degree``)."""
+    return least_degree(f, eps)[0]
 
 
 def qe_lower_bound(f: SymPartialFn) -> int:

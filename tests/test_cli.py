@@ -1,11 +1,20 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import symquery
 from symquery import algos, family_f1
 from symquery.cli import main
 
@@ -77,7 +86,7 @@ class TestRun:
             def __getattr__(self, name):
                 raise AssertionError(f"numpy.{name} used before the size check")
 
-        monkeypatch.setattr(algos, "np", NoNumpy())
+        monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
         code, out, err = run_cli(capsys, "run", "--alg", alg, "--n", str(n), "--input", "0" * n)
         assert code == 2
         assert err.startswith("error:") and f"capped at {algos.MAX_DENSE_DIM}" in err
@@ -201,3 +210,124 @@ class TestDeterminism:
         assert code1 == code2
         assert out1 == out2
         json.loads(out1)
+
+
+# Runs in a fresh interpreter: the test process itself already holds numpy.
+NO_NUMPY_CHILD = """
+import contextlib, io, sys
+import symquery, symquery.cli
+
+def call(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return symquery.cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+assert "numpy" not in sys.modules, "import symquery"
+for argv in [
+    ["degree", "--fn", "DJ:8,1"],
+    ["degree", "--fn", "MAJ:7", "--eps", "1/8", "--json"],
+    ["verify", "--alg", "xquery", "--n", "6"],
+    ["verify", "--alg", "grover1", "--n", "8"],
+    ["verify", "--alg", "dj", "--n", "8", "--k", "1"],
+    ["verify", "--alg", "dhw", "--n", "5", "--k", "3"],
+    ["verify", "--alg", "f1", "--n", "7"],
+    ["verify", "--alg", "f3", "--n", "7"],
+    ["verify", "--alg", "dw1", "--n", "8"],
+    ["verify", "--alg", "dw2", "--n", "8"],
+    ["verify", "--alg", "dw", "--n", "8", "--k", "1", "--l", "7"],
+    ["verify", "--alg", "f2", "--n", "8", "--k", "2"],
+    ["verify", "--alg", "f4", "--n", "7", "--json"],
+    ["classical", "--fn", "DJ:8,1"],
+    ["classify", "--fn", "0*1*0"],
+    ["det", "--n", "6", "--k", "1"],
+    ["families", "--json"],
+]:
+    assert call(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+for argv in [["verify", "--alg", "nope", "--n", "5"], ["det", "--n", "x"]]:
+    assert call(argv) == 2, argv
+    assert "numpy" not in sys.modules, argv
+assert call(["run", "--alg", "f1", "--n", "5", "--input", "01100"]) == 0
+assert "numpy" in sys.modules, "run"
+assert symquery.QState is symquery.qsim.QState
+from symquery import *
+assert (QState, apply_map, apply_oracle, basis_state, measure) == (
+    symquery.qsim.QState, symquery.qsim.apply_map, symquery.qsim.apply_oracle,
+    symquery.qsim.basis_state, symquery.qsim.measure)
+print("ok")
+"""
+
+
+class TestStartup:
+    def test_only_run_imports_numpy(self):
+        src = str(Path(symquery.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_CHILD], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "ok\n"
+
+
+ALGS = sorted(algos.DECISION_ALGORITHMS) + ["xquery", "grover1", "nope"]
+SIZES = st.integers(-3, 12)
+FNS = st.one_of(
+    st.text("01*", max_size=13),
+    st.builds(
+        lambda name, args: f"{name}:{','.join(map(str, args))}",
+        st.sampled_from(["DJ", "F1", "F2", "F3", "F4", "DW", "EXACT", "THRESHOLD", "OR", "AND",
+                         "PARITY", "MAJ", "XYZ"]),
+        st.lists(SIZES, max_size=3),
+    ),
+)
+
+
+@st.composite
+def argvs(draw):
+    """One invocation from a small grammar: subcommand (or an unknown one),
+    known or unknown algorithm and function, sizes in -3..12, optional flags,
+    an occasional unknown flag, and optional --json."""
+    sub = draw(st.sampled_from(["degree", "run", "verify", "classical", "classify", "det", "families", "nosuch"]))
+    argv = [sub]
+    if sub in ("degree", "classical", "classify"):
+        argv += ["--fn", draw(FNS)]
+        if sub == "degree" and draw(st.booleans()):
+            argv += ["--eps", draw(st.sampled_from(["0", "1/8", "1/3", "1/2", "-1", "x"]))]
+    elif sub in ("run", "verify"):
+        argv += ["--alg", draw(st.sampled_from(ALGS))]
+        n = draw(st.sampled_from([None, *range(-3, 13)]))
+        if n is not None:
+            argv += ["--n", str(n)]
+        for flag in ("k", "l"):
+            if draw(st.booleans()):
+                argv += [f"--{flag}", str(draw(SIZES))]
+        if sub == "run":
+            bits = st.text("01", min_size=max(n or 0, 0), max_size=max(n or 0, 0))
+            x = draw(st.one_of(bits, bits, st.text("012", max_size=12), st.none()))
+            if x is not None:
+                argv += ["--input", x]
+    elif sub == "det":
+        argv += ["--n", str(draw(SIZES)), "--k", str(draw(SIZES))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestFuzz:
+    @given(argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_every_argv_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith(("error:", "usage:")), argv

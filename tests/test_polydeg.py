@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import symquery as sq
+from symquery import polydeg
 from symquery.polydeg import FamilyKind, PolyV
 
 from helpers import interpolation_profile, sym_fns
@@ -188,6 +189,32 @@ class TestDegree:
         if d > 0:
             assert not sq.lp_feasible(f, 0, d - 1).feasible
 
+    @given(sym_fns(max_n=7), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
+    @settings(max_examples=30, deadline=None)
+    def test_least_degree_keeps_the_final_probe(self, f, eps):
+        d, result = polydeg.least_degree(f, eps)
+        assert d == sq.degree(f, eps)
+        assert result == sq.lp_feasible(f, eps, d)
+
+    def test_degree_command_solves_each_degree_once(self, monkeypatch, capsys):
+        from symquery.cli import main
+
+        probes = []
+        solve = polydeg.lp_feasible
+
+        def counted(f, eps, d):
+            probes.append(d)
+            return solve(f, eps, d)
+
+        monkeypatch.setattr(polydeg, "lp_feasible", counted)
+        for spec, eps in (("DJ:8,1", "0"), ("MAJ:9", "1/8"), ("0*1*0", "0")):
+            probes.clear()
+            sq.degree(vec(spec), F(eps))
+            searched = list(probes)
+            probes.clear()
+            assert main(["degree", "--fn", spec, "--eps", eps]) == 0
+            assert probes == searched and len(set(probes)) == len(probes), spec
+        capsys.readouterr()
 
 class TestQeLowerBound:
     def test_examples(self):

@@ -1,10 +1,12 @@
 """Exact quantum query algorithms for symmetric promise problems.
 
 Submodules: ``symfun`` (weight-vector functions and families), ``polydeg``
-(exact-rational degree certification), ``qsim`` (state-vector simulation of
-the phase-oracle model), ``algos`` (query algorithms, branch enumeration,
-exactness verification), ``classical`` (deterministic query complexity),
-``identities`` (binomial determinant identity), ``cli`` (command line).
+(exact-rational degree certification), ``algos`` (query algorithms, branch
+enumeration from exact subroutine laws, exactness verification),
+``classical`` (deterministic query complexity), ``identities`` (binomial
+determinant identity), ``cli`` (command line).  ``qsim``, the dense
+state-vector simulator of the phase-oracle model, is the reference the tests
+check the subroutine laws against; it needs numpy and is not imported here.
 """
 
 from .algos import (
@@ -54,13 +56,9 @@ __all__ = [
     "FeasibilityResult",
     "FnValue",
     "PolyV",
-    "QState",
     "SymPartialFn",
     "UnsupportedParameters",
     "VerificationReport",
-    "apply_map",
-    "apply_oracle",
-    "basis_state",
     "binom_det",
     "binom_det_closed",
     "check_identity",
@@ -83,7 +81,6 @@ __all__ = [
     "is_isomorphic",
     "isomorphs",
     "lp_feasible",
-    "measure",
     "qe_lower_bound",
     "value_at_weight",
     "verify_exact",
@@ -91,14 +88,3 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# Re-exported from qsim on first use (PEP 562), so that importing symquery
-# does not load numpy.
-_QSIM_EXPORTS = frozenset({"QState", "apply_map", "apply_oracle", "basis_state", "measure"})
-
-
-def __getattr__(name: str):
-    if name in _QSIM_EXPORTS:
-        from . import qsim
-
-        return getattr(qsim, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,8 +2,8 @@
 verification.
 
 Each algorithm returns an AlgorithmRun listing every measurement branch of
-one input's dense simulation with probability above the pruning threshold,
-together with the branch's final output and oracle-query count.
+one input's execution, together with the branch's probability, final output
+and oracle-query count.
 
 Two one-query subroutines power everything:
 
@@ -15,13 +15,15 @@ Two one-query subroutines power everything:
   0-position at weight 3n/4.
 
 Both come with closed-form outcome laws in exact rationals, per input and
-per weight.  Every algorithm reads explicit bits and calls these
-subroutines, so its law of (output, queries used) depends only on the weight
-of the input and, where it reads x_1 first, on x_1.  ``verify_exact``
-computes that law exactly, in Fractions, once per weight class, and so
-certifies the whole promise domain in time polynomial in n;
-``simulate_domain`` is the exponential reference that replays every promised
-input through the simulation, and tests check that the two agree.
+per weight; the runners list branches from the per-input laws, as floats.
+Every algorithm reads explicit bits and calls these subroutines, so its law
+of (output, queries used) depends only on the weight of the input and, where
+it reads x_1 first, on x_1.  ``verify_exact`` computes that law exactly, in
+Fractions, once per weight class, and so certifies the whole promise domain
+in time polynomial in n; ``simulate_domain`` is the exponential reference
+that replays every promised input through the runners, and tests check that
+the two agree.  The dense circuits (``xquery_state``, ``grover1_state``, on
+``qsim`` and numpy) serve only the tests, as the closed forms' reference.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .symfun import (
     ONE,
@@ -48,10 +50,6 @@ from .symfun import (
 )
 
 PROB_SUM_TOL = 1e-9
-MAX_EXPLICIT_BRANCHES = 2_000_000  # guard for the explicit branch tree
-# largest dense map dimension a subroutine circuit may build: the pair test at
-# m = 32 bits, (32+1)^2 = 1089, takes about 1.2 s and 190 MB
-MAX_DENSE_DIM = 33 * 33
 
 
 class UnsupportedParameters(ValueError):
@@ -110,16 +108,9 @@ def _check_bits(x: str, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Circuits for the two one-query subroutines
-#
-# numpy and qsim are imported inside the dense functions only, so importing
-# symquery (and every CLI command but `run`) never loads numpy.
+# Circuits for the two one-query subroutines, the tests' dense reference;
+# they import numpy and qsim when called
 # ---------------------------------------------------------------------------
-
-
-def _check_dense_dim(what: str, dim: int) -> None:
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"{what} needs dense {dim}-dimensional maps; simulation is capped at {MAX_DENSE_DIM}")
 
 
 @lru_cache(maxsize=4)
@@ -135,7 +126,6 @@ def xquery_unitaries(m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need m >= 1, got {m}")
     width = m + 1
     dim = width * width
-    _check_dense_dim(f"the pair test on m={m} bits", dim)
     import numpy as np
 
     from . import qsim
@@ -178,14 +168,6 @@ def xquery_state(x: str) -> qsim.QState:
     return qsim.apply_map(state, u2, assume_unitary=True)
 
 
-@lru_cache(maxsize=65536)
-def xquery_outcomes(x: str) -> tuple[tuple[tuple[int, int], float], ...]:
-    """Measured outcomes of the pair test: (0,0) and/or pairs (i, j), i < j."""
-    from . import qsim
-
-    return tuple(qsim.measure(xquery_state(x)))
-
-
 @lru_cache(maxsize=4)
 def grover_unitaries(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform preparation over indices 1..n and the post-oracle reflection
@@ -193,7 +175,6 @@ def grover_unitaries(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     dim = n + 1
-    _check_dense_dim(f"the one-iteration search on n={n} bits", dim)
     import numpy as np
 
     from . import qsim
@@ -223,20 +204,14 @@ def grover1_state(x: str) -> qsim.QState:
     return qsim.apply_map(state, reflect, assume_unitary=True)
 
 
-@lru_cache(maxsize=65536)
-def grover_outcomes(x: str) -> tuple[tuple[int, float], ...]:
-    """Measured index distribution of the one-iteration search."""
-    from . import qsim
-
-    return tuple((i, p) for (i, _), p in qsim.measure(grover1_state(x)))
-
-
 def xquery_exact_distribution(x: str) -> list[tuple[tuple[int, int], Fraction]]:
     """Closed-form outcome law of the pair test, in exact rationals.
 
     P(0,0) = ((m - 2t)/m)^2 at weight t; each differing pair carries 4/m^2.
     """
     m = len(x)
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     t = x.count("1")
     out: list[tuple[tuple[int, int], Fraction]] = []
     p_flat = Fraction((m - 2 * t) ** 2, m * m)
@@ -257,6 +232,8 @@ def grover1_exact_distribution(x: str) -> list[tuple[int, Fraction]]:
     s = n - 2|x|.
     """
     n = len(x)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     t = x.count("1")
     mean2 = Fraction(2 * (n - 2 * t), n)
     out: list[tuple[int, Fraction]] = []
@@ -267,6 +244,19 @@ def grover1_exact_distribution(x: str) -> list[tuple[int, Fraction]]:
         if p:
             out.append((i, p))
     return out
+
+
+@lru_cache(maxsize=65536)
+def xquery_outcomes(x: str) -> tuple[tuple[tuple[int, int], float], ...]:
+    """Outcomes of the pair test, as floats in measurement order: (0,0)
+    and/or pairs (i, j), i < j."""
+    return tuple((o, float(p)) for o, p in xquery_exact_distribution(x))
+
+
+@lru_cache(maxsize=65536)
+def grover_outcomes(x: str) -> tuple[tuple[int, float], ...]:
+    """Measured index distribution of the one-iteration search, as floats."""
+    return tuple((i, float(p)) for i, p in grover1_exact_distribution(x))
 
 
 def xquery_weight_law(t: int, m: int) -> tuple[Fraction, Fraction]:
@@ -330,19 +320,14 @@ def dj(n: int, k: int, x: str) -> AlgorithmRun:
 
     Rounds of the pair test: the flat outcome settles the answer with 0, a
     pair removes the two differing positions and the loop continues; a pair
-    in the final round settles 1.  Inputs off the promise are simulated as-is
-    and may produce either output.
+    in the final round settles 1.  Inputs off the promise are run as-is and
+    may produce either output.
     """
     _check_dj(n, k)
     _check_bits(x, n)
     branches: list[BranchTrace] = []
 
     def explore(cur: str, path: tuple[str, ...], prob: float, used: int) -> None:
-        if len(branches) > MAX_EXPLICIT_BRANCHES:
-            raise RuntimeError(
-                "branch tree exceeds the explicit-enumeration guard; "
-                "use verify_exact for whole-domain checks"
-            )
         last_round = used == k
         for (i, j), p in xquery_outcomes(cur):
             step = path + (f"xq:{i},{j}",)
@@ -621,43 +606,53 @@ def _f4_classes(n: int, t: int) -> Classes:
 
 
 # ---------------------------------------------------------------------------
-# Exactness verification
+# Running and exactness verification
 # ---------------------------------------------------------------------------
 
-# Largest n verify_exact accepts.  Its slowest instance, dj at k = n/2 - 1,
-# takes about 4 s at n = 1000 on a 2-core x86 VM.
+# Largest n run and verify_exact accept.  verify_exact's slowest instance,
+# dj at k = n/2 - 1, takes about 4 s at n = 1000 on a 2-core x86 VM.
 MAX_VERIFY_N = 1000
+# Most branches run lists; the bound is checked before any branch is built.
+MAX_RUN_BRANCHES = 100_000
 
 
-@dataclass(frozen=True)
-class _AlgInfo:
-    params: tuple[str, ...]
-    runner: Callable[..., AlgorithmRun]
-    family: Callable[..., SymPartialFn]
-    budget: Callable[[Mapping[str, int]], int]
-    classes: Callable[..., Classes]  # (*params, weight) -> per-class laws
-
-
-DECISION_ALGORITHMS: dict[str, _AlgInfo] = {
-    "dj": _AlgInfo(("n", "k"), dj, family_dj, lambda p: p["k"] + 1, _whole(_dj_law)),
-    "dhw": _AlgInfo(("n", "k"), dhw, family_f1, lambda p: 1, _whole(_dhw_law)),
-    "f1": _AlgInfo(("n",), f1, lambda n: family_f1(n, n // 2), lambda p: 2, _f1_classes),
-    "f3": _AlgInfo(("n",), f3, lambda n: family_f3(n, (n + 1) // 2), lambda p: 2, _f3_classes),
-    "dw1": _AlgInfo(("n",), dw1, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda p: 2, _whole(_dw1_law)),
-    "dw2": _AlgInfo(("n",), dw2, lambda n: family_dw(n, 0, n // 4), lambda p: 2, _whole(_dw2_law)),
-    "dw": _AlgInfo(("n", "k", "l"), dw_general, family_dw, lambda p: 2, _whole(_dw_law)),
-    "f2": _AlgInfo(("n", "k"), f2, family_f2, lambda p: 4, _whole(_f2_law)),
-    "f4": _AlgInfo(("n",), f4, family_f4, lambda p: 5, _f4_classes),
-}
-
-SUBROUTINE_ALGORITHMS = ("xquery", "grover1")
+def _lookup(alg: str, params: Mapping[str, int]) -> tuple[Algorithm, list[int]]:
+    """The registry entry and its parameter values, in order."""
+    if alg not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {alg!r}")
+    entry = ALGORITHMS[alg]
+    missing = [p for p in entry.params if p not in params]
+    if missing:
+        raise ValueError(f"{alg} needs parameters {entry.params}, missing {missing}")
+    return entry, [params[p] for p in entry.params]
 
 
 def query_budget(alg: str, params: Mapping[str, int]) -> int:
     """Declared worst-case query count for an algorithm instance."""
-    if alg in SUBROUTINE_ALGORITHMS:
-        return 1
-    return DECISION_ALGORITHMS[alg].budget(params)
+    entry, args = _lookup(alg, params)
+    return entry.budget(*args)
+
+
+def canonical_function(alg: str, params: Mapping[str, int]) -> SymPartialFn:
+    """The promise function a decision algorithm computes."""
+    entry, args = _lookup(alg, params)
+    return entry.family(*args)
+
+
+def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
+    """Every branch of one execution on x.  Refuses n above MAX_VERIFY_N,
+    and an input whose weight admits more than MAX_RUN_BRANCHES branches,
+    before building any branch."""
+    entry, args = _lookup(alg, params)
+    if params["n"] > MAX_VERIFY_N:
+        raise ValueError(f"run is capped at n={MAX_VERIFY_N}, got n={params['n']}")
+    t = x.count("1")
+    if entry.branches(*args, t) > MAX_RUN_BRANCHES:
+        raise ValueError(
+            f"run is capped at {MAX_RUN_BRANCHES} branches, and {alg} may list more "
+            f"on an input of weight {t}; verify checks the whole domain instead"
+        )
+    return entry.runner(*args, x)
 
 
 def _complement_input(transform: str) -> bool:
@@ -674,31 +669,18 @@ def _negate_output(transform: str) -> bool:
     return transform in ("complement", "reverse_complement")
 
 
-def canonical_function(alg: str, params: Mapping[str, int]) -> SymPartialFn:
-    """The promise function a decision algorithm computes."""
-    info = DECISION_ALGORITHMS[alg]
-    return info.family(*(params[p] for p in info.params))
-
-
-def _check_request(alg: str, params: Mapping[str, int], transform: str) -> None:
+def _check_request(
+    alg: str, params: Mapping[str, int], transform: str
+) -> tuple[Algorithm, list[int]]:
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
-    if alg in SUBROUTINE_ALGORITHMS:
-        names: tuple[str, ...] = ("n",)
-    elif alg in DECISION_ALGORITHMS:
-        names = DECISION_ALGORITHMS[alg].params
-    else:
-        raise ValueError(f"unknown algorithm {alg!r}")
-    missing = [p for p in names if p not in params]
-    if missing:
-        raise ValueError(f"{alg} needs parameters {names}, missing {missing}")
+    entry, args = _lookup(alg, params)
     n = params["n"]
     if n > MAX_VERIFY_N:
         raise ValueError(f"verification is capped at n={MAX_VERIFY_N}, got n={n}")
-    if alg in SUBROUTINE_ALGORITHMS and n < 1:
+    if entry.family is None and n < 1:
         raise ValueError(f"{alg} contract needs n >= 1, got n={n}")
-    if alg == "grover1" and n % 4:
-        raise ValueError(f"grover1 contract needs n divisible by 4, got n={n}")
+    return entry, args
 
 
 def _target(
@@ -741,14 +723,11 @@ def verify_exact(
     A failure names one input of its class.  Instances with n above
     MAX_VERIFY_N are refused.
     """
-    _check_request(alg, params, transform)
-    n = params["n"]
-    if alg == "xquery":
-        return _certify(f"xquery-contract:m={n}", _xquery_classes(n))
-    if alg == "grover1":
-        return _certify(f"grover1-contract:n={n}", _grover1_classes(n))
+    entry, args = _check_request(alg, params, transform)
+    if entry.family is None:
+        return _certify(*entry.classes(*args))
     f = _target(alg, params, f, transform)
-    return _certify(str(f), _decision_classes(alg, params, f, transform))
+    return _certify(str(f), _decision_classes(entry, args, f, transform))
 
 
 # One certified class: an input it contains, how many inputs it has, the
@@ -762,15 +741,13 @@ def _class_input(n: int, t: int, prefix: str) -> str:
 
 
 def _decision_classes(
-    alg: str, params: Mapping[str, int], f: SymPartialFn, transform: str
+    entry: Algorithm, args: list[int], f: SymPartialFn, transform: str
 ) -> Iterator[_Class]:
-    info = DECISION_ALGORITHMS[alg]
-    args = [params[p] for p in info.params]
     negate = _negate_output(transform)
     for w in f.domain_weights:
         want = frozenset({int(f.values[w] is ONE)})
         t = f.n - w if _complement_input(transform) else w  # the weight the algorithm sees
-        for prefix, law in info.classes(*args, t):
+        for prefix, law in entry.classes(*args, t):
             x = _premap_input(_class_input(f.n, t, prefix), transform)
             count = math.comb(f.n - len(prefix), t - prefix.count("1"))
             if negate:
@@ -778,26 +755,32 @@ def _decision_classes(
             yield x, count, law, want
 
 
-def _xquery_classes(m: int) -> Iterator[_Class]:
+def _xquery_contract(m: int) -> tuple[str, list[_Class]]:
     """The flat outcome may appear only off balance.  The law has no
     same-bit pair: a pair's amplitude is the difference of its two phases."""
+    classes = []
     for t in range(m + 1):
         flat, pair = xquery_weight_law(t, m)
         allowed = {"differing pair"} if 2 * t == m else {"flat", "differing pair"}
         law = _law((("flat", 1), flat), (("differing pair", 1), pair))
-        yield _class_input(m, t, ""), math.comb(m, t), law, frozenset(allowed)
+        classes.append((_class_input(m, t, ""), math.comb(m, t), law, frozenset(allowed)))
+    return f"xquery-contract:m={m}", classes
 
 
-def _grover1_classes(n: int) -> Iterator[_Class]:
+def _grover1_contract(n: int) -> tuple[str, list[_Class]]:
     """The reported index is a 1-position at weight n/4 and a 0-position at
     weight 3n/4."""
+    if n % 4:
+        raise ValueError(f"grover1 contract needs n divisible by 4, got n={n}")
+    classes = []
     for t, want in ((n // 4, "1-position"), (3 * n // 4, "0-position")):
         on_ones, on_zeros = grover1_weight_law(t, n)
         law = _law((("1-position", 1), on_ones), (("0-position", 1), on_zeros))
-        yield _class_input(n, t, ""), math.comb(n, t), law, frozenset({want})
+        classes.append((_class_input(n, t, ""), math.comb(n, t), law, frozenset({want})))
+    return f"grover1-contract:n={n}", classes
 
 
-def _certify(function: str, classes: Iterator[_Class]) -> VerificationReport:
+def _certify(function: str, classes: Iterable[_Class]) -> VerificationReport:
     failures: list[tuple[str, str]] = []
     worst = 0
     checked = 0
@@ -819,23 +802,20 @@ def _certify(function: str, classes: Iterator[_Class]) -> VerificationReport:
 def simulate_domain(
     alg: str, params: Mapping[str, int], transform: str = "identity"
 ) -> VerificationReport:
-    """Reference for verify_exact: simulate every promised input densely,
-    in floats, and check every branch.  Exponential in n."""
-    _check_request(alg, params, transform)
-    if alg == "xquery":
-        return _simulate_xquery(params["n"])
-    if alg == "grover1":
-        return _simulate_grover1(params["n"])
+    """Reference for verify_exact: run every promised input through the
+    algorithm's runner, in floats, and check every branch (a subroutine's
+    against its contract).  Exponential in n."""
+    entry, args = _check_request(alg, params, transform)
+    if entry.family is None:
+        return _simulate_contract(entry, args[0])
     f = _target(alg, params, None, transform)
-    run = DECISION_ALGORITHMS[alg].runner
-    args = [params[p] for p in DECISION_ALGORITHMS[alg].params]
     negate = _negate_output(transform)
     failures: list[tuple[str, str]] = []
     worst = 0
     checked = 0
     for x in domain_inputs(f):
         fx = 1 if f.values[x.count("1")] is ONE else 0
-        for br in run(*args, _premap_input(x, transform)).branches:
+        for br in entry.runner(*args, _premap_input(x, transform)).branches:
             out = 1 - br.output if negate else br.output
             worst = max(worst, br.queries_used)
             if out != fx:
@@ -846,37 +826,87 @@ def simulate_domain(
     return VerificationReport(str(f), checked, not failures, worst, tuple(failures))
 
 
-def _simulate_xquery(m: int) -> VerificationReport:
-    """Contract check over all m-bit inputs: (0,0) appears only off balance,
-    and every reported pair really differs."""
+def _simulate_contract(entry: Algorithm, n: int) -> VerificationReport:
+    """Every input of each weight the contract covers, each branch named in
+    the contract's terms."""
+    function, classes = entry.classes(n)
     failures: list[tuple[str, str]] = []
+    worst = 0
     checked = 0
-    for bits in range(2**m):
-        x = format(bits, f"0{m}b")
-        balanced = 2 * x.count("1") == m
-        for br in xquery(m, x).branches:
-            i, j = br.output
-            if (i, j) == (0, 0):
-                if balanced:
-                    failures.append((x, "flat outcome on a balanced input"))
-            elif x[i - 1] == x[j - 1]:
-                failures.append((x, f"pair ({i},{j}) does not differ"))
-        checked += 1
-    return VerificationReport(f"xquery-contract:m={m}", checked, not failures, 1, tuple(failures))
-
-
-def _simulate_grover1(n: int) -> VerificationReport:
-    """Contract check at weights n/4 and 3n/4: the measured index is a
-    1-position at quarter weight and a 0-position at three-quarter weight."""
-    failures: list[tuple[str, str]] = []
-    checked = 0
-    for w, want in ((n // 4, "1"), (3 * n // 4, "0")):
-        for positions in itertools.combinations(range(n), w):
-            x = "".join("1" if i in positions else "0" for i in range(n))
-            for br in grover1(n, x).branches:
-                if x[br.output - 1] != want:
-                    failures.append((x, f"index {br.output} is not a {want}-position"))
+    for rep, _, _, allowed in classes:
+        for ones in itertools.combinations(range(n), rep.count("1")):
+            x = "".join("1" if i in ones else "0" for i in range(n))
+            for br in entry.runner(n, x).branches:
+                worst = max(worst, br.queries_used)
+                term = _contract_term(x, br.output)
+                if term not in allowed:
+                    failures.append((x, f"output {br.output} is a {term}"))
             checked += 1
-    return VerificationReport(
-        f"grover1-contract:n={n}", checked, not failures, 1, tuple(failures)
-    )
+    return VerificationReport(function, checked, not failures, worst, tuple(failures))
+
+
+def _contract_term(x: str, out: int | tuple[int, int]) -> str:
+    if isinstance(out, int):
+        return f"{x[out - 1]}-position"
+    i, j = out
+    if (i, j) == (0, 0):
+        return "flat"
+    return "differing pair" if x[i - 1] != x[j - 1] else "same-bit pair"
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One algorithm id.  Every callable takes the parameters positionally,
+    in the order of `params`."""
+
+    params: tuple[str, ...]
+    runner: Callable[..., AlgorithmRun]  # (*params, x) -> every branch on x
+    family: Callable[..., SymPartialFn] | None  # the promise; None for a subroutine
+    budget: Callable[..., int]  # (*params) -> declared worst-case queries
+    # (*params, weight) -> per-class laws; a subroutine's takes (*params) and
+    # returns its contract's name and certified classes
+    classes: Callable[..., object]
+    branches: Callable[..., int]  # (*params, weight) -> bound on a run's branches
+
+
+def _dj_branches(n: int, k: int, t: int) -> int:
+    """Each node of round i (from 0) has at most one flat leaf and
+    (t - i)(n - t - i) pairs; the pairs of round k+1 are leaves."""
+    _check_dj(n, k)
+    leaves, nodes = 0, 1
+    for i in range(k + 1):
+        leaves += nodes
+        nodes *= max(t - i, 0) * max(n - t - i, 0)
+    return leaves + nodes
+
+
+# In the order `symquery families` lists them.  Branch bounds leave the
+# parameter checks to the runners, except where they loop over a parameter.
+ALGORITHMS: dict[str, Algorithm] = {
+    "xquery": Algorithm(("n",), xquery, None, lambda n: 1, _xquery_contract,
+                        lambda m, t: t * (m - t) + 1),  # the flat outcome and the differing pairs
+    "dj": Algorithm(("n", "k"), dj, family_dj, lambda n, k: k + 1, _whole(_dj_law), _dj_branches),
+    "dhw": Algorithm(("n", "k"), dhw, family_f1, lambda n, k: 1, _whole(_dhw_law),
+                     lambda n, k, t: t * (2 * k - t) + 1),
+    "f1": Algorithm(("n",), f1, lambda n: family_f1(n, n // 2), lambda n: 2, _f1_classes,
+                    lambda n, t: max(1, t * (n - 1 - t) + 1)),
+    "f3": Algorithm(("n",), f3, lambda n: family_f3(n, (n + 1) // 2), lambda n: 2, _f3_classes,
+                    lambda n, t: t * (n + 1 - t) + 1),  # x_1 = 0 pads to more bits than x_1 = 1
+    "grover1": Algorithm(("n",), grover1, None, lambda n: 1, _grover1_contract, lambda n, t: n),
+    "dw1": Algorithm(("n",), dw1, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda n: 2, _whole(_dw1_law),
+                     lambda n, t: n),
+    "dw2": Algorithm(("n",), dw2, lambda n: family_dw(n, 0, n // 4), lambda n: 2, _whole(_dw2_law),
+                     lambda n, t: n),
+    "dw": Algorithm(("n", "k", "l"), dw_general, family_dw, lambda n, k, l: 2, _whole(_dw_law),
+                    lambda n, k, l, t: _dw_padding(n, k, l)[0]),
+    # every first-search position may lead to every second-search position
+    "f2": Algorithm(("n", "k"), f2, family_f2, lambda n, k: 4, _whole(_f2_law),
+                    lambda n, k, t: 4 * k * 4 * (k + 1)),
+    "f4": Algorithm(("n",), f4, family_f4, lambda n: 5, _f4_classes,
+                    lambda n, t: 4 * (n // 2) * 4 * (n // 2 + 1)),
+}

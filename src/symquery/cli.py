@@ -17,26 +17,6 @@ from fractions import Fraction
 
 from . import algos, classical, identities, polydeg, symfun
 
-_RUN_PARAMS: dict[str, tuple[str, ...]] = {
-    "xquery": ("n",),
-    "dj": ("n", "k"),
-    "dhw": ("n", "k"),
-    "f1": ("n",),
-    "f3": ("n",),
-    "grover1": ("n",),
-    "dw1": ("n",),
-    "dw2": ("n",),
-    "dw": ("n", "k", "l"),
-    "f2": ("n", "k"),
-    "f4": ("n",),
-}
-
-_RUNNERS = {
-    "xquery": algos.xquery,
-    "grover1": algos.grover1,
-    **{name: info.runner for name, info in algos.DECISION_ALGORITHMS.items()},
-}
-
 
 def _prob(p: float) -> float:
     return float(f"{p:.12g}")
@@ -49,14 +29,18 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
         print(human, end="")
 
 
-def _collect_params(args: argparse.Namespace, names: tuple[str, ...]) -> dict[str, int]:
+def _collect_params(args: argparse.Namespace) -> tuple[algos.Algorithm, dict[str, int]]:
+    """The registry entry of --alg and its parameter values, in order."""
+    entry = algos.ALGORITHMS.get(args.alg)
+    if entry is None:
+        raise ValueError(f"unknown algorithm {args.alg!r}; choose from {sorted(algos.ALGORITHMS)}")
     params = {}
-    for name in names:
+    for name in entry.params:
         value = getattr(args, name, None)
         if value is None:
             raise ValueError(f"algorithm {args.alg!r} requires --{name}")
         params[name] = value
-    return params
+    return entry, params
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
@@ -87,18 +71,15 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     alg = args.alg
-    if alg not in _RUN_PARAMS:
-        raise ValueError(f"unknown algorithm {alg!r}; choose from {sorted(_RUN_PARAMS)}")
-    params = _collect_params(args, _RUN_PARAMS[alg])
+    entry, params = _collect_params(args)
     if args.input is None:
         raise ValueError("run requires --input")
-    run = _RUNNERS[alg](*params.values(), args.input)
+    run = algos.run(alg, params, args.input)
 
     in_promise = None
     expected = None
-    if alg in algos.DECISION_ALGORITHMS:
-        canonical = algos.canonical_function(alg, params)
-        value = canonical.values[args.input.count("1")]
+    if entry.family is not None:
+        value = algos.canonical_function(alg, params).values[args.input.count("1")]
         in_promise = value.defined
         expected = int(value.value) if value.defined else None
 
@@ -140,9 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     alg = args.alg
-    if alg not in _RUN_PARAMS:
-        raise ValueError(f"unknown algorithm {alg!r}; choose from {sorted(_RUN_PARAMS)}")
-    params = _collect_params(args, _RUN_PARAMS[alg])
+    _, params = _collect_params(args)
     report = algos.verify_exact(alg, params)
     payload = {
         "command": "verify",
@@ -232,14 +211,14 @@ def _cmd_families(args: argparse.Namespace) -> int:
     payload = {
         "command": "families",
         "functions": [{"spec": spec, "description": desc} for spec, desc in _FAMILY_HELP],
-        "algorithms": {name: list(names) for name, names in _RUN_PARAMS.items()},
+        "algorithms": {name: list(entry.params) for name, entry in algos.ALGORITHMS.items()},
     }
     lines = ["function constructors:"]
     for spec, desc in _FAMILY_HELP:
         lines.append(f"  {spec:<14} {desc}")
     lines.append("algorithms (flags for run/verify):")
-    for name, names in _RUN_PARAMS.items():
-        lines.append(f"  {name:<8} --" + " --".join(names))
+    for name, entry in algos.ALGORITHMS.items():
+        lines.append(f"  {name:<8} --" + " --".join(entry.params))
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0
 
@@ -275,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     try:
         return args.handler(args)
     except (ValueError, ZeroDivisionError) as exc:

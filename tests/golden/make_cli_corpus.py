@@ -88,7 +88,7 @@ def invocations() -> list[tuple[list[str], str | None]]:
         ["run", "--alg", "xquery", "--n", "4", "--input", "11"],
         ["run", "--alg", "f1", "--n", "4", "--input", "0110"],
         ["run", "--alg", "grover1", "--n", "3", "--input", "012"],
-        ["run", "--alg", "xquery", "--n", "33", "--input", "0" * 33],
+        ["run", "--alg", "dj", "--n", "14", "--k", "6", "--input", "1" * 7 + "0" * 7],
         ["classical", "--fn", "DJ:5,1"],
         ["classify", "--fn", "1"],
         ["classify", "--fn", "XYZ:3"],
@@ -104,12 +104,12 @@ def _patched(patch: str | None):
         yield
         return
     alg, family = PATCHES[patch]
-    original = algos.DECISION_ALGORITHMS[alg]
-    algos.DECISION_ALGORITHMS[alg] = dataclasses.replace(original, family=family)
+    original = algos.ALGORITHMS[alg]
+    algos.ALGORITHMS[alg] = dataclasses.replace(original, family=family)
     try:
         yield
     finally:
-        algos.DECISION_ALGORITHMS[alg] = original
+        algos.ALGORITHMS[alg] = original
 
 
 def replay(argv: list[str], patch: str | None = None) -> tuple[int, str, str]:

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction as F
 
 import symquery as sq
-from symquery import algos
+from symquery import algos, qsim
 from symquery.polydeg import FamilyKind, PolyV
 from symquery.symfun import TRANSFORMS
 
@@ -179,23 +179,21 @@ def test_criterion_7_determinant_identity():
 
 
 def test_criterion_8_simulator_invariants():
-    """Closed forms match the simulator to 1e-9 on every input, n <= 12;
-    branch probabilities always total 1."""
+    """Closed forms match the dense circuits to 1e-9 on every input, n <= 12;
+    measured probabilities always total 1."""
     for m in range(1, 17):
         for t in range(m + 1):
             assert (m - 2 * t) ** 2 + 4 * t * (m - t) == m * m
     for n in range(1, 13):
         for bits in itertools.product("01", repeat=n):
             x = "".join(bits)
-            run = algos.xquery(n, x)
-            sim = {b.output: b.probability for b in run.branches}
+            sim = dict(qsim.measure(algos.xquery_state(x)))
             exact = dict(algos.xquery_exact_distribution(x))
             assert set(sim) == set(exact), x
             assert all(abs(sim[o] - float(p)) <= 1e-9 for o, p in exact.items()), x
             assert abs(sum(sim.values()) - 1.0) <= 1e-9, x
 
-            run = algos.grover1(n, x)
-            sim = {b.output: b.probability for b in run.branches}
+            sim = {i: p for (i, _), p in qsim.measure(algos.grover1_state(x))}
             exact = dict(algos.grover1_exact_distribution(x))
             assert set(sim) == set(exact), x
             assert all(abs(sim[o] - float(p)) <= 1e-9 for o, p in exact.items()), x

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import symquery as sq
-from symquery import algos
+from symquery import algos, qsim
 from symquery.symfun import TRANSFORMS
 
 
@@ -47,7 +47,7 @@ class TestXquery:
         for m in range(1, 7):
             for bits in itertools.product("01", repeat=m):
                 x = "".join(bits)
-                sim = dict(algos.xquery_outcomes(x))
+                sim = dict(qsim.measure(algos.xquery_state(x)))
                 exact = {o: float(p) for o, p in algos.xquery_exact_distribution(x)}
                 assert set(sim) == set(exact)
                 assert all(abs(sim[o] - exact[o]) < 1e-9 for o in sim)
@@ -76,7 +76,7 @@ class TestGrover1:
         for n in range(1, 7):
             for bits in itertools.product("01", repeat=n):
                 x = "".join(bits)
-                sim = dict(algos.grover_outcomes(x))
+                sim = {i: p for (i, _), p in qsim.measure(algos.grover1_state(x))}
                 exact = {o: float(p) for o, p in algos.grover1_exact_distribution(x)}
                 assert set(sim) == set(exact)
                 assert all(abs(sim[o] - exact[o]) < 1e-9 for o in sim)
@@ -412,10 +412,25 @@ class TestRunInvariants:
         b = algos.dj(6, 1, "110100")
         assert a == b
 
+    @pytest.mark.parametrize("alg", list(algos.ALGORITHMS))
+    def test_branch_bound_covers_every_run(self, alg):
+        entry = algos.ALGORITHMS[alg]
+        instances = list(valid_instances(alg, 8)) if entry.family else [{"n": n} for n in range(1, 9)]
+        assert instances
+        for params in instances:
+            args = list(params.values())
+            for bits in itertools.product("01", repeat=params["n"]):
+                x = "".join(bits)
+                listed = len(algos.run(alg, params, x).branches)
+                assert listed <= entry.branches(*args, x.count("1")), (params, x)
+
     def test_leaky_probabilities_rejected(self):
         half = algos.BranchTrace(("x1=0",), 0.5, 0, 1)
         with pytest.raises(ValueError, match="sum"):
             algos.AlgorithmRun("01", (half,))
+
+
+DECISION_ALGORITHMS = sorted(alg for alg, entry in algos.ALGORITHMS.items() if entry.family)
 
 
 def valid_instances(alg, n_max):
@@ -433,7 +448,7 @@ def valid_instances(alg, n_max):
         for params in candidates:
             try:
                 algos.canonical_function(alg, params)
-                algos.DECISION_ALGORITHMS[alg].runner(*params.values(), "0" * n)
+                algos.ALGORITHMS[alg].runner(*params.values(), "0" * n)
             except ValueError:  # includes UnsupportedParameters
                 continue
             yield params
@@ -444,7 +459,7 @@ def summary(report):
 
 
 class TestWeightClassEngine:
-    @pytest.mark.parametrize("alg", sorted(algos.DECISION_ALGORITHMS))
+    @pytest.mark.parametrize("alg", DECISION_ALGORITHMS)
     def test_agrees_with_simulation(self, alg):
         instances = list(valid_instances(alg, 8))
         assert instances
@@ -454,9 +469,9 @@ class TestWeightClassEngine:
                 assert exact.all_exact, (params, t)
                 assert summary(exact) == summary(algos.simulate_domain(alg, params, t)), (params, t)
 
-    @pytest.mark.parametrize("alg", sorted(algos.DECISION_ALGORITHMS))
+    @pytest.mark.parametrize("alg", DECISION_ALGORITHMS)
     def test_class_laws_match_simulated_branches(self, alg):
-        info = algos.DECISION_ALGORITHMS[alg]
+        info = algos.ALGORITHMS[alg]
         for params in valid_instances(alg, 8):
             args = list(params.values())
             for x in sq.domain_inputs(algos.canonical_function(alg, params)):
@@ -491,9 +506,9 @@ class TestWeightClassEngine:
                 assert algos.grover1_weight_law(t, m) == (on_ones, on_zeros), (m, t)
 
     def test_wrong_target_fails_both_verifiers(self, monkeypatch):
-        info = algos.DECISION_ALGORITHMS["f1"]
+        info = algos.ALGORITHMS["f1"]
         wrong = dataclasses.replace(info, family=lambda n: sq.family_f1(n, n // 2 + 1))
-        monkeypatch.setitem(algos.DECISION_ALGORITHMS, "f1", wrong)
+        monkeypatch.setitem(algos.ALGORITHMS, "f1", wrong)
         for report in (algos.verify_exact("f1", {"n": 7}), algos.simulate_domain("f1", {"n": 7})):
             assert not report.all_exact
             assert report.failures

@@ -4,7 +4,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -75,27 +74,34 @@ class TestRun:
         assert "outside the promise" in out
 
     @pytest.mark.parametrize(
-        "alg, n",
+        "argv",
         [
-            ("grover1", algos.MAX_DENSE_DIM),  # dimension n + 1 = cap + 1
-            ("xquery", math.isqrt(algos.MAX_DENSE_DIM)),  # least m with (m + 1)^2 > cap
+            ("--alg", "dj", "--n", "14", "--k", "6", "--input", "1" * 7 + "0" * 7),
+            ("--alg", "xquery", "--n", "1000", "--input", "1" * 500 + "0" * 500),
+            ("--alg", "f2", "--n", "400", "--k", "100", "--input", "0" * 400),
+            ("--alg", "grover1", "--n", str(algos.MAX_VERIFY_N + 1), "--input", "0" * (algos.MAX_VERIFY_N + 1)),
         ],
     )
-    def test_oversize_simulation_refused_before_allocating(self, capsys, monkeypatch, alg, n):
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"numpy.{name} used before the size check")
+    def test_refused_before_any_branch(self, capsys, monkeypatch, argv):
+        def no_branch(x):
+            raise AssertionError("a subroutine ran before the refusal")
 
-        monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
-        code, out, err = run_cli(capsys, "run", "--alg", alg, "--n", str(n), "--input", "0" * n)
+        monkeypatch.setattr(algos, "xquery_outcomes", no_branch)
+        monkeypatch.setattr(algos, "grover_outcomes", no_branch)
+        code, out, err = run_cli(capsys, "run", *argv)
         assert code == 2
-        assert err.startswith("error:") and f"capped at {algos.MAX_DENSE_DIM}" in err
+        assert err.startswith("error: run is capped at")
         assert "Traceback" not in out + err
 
-    def test_dense_cap_admits_pair_test_at_32_bits(self):
-        assert (32 + 1) ** 2 <= algos.MAX_DENSE_DIM < (33 + 1) ** 2
-        for build in (algos.xquery_unitaries, algos.grover_unitaries):
-            assert build.cache_info().maxsize <= 8
+    def test_branch_cap_boundary(self, monkeypatch):
+        entry = algos.ALGORITHMS["xquery"]
+        for bound in (algos.MAX_RUN_BRANCHES, algos.MAX_RUN_BRANCHES + 1):
+            monkeypatch.setitem(algos.ALGORITHMS, "xquery", dataclasses.replace(entry, branches=lambda m, t: bound))
+            if bound > algos.MAX_RUN_BRANCHES:
+                with pytest.raises(ValueError, match="capped"):
+                    algos.run("xquery", {"n": 4}, "1100")
+            else:
+                assert len(algos.run("xquery", {"n": 4}, "1100").branches) == 4
 
     def test_missing_parameter(self, capsys):
         code, _, err = run_cli(capsys, "run", "--alg", "dj", "--n", "8", "--input", "10000000")
@@ -150,9 +156,9 @@ class TestVerify:
         assert "Traceback" not in out + err
 
     def test_inexact_exit_one(self, capsys, monkeypatch):
-        info = algos.DECISION_ALGORITHMS["f1"]
+        info = algos.ALGORITHMS["f1"]
         wrong = dataclasses.replace(info, family=lambda n: family_f1(n, n // 2 + 1))
-        monkeypatch.setitem(algos.DECISION_ALGORITHMS, "f1", wrong)
+        monkeypatch.setitem(algos.ALGORITHMS, "f1", wrong)
         code, out, _ = run_cli(capsys, "verify", "--alg", "f1", "--n", "7")
         assert code == 1
         assert "all_exact           False" in out
@@ -212,56 +218,55 @@ class TestDeterminism:
         json.loads(out1)
 
 
-# Runs in a fresh interpreter: the test process itself already holds numpy.
+# Runs in a fresh interpreter with numpy made unimportable: the test process
+# itself already holds numpy.
 NO_NUMPY_CHILD = """
 import contextlib, io, sys
+sys.modules["numpy"] = None
 import symquery, symquery.cli
 
 def call(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return symquery.cli.main(argv)
-        except SystemExit as exc:
-            return exc.code
+        return symquery.cli.main(argv)
 
-assert "numpy" not in sys.modules, "import symquery"
-for argv in [
+runs = {
+    "xquery": (["--n", "6"], "110100"),
+    "dj": (["--n", "8", "--k", "1"], "10000000"),
+    "dhw": (["--n", "5", "--k", "3"], "11100"),
+    "f1": (["--n", "5"], "01100"),
+    "f3": (["--n", "7"], "0110000"),
+    "grover1": (["--n", "8"], "01000000"),
+    "dw1": (["--n", "8"], "11000000"),
+    "dw2": (["--n", "8"], "11111100"),
+    "dw": (["--n", "8", "--k", "1", "--l", "7"], "11111110"),
+    "f2": (["--n", "8", "--k", "2"], "11100000"),
+    "f4": (["--n", "7"], "0011100"),
+}
+assert list(runs) == list(symquery.algos.ALGORITHMS)
+argvs = [
     ["degree", "--fn", "DJ:8,1"],
     ["degree", "--fn", "MAJ:7", "--eps", "1/8", "--json"],
-    ["verify", "--alg", "xquery", "--n", "6"],
-    ["verify", "--alg", "grover1", "--n", "8"],
-    ["verify", "--alg", "dj", "--n", "8", "--k", "1"],
-    ["verify", "--alg", "dhw", "--n", "5", "--k", "3"],
-    ["verify", "--alg", "f1", "--n", "7"],
-    ["verify", "--alg", "f3", "--n", "7"],
-    ["verify", "--alg", "dw1", "--n", "8"],
-    ["verify", "--alg", "dw2", "--n", "8"],
-    ["verify", "--alg", "dw", "--n", "8", "--k", "1", "--l", "7"],
-    ["verify", "--alg", "f2", "--n", "8", "--k", "2"],
+    *(["run", "--alg", alg, *flags, "--input", x] for alg, (flags, x) in runs.items()),
+    ["run", "--alg", "f2", "--n", "8", "--k", "2", "--input", "11100000", "--json"],
+    *(["verify", "--alg", alg, *flags] for alg, (flags, x) in runs.items()),
     ["verify", "--alg", "f4", "--n", "7", "--json"],
     ["classical", "--fn", "DJ:8,1"],
     ["classify", "--fn", "0*1*0"],
     ["det", "--n", "6", "--k", "1"],
     ["families", "--json"],
-]:
+]
+assert {argv[0] for argv in argvs} == {"degree", "run", "verify", "classical", "classify", "det", "families"}
+for argv in argvs:
     assert call(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
 for argv in [["verify", "--alg", "nope", "--n", "5"], ["det", "--n", "x"]]:
     assert call(argv) == 2, argv
-    assert "numpy" not in sys.modules, argv
-assert call(["run", "--alg", "f1", "--n", "5", "--input", "01100"]) == 0
-assert "numpy" in sys.modules, "run"
-assert symquery.QState is symquery.qsim.QState
-from symquery import *
-assert (QState, apply_map, apply_oracle, basis_state, measure) == (
-    symquery.qsim.QState, symquery.qsim.apply_map, symquery.qsim.apply_oracle,
-    symquery.qsim.basis_state, symquery.qsim.measure)
+assert "symquery.qsim" not in sys.modules
 print("ok")
 """
 
 
 class TestStartup:
-    def test_only_run_imports_numpy(self):
+    def test_every_command_runs_without_numpy(self):
         src = str(Path(symquery.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         child = subprocess.run(
@@ -271,7 +276,7 @@ class TestStartup:
         assert child.stdout == "ok\n"
 
 
-ALGS = sorted(algos.DECISION_ALGORITHMS) + ["xquery", "grover1", "nope"]
+ALGS = [*algos.ALGORITHMS, "nope"]
 SIZES = st.integers(-3, 12)
 FNS = st.one_of(
     st.text("01*", max_size=13),
@@ -323,10 +328,7 @@ class TestFuzz:
     def test_every_argv_exits_0_1_or_2(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
+            code = main(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out.getvalue() + err.getvalue()
         if code == 2:

@@ -646,11 +646,10 @@ def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
     entry, args = _lookup(alg, params)
     if params["n"] > MAX_VERIFY_N:
         raise ValueError(f"run is capped at n={MAX_VERIFY_N}, got n={params['n']}")
-    t = x.count("1")
-    if entry.branches(*args, t) > MAX_RUN_BRANCHES:
+    if entry.branches(*args, x) > MAX_RUN_BRANCHES:
         raise ValueError(
             f"run is capped at {MAX_RUN_BRANCHES} branches, and {alg} may list more "
-            f"on an input of weight {t}; verify checks the whole domain instead"
+            f"on an input of weight {x.count('1')}; verify checks the whole domain instead"
         )
     return entry.runner(*args, x)
 
@@ -871,7 +870,12 @@ class Algorithm:
     # (*params, weight) -> per-class laws; a subroutine's takes (*params) and
     # returns its contract's name and certified classes
     classes: Callable[..., object]
-    branches: Callable[..., int]  # (*params, weight) -> bound on a run's branches
+    branches: Callable[..., int]  # (*params, x) -> bound on the branches of a run on x
+
+
+def _by_weight(bound: Callable[..., int]) -> Callable[..., int]:
+    """A branch bound that reads the input only through its weight."""
+    return lambda *args: bound(*args[:-1], args[-1].count("1"))
 
 
 def _dj_branches(n: int, k: int, t: int) -> int:
@@ -885,28 +889,43 @@ def _dj_branches(n: int, k: int, t: int) -> int:
     return leaves + nodes
 
 
+def _f2_branches(n: int, k: int, t: int) -> int:
+    """The first search's t 1-positions are leaves; each of its 4k - t
+    0-positions leads to at most 4(k+1) second-search positions, when the
+    search can report one at all (never at weight k)."""
+    _check_f2(n, k)
+    on_zeros = grover1_weight_law(t, 4 * k)[1]
+    return t + (4 * k - t) * 4 * (k + 1) if on_zeros else t
+
+
+def _f4_branches(n: int, x: str) -> int:
+    """f2 on the n - 1 bits after x_1, complemented when x_1 = 1."""
+    _check_odd("f4", n, 5)
+    t = x.count("1")
+    return _f2_branches(n - 1, n // 2, n - t if x[:1] == "1" else t)
+
+
 # In the order `symquery families` lists them.  Branch bounds leave the
-# parameter checks to the runners, except where they loop over a parameter.
+# parameter checks to the runners, except where they loop over a parameter
+# or divide by one.
 ALGORITHMS: dict[str, Algorithm] = {
+    # the flat outcome and the differing pairs
     "xquery": Algorithm(("n",), xquery, None, lambda n: 1, _xquery_contract,
-                        lambda m, t: t * (m - t) + 1),  # the flat outcome and the differing pairs
-    "dj": Algorithm(("n", "k"), dj, family_dj, lambda n, k: k + 1, _whole(_dj_law), _dj_branches),
+                        _by_weight(lambda m, t: t * (m - t) + 1)),
+    "dj": Algorithm(("n", "k"), dj, family_dj, lambda n, k: k + 1, _whole(_dj_law), _by_weight(_dj_branches)),
     "dhw": Algorithm(("n", "k"), dhw, family_f1, lambda n, k: 1, _whole(_dhw_law),
-                     lambda n, k, t: t * (2 * k - t) + 1),
+                     _by_weight(lambda n, k, t: t * (2 * k - t) + 1)),
     "f1": Algorithm(("n",), f1, lambda n: family_f1(n, n // 2), lambda n: 2, _f1_classes,
-                    lambda n, t: max(1, t * (n - 1 - t) + 1)),
+                    _by_weight(lambda n, t: max(1, t * (n - 1 - t) + 1))),
     "f3": Algorithm(("n",), f3, lambda n: family_f3(n, (n + 1) // 2), lambda n: 2, _f3_classes,
-                    lambda n, t: t * (n + 1 - t) + 1),  # x_1 = 0 pads to more bits than x_1 = 1
-    "grover1": Algorithm(("n",), grover1, None, lambda n: 1, _grover1_contract, lambda n, t: n),
+                    _by_weight(lambda n, t: t * (n + 1 - t) + 1)),  # x_1 = 0 pads to more bits than x_1 = 1
+    "grover1": Algorithm(("n",), grover1, None, lambda n: 1, _grover1_contract, lambda n, x: n),
     "dw1": Algorithm(("n",), dw1, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda n: 2, _whole(_dw1_law),
-                     lambda n, t: n),
+                     lambda n, x: n),
     "dw2": Algorithm(("n",), dw2, lambda n: family_dw(n, 0, n // 4), lambda n: 2, _whole(_dw2_law),
-                     lambda n, t: n),
+                     lambda n, x: n),
     "dw": Algorithm(("n", "k", "l"), dw_general, family_dw, lambda n, k, l: 2, _whole(_dw_law),
-                    lambda n, k, l, t: _dw_padding(n, k, l)[0]),
-    # every first-search position may lead to every second-search position
-    "f2": Algorithm(("n", "k"), f2, family_f2, lambda n, k: 4, _whole(_f2_law),
-                    lambda n, k, t: 4 * k * 4 * (k + 1)),
-    "f4": Algorithm(("n",), f4, family_f4, lambda n: 5, _f4_classes,
-                    lambda n, t: 4 * (n // 2) * 4 * (n // 2 + 1)),
+                    lambda n, k, l, x: _dw_padding(n, k, l)[0]),
+    "f2": Algorithm(("n", "k"), f2, family_f2, lambda n, k: 4, _whole(_f2_law), _by_weight(_f2_branches)),
+    "f4": Algorithm(("n",), f4, family_f4, lambda n: 5, _f4_classes, _f4_branches),
 }

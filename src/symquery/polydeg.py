@@ -3,11 +3,13 @@
 A weight profile of degree d is stored in the binomial basis: on inputs of
 weight w it evaluates to sum_k c_k * C(w, k) with rational coefficients
 c_0..c_d.  Whether some degree-d profile fits a function within error eps is
-a linear feasibility question, decided exactly by a Phase-I simplex.  The
-least feasible degree is found by binary search, and a complete catalogue
-matcher identifies every function of degree at most 2 up to isomorphism.
-Both the simplex and the eps = 0 elimination pivot fraction-free (Edmonds
-1967, Bareiss 1968), on integers over one common denominator.
+a linear feasibility question, decided exactly on one path for every eps:
+with eps = p/q the weight bounds are integers over q, the weights they pin
+(the defined ones, at eps = 0) are eliminated by Gauss–Jordan, and a Phase-I
+simplex decides the box rows left over.  Both pivot fraction-free (Edmonds
+1967, Bareiss 1968), on integers over one common denominator.  The least
+feasible degree is found by binary search, and a complete catalogue matcher
+identifies every function of degree at most 2 up to isomorphism.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .symfun import (
     ONE,
@@ -134,24 +136,21 @@ def _pivot_int(rows: list[list[int]], r: int, c: int, D: int) -> int:
     return p
 
 
-def _integral(
-    rows: list[list[Fraction | int]], rhs: list[Fraction | int]
-) -> tuple[list[list[int]], list[int]]:
-    """The system times the lcm of all its denominators: one factor for every row."""
-    s = lcm(*(v.denominator for row in rows for v in row), *(b.denominator for b in rhs))
-    scaled = lambda v: v.numerator * (s // v.denominator)
-    return [[scaled(v) for v in row] for row in rows], [scaled(b) for b in rhs]
-
-
-def _feasible_nonneg(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
+def _feasible_nonneg(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
     """Find y >= 0 with rows·y <= rhs exactly, or None when infeasible.
 
-    Phase-I simplex with Bland's anti-cycling rule.  Rows with negative
-    right-hand side are sign-flipped and given an artificial variable; the
-    search drives the artificial total to zero.  Artificial columns never
-    re-enter the basis.
+    Phase-I simplex with Bland's anti-cycling rule over an integer tableau.
+    Rows with negative right-hand side are sign-flipped and given an
+    artificial variable; the search drives the artificial total to zero.
+    Artificial columns never re-enter the basis.
+
+    Pivot p makes row i (p*row_i - row_i[c]*row_p) // D over one positive
+    denominator D, exact as every entry is a minor.  A positive factor common
+    to every row (the caller's q·D) rescales only the slacks, so every sign
+    and ratio test (ratios by cross-multiplication) decides as over the
+    rationals and the pivots and witness are those of the rational system;
+    per-row factors would reweight the phase-I objective and could change
+    Bland's entering column.
 
     Reference formulation: the same verdict is reached by maximizing a slack
     z added to every constraint (rows·y + z <= rhs, z <= 0), feasible iff the
@@ -161,7 +160,6 @@ def _feasible_nonneg(
     m = len(rows)
     nv = len(rows[0]) if m else 0
     art_base = nv + m
-    rows, rhs = _integral(rows, rhs)
 
     tableau: list[list[int]] = []
     basis: list[int] = []
@@ -224,152 +222,100 @@ def _feasible_nonneg(
     return y
 
 
-def _weight_bounds(b, eps: Fraction) -> tuple[Fraction, Fraction]:
-    one = Fraction(1)
-    if b is ZERO:
-        return Fraction(0), eps
-    if b is ONE:
-        return one - eps, one
-    return Fraction(0), one
-
-
-def _solve_linear(
-    rows: list[list[Fraction]], rhs: list[Fraction], nv: int
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Exact solution set of rows·c = rhs: a particular solution plus a basis
-    of the homogeneous solutions, or None when inconsistent.  Gauss–Jordan
-    elimination with the integer pivot of the simplex."""
-    rows, rhs = _integral(rows, rhs)
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    pivot_cols: list[int] = []
+def _eliminate(
+    aug: list[list[int]], nv: int
+) -> tuple[list[list[int]], list[int], list[int], int] | None:
+    """Gauss–Jordan on the integer equalities aug = [a | b] (a·c = b), with
+    the simplex's pivot: the reduced rows, their pivot columns, the free
+    columns and D, or None when inconsistent.  Reduced row i reads
+    D·c[pivots[i]] + sum over free columns fc of row[fc]·c[fc] = row[nv]."""
+    pivots: list[int] = []
     D = 1
     r = 0
     for c in range(nv):
+        if r == len(aug):
+            break
         pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
         D = _pivot_int(aug, r, c, D)
-        pivot_cols.append(c)
+        pivots.append(c)
         r += 1
-        if r == len(aug):
-            break
-    if any(aug[i][nv] != 0 for i in range(r, len(aug))):
+    if any(row[nv] for row in aug[r:]):
         return None
-    zero = Fraction(0)
-    particular = [zero] * nv
-    for i, c in enumerate(pivot_cols):
-        particular[c] = Fraction(aug[i][nv], D)
-    free_cols = [c for c in range(nv) if c not in pivot_cols]
-    basis: list[list[Fraction]] = []
-    for fc in free_cols:
-        vec = [zero] * nv
-        vec[fc] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = Fraction(-aug[i][fc], D)
-        basis.append(vec)
-    return particular, basis
+    return aug[:r], pivots, [c for c in range(nv) if c not in pivots], D
 
 
 def _binom_row(w: int, nv: int) -> list[int]:
     return [comb(w, k) for k in range(nv)]
 
 
-def _lp_feasible_eps_zero(f: SymPartialFn, nv: int) -> FeasibilityResult:
-    """eps = 0 fast path: defined weights pin q exactly, so eliminate those
-    equalities first and run the simplex only on the residual box system over
-    the undefined weights."""
-    eq_rows: list[list[int]] = []
-    eq_rhs: list[int] = []
-    box_weights: list[int] = []
-    for w, b in enumerate(f.values):
-        if b is UNDEFINED:
-            box_weights.append(w)
-        else:
-            eq_rows.append(_binom_row(w, nv))
-            eq_rhs.append(int(b is ONE))
-    solved = _solve_linear(eq_rows, eq_rhs, nv)
-    if solved is None:
-        return FeasibilityResult(False, None)
-    particular, null_basis = solved
-    one = Fraction(1)
-    if not null_basis:
-        coeffs = particular
-    else:
-        nt = len(null_basis)
-        dot = lambda u, v: sum((a * b for a, b in zip(u, v)), Fraction(0))
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for w in box_weights:
-            a = _binom_row(w, nv)
-            base = dot(a, particular)
-            coeff = [dot(a, vec) for vec in null_basis]
-            split = coeff + [-v for v in coeff]
-            rows.append(split)  # coeff·t <= 1 - base
-            rhs.append(one - base)
-            rows.append([-v for v in split])  # -coeff·t <= base
-            rhs.append(base)
-        if rows:
-            y = _feasible_nonneg(rows, rhs)
-            if y is None:
-                return FeasibilityResult(False, None)
-            t = [y[i] - y[nt + i] for i in range(nt)]
-        else:
-            t = [Fraction(0)] * nt
-        coeffs = [
-            particular[k] + sum(t[i] * null_basis[i][k] for i in range(nt))
-            for k in range(nv)
-        ]
-    witness = PolyV(tuple(coeffs))
-    if not check_representation(witness, f, Fraction(0)):
-        if null_basis:
-            # the simplex saw every box constraint, so this is a solver bug
-            raise RuntimeError(f"simplex produced an unsound witness for {f}")
-        return FeasibilityResult(False, None)  # unique solution fails the boxes
-    return FeasibilityResult(True, witness)
-
-
 def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult:
     """Decide, exactly, whether some degree-<=d profile fits f within eps.
 
-    The system over c_0..c_d constrains q(w) = sum_k c_k C(w,k) per weight:
-    within [0, eps] where f is 0, within [1-eps, 1] where f is 1, and within
-    [0, 1] where f is undefined.  Free coefficients are split into positive
-    and negative parts for the nonnegative Phase-I simplex; when feasible the
-    returned witness is whichever basic solution the search lands on.  At
-    eps = 0 the defined weights are exact equalities and are eliminated ahead
-    of the simplex.
-
-    Both solvers scale the system once by the lcm of its denominators and
-    pivot an integer tableau over one positive denominator D: pivot p makes
-    row i (p*row_i - row_i[c]*row_p) // D, exact as every entry is a minor.
-    Scaling is uniform, not per row, so every sign and ratio test (ratios by
-    cross-multiplication) decides as over the rationals and the pivots and
-    witness are unchanged; per-row factors would reweight the phase-I
-    objective and could change Bland's entering column.
+    One path for every eps.  With eps = p/q, each weight w bounds q times
+    the profile value a·c = sum_k c_k C(w,k) to integers [lo, hi]: [0, p]
+    where f is 0, [q-p, q] where f is 1 and [0, q] where f is undefined.
+    Weights with lo = hi (the defined ones, at eps = 0 only) are equalities,
+    eliminated by Gauss–Jordan over the integer pivot.  Every other weight
+    gives a pair of box rows over the free coefficients t, built in integers
+    through the reduced rows alone and all scaled by one common factor q·D,
+    which keeps the simplex's choices those of the rational system (see
+    _feasible_nonneg).  Free coefficients are split into positive and
+    negative parts for the nonnegative Phase-I simplex; when feasible the
+    returned witness is whichever basic solution the search lands on.  With
+    nothing pinned (eps > 0) the free coefficients are c_0..c_d in order and
+    D = 1.  A unique solution (no free coefficient) that leaves a box is
+    infeasible; an unsound witness from the simplex raises RuntimeError.
     """
     eps = _as_eps(eps)
     if not 0 <= d <= f.n:
         raise ValueError(f"degree bound must satisfy 0 <= d <= n={f.n}, got {d}")
     nv = d + 1
-    if eps == 0:
-        return _lp_feasible_eps_zero(f, nv)
-    rows: list[list[int]] = []
-    rhs: list[Fraction] = []
+    p, q = eps.numerator, eps.denominator
+    bounds = {ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}
+    pinned: list[list[int]] = []
+    boxed: list[tuple[list[int], int, int]] = []
     for w, b in enumerate(f.values):
-        a = _binom_row(w, nv)
-        neg = [-x for x in a]
-        lo, hi = _weight_bounds(b, eps)
-        rows.append(a + neg)  # q(w) <= hi
-        rhs.append(hi)
-        rows.append(neg + a)  # -q(w) <= -lo
-        rhs.append(-lo)
-    y = _feasible_nonneg(rows, rhs)
-    if y is None:
+        a, (lo, hi) = _binom_row(w, nv), bounds[b]
+        if lo == hi:  # only at p = 0, so q = 1 and the row reads a·c = lo
+            pinned.append(a + [lo])
+        else:
+            boxed.append((a, lo, hi))
+    solved = _eliminate(pinned, nv)
+    if solved is None:
         return FeasibilityResult(False, None)
-    witness = PolyV(tuple(y[k] - y[nv + k] for k in range(nv)))
-    if not check_representation(witness, f, eps):  # solver soundness guard
-        raise RuntimeError(f"simplex produced an unsound witness for {f}")
+    red, pivots, free, D = solved
+    reduced = list(zip(pivots, red))
+    t = [Fraction(0)] * len(free)
+    if free and boxed:
+        rows: list[list[int]] = []
+        rhs: list[int] = []
+        for a, lo, hi in boxed:
+            # q·D·(a·c) = coef·t + base
+            coef = [q * (D * a[fc] - sum(a[c] * row[fc] for c, row in reduced)) for fc in free]
+            base = q * sum(a[c] * row[nv] for c, row in reduced)
+            neg = [-v for v in coef]
+            rows.append(coef + neg)  # <= D·hi
+            rhs.append(D * hi - base)
+            rows.append(neg + coef)  # >= D·lo
+            rhs.append(base - D * lo)
+        y = _feasible_nonneg(rows, rhs)
+        if y is None:
+            return FeasibilityResult(False, None)
+        t = [y[i] - y[len(free) + i] for i in range(len(free))]
+    coeffs = [Fraction(0)] * nv
+    for fc, v in zip(free, t):
+        coeffs[fc] = v
+    for c, row in reduced:
+        coeffs[c] = Fraction(row[nv] - sum(row[fc] * v for fc, v in zip(free, t)), D)
+    witness = PolyV(tuple(coeffs))
+    if not check_representation(witness, f, eps):
+        if free:
+            # the simplex saw every box constraint, so this is a solver bug
+            raise RuntimeError(f"simplex produced an unsound witness for {f}")
+        return FeasibilityResult(False, None)  # unique solution fails the boxes
     return FeasibilityResult(True, witness)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 import symquery
-from symquery import algos, family_f1
+from symquery import algos, family_f1, identities
 from symquery.cli import main
 
 
@@ -79,6 +79,8 @@ class TestRun:
             ("--alg", "dj", "--n", "14", "--k", "6", "--input", "1" * 7 + "0" * 7),
             ("--alg", "xquery", "--n", "1000", "--input", "1" * 500 + "0" * 500),
             ("--alg", "f2", "--n", "400", "--k", "100", "--input", "0" * 400),
+            # x_1 = 1 leaves weight 201 = k + 1 for f2 on 400 bits: 120,600 branches
+            ("--alg", "f4", "--n", "401", "--input", "1" * 200 + "0" * 201),
             ("--alg", "grover1", "--n", str(algos.MAX_VERIFY_N + 1), "--input", "0" * (algos.MAX_VERIFY_N + 1)),
         ],
     )
@@ -93,10 +95,24 @@ class TestRun:
         assert err.startswith("error: run is capped at")
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "argv, listed",
+        [
+            # at weight k the first search never reports a 0-position
+            (("--alg", "f2", "--n", "400", "--k", "100", "--input", "1" * 100 + "0" * 300), 100),
+            # x_1 = 0 leaves weight 200 = k for f2 on 400 bits
+            (("--alg", "f4", "--n", "401", "--input", "0" + "1" * 200 + "0" * 200), 200),
+        ],
+    )
+    def test_weight_aware_bound_admits_few_branches(self, capsys, argv, listed):
+        code, out, err = run_cli(capsys, "run", *argv, "--json")
+        assert code == 0, err
+        assert len(json.loads(out)["branches"]) == listed
+
     def test_branch_cap_boundary(self, monkeypatch):
         entry = algos.ALGORITHMS["xquery"]
         for bound in (algos.MAX_RUN_BRANCHES, algos.MAX_RUN_BRANCHES + 1):
-            monkeypatch.setitem(algos.ALGORITHMS, "xquery", dataclasses.replace(entry, branches=lambda m, t: bound))
+            monkeypatch.setitem(algos.ALGORITHMS, "xquery", dataclasses.replace(entry, branches=lambda m, x: bound))
             if bound > algos.MAX_RUN_BRANCHES:
                 with pytest.raises(ValueError, match="capped"):
                     algos.run("xquery", {"n": 4}, "1100")
@@ -192,6 +208,19 @@ class TestClassicalClassifyDet:
         payload = json.loads(out)
         assert payload["match"] is True
         assert payload["determinant"] == payload["closed_form"]
+
+    def test_det_caps_refuse_before_building(self, capsys, monkeypatch):
+        def no_matrix(n, k):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr(identities, "binom_matrix", no_matrix)
+        cap_n, cap_k = identities.MAX_DET_N, identities.MAX_DET_K
+        with pytest.raises(AssertionError, match="built"):
+            main(["det", "--n", str(cap_n), "--k", str(cap_k)])
+        for n, k in ((cap_n + 1, cap_k), (cap_n, cap_k + 1)):
+            code, out, err = run_cli(capsys, "det", "--n", str(n), "--k", str(k))
+            assert code == 2 and out == ""
+            assert err.startswith("error: det is capped at")
 
     def test_families_listing(self, capsys):
         code, out, _ = run_cli(capsys, "families")

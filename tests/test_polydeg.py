@@ -1,6 +1,8 @@
 """Degree certification: profile evaluation, feasibility, binary search,
 catalogue classification."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -99,6 +101,23 @@ class TestLpFeasible:
         result = sq.lp_feasible(f, 0, f.n)
         assert result.feasible
         assert sq.check_representation(result.witness, f, 0)
+
+    def test_every_degree_digest_pinned(self):
+        # verdict and witness at every d, not only the least one the golden
+        # corpus records; the digest was taken before the eps = 0 and eps > 0
+        # solvers were merged into one path
+        rng = random.Random(20161)
+        h = hashlib.sha256()
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            spec = "".join(rng.choice("01*") for _ in range(n + 1))
+            f = vec(spec)
+            for eps in ("0", "1/8", "1/4", "1/3"):
+                for d in range(n + 1):
+                    r = sq.lp_feasible(f, F(eps), d)
+                    w = None if r.witness is None else tuple(map(str, r.witness.coeffs))
+                    h.update(repr((spec, eps, d, r.feasible, w)).encode())
+        assert h.hexdigest() == "778d549860a9c6e97ab9271865f364d06e95dc66d289c19acbd449422601d223"
 
     @given(sym_fns(max_n=7), st.data())
     @settings(max_examples=60, deadline=None)

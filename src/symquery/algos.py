@@ -890,12 +890,18 @@ def _dj_branches(n: int, k: int, t: int) -> int:
 
 
 def _f2_branches(n: int, k: int, t: int) -> int:
-    """The first search's t 1-positions are leaves; each of its 4k - t
-    0-positions leads to at most 4(k+1) second-search positions, when the
-    search can report one at all (never at weight k)."""
+    """The first search's 1-positions are leaves; each of its 0-positions
+    leads to every position of the second search.  A search lists only the
+    side (the t 1-positions or the rest) it puts mass on: at weight k the
+    first reports no 0-position, at weight k+1 the second no 0-position."""
     _check_f2(n, k)
-    on_zeros = grover1_weight_law(t, 4 * k)[1]
-    return t + (4 * k - t) * 4 * (k + 1) if on_zeros else t
+
+    def listed(m: int) -> tuple[int, int]:
+        on_ones, on_zeros = grover1_weight_law(t, m)
+        return (t if on_ones else 0), (m - t if on_zeros else 0)
+
+    ones, zeros = listed(4 * k)
+    return ones + zeros * sum(listed(4 * (k + 1)))
 
 
 def _f4_branches(n: int, x: str) -> int:

@@ -7,9 +7,13 @@ a linear feasibility question, decided exactly on one path for every eps:
 with eps = p/q the weight bounds are integers over q, the weights they pin
 (the defined ones, at eps = 0) are eliminated by Gauss–Jordan, and a Phase-I
 simplex decides the box rows left over.  Both pivot fraction-free (Edmonds
-1967, Bareiss 1968), on integers over one common denominator.  The least
-feasible degree is found by binary search, and a complete catalogue matcher
-identifies every function of degree at most 2 up to isomorphism.
+1967, Bareiss 1968), on integers over one common denominator; the simplex
+stores no column it can derive (each negative part is its positive part
+negated) or never reads (the artificials), so its choices are those of the
+full tableau.  Every feasible witness is re-checked exactly, in integers
+over the lcm of its denominators.  The least feasible degree is found by
+binary search, and a complete catalogue matcher identifies every function
+of degree at most 2 up to isomorphism.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .symfun import (
     ONE,
@@ -102,16 +106,27 @@ def _as_eps(eps: RationalLike) -> Fraction:
 
 def check_representation(q: PolyV, f: SymPartialFn, eps: RationalLike) -> bool:
     """Exact check: q stays in [0,1] at every weight, is <= eps where f is 0
-    and >= 1-eps where f is 1."""
+    and >= 1-eps where f is 1.
+
+    Decided in integers: with L the lcm of the coefficient denominators and
+    eps = p/r, V(w) = L·q(w) must satisfy 0 <= V <= L, r·V <= p·L where f is
+    0 and r·V >= (r-p)·L where f is 1.  V is walked along the weights by its
+    forward differences, which start at the numerators L·c_k.
+    """
     eps = _as_eps(eps)
-    one = Fraction(1)
+    p, r = eps.numerator, eps.denominator
+    L = lcm(*(c.denominator for c in q.coeffs))
+    diffs = [c.numerator * (L // c.denominator) for c in q.coeffs]
     for w, b in enumerate(f.values):
-        val = eval_poly_at_weight(q, w)
-        if val < 0 or val > one:
+        if w:  # Δ^k V(w) = Δ^k V(w-1) + Δ^(k+1) V(w-1)
+            for k in range(len(diffs) - 1):
+                diffs[k] += diffs[k + 1]
+        v = diffs[0]
+        if v < 0 or v > L:
             return False
-        if b is ZERO and val > eps:
+        if b is ZERO and r * v > p * L:
             return False
-        if b is ONE and val < one - eps:
+        if b is ONE and r * v < (r - p) * L:
             return False
     return True
 
@@ -121,14 +136,15 @@ def check_representation(q: PolyV, f: SymPartialFn, eps: RationalLike) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pivot_int(rows: list[list[int]], r: int, c: int, D: int) -> int:
-    """Fraction-free pivot on rows[r][c] of rows / D; returns the new D, |rows[r][c]|."""
-    if rows[r][c] < 0:
+def _pivot_int(rows: list[list[int]], r: int, c: int, D: int, sign: int = 1) -> int:
+    """Fraction-free pivot on sign·rows[r][c] of rows / D, where sign = -1
+    pivots on the negated column c; returns the new D, |rows[r][c]|."""
+    if sign * rows[r][c] < 0:
         rows[r] = [-v for v in rows[r]]
     prow = rows[r]
-    p = prow[c]
+    p = sign * prow[c]
     for i, row in enumerate(rows):
-        f = row[c]
+        f = sign * row[c]
         if i != r and f:
             rows[i] = [(p * a - f * b) // D for a, b in zip(row, prow)]
         elif i != r and p != D:
@@ -136,13 +152,24 @@ def _pivot_int(rows: list[list[int]], r: int, c: int, D: int) -> int:
     return p
 
 
-def _feasible_nonneg(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Find y >= 0 with rows·y <= rhs exactly, or None when infeasible.
+def _feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """Find t with rows·t <= rhs exactly, as numerators over one denominator,
+    or None when infeasible.
 
     Phase-I simplex with Bland's anti-cycling rule over an integer tableau.
-    Rows with negative right-hand side are sign-flipped and given an
-    artificial variable; the search drives the artificial total to zero.
-    Artificial columns never re-enter the basis.
+    The free t is split as y⁺ - y⁻ with y⁺, y⁻ >= 0, and rows·y⁺ - rows·y⁻
+    + slack = rhs.  Rows with negative right-hand side are sign-flipped and
+    given an artificial variable; the search drives the artificial total to
+    zero.  Artificial columns never re-enter the basis.
+
+    The virtual columns are y⁺ (0..nf-1), y⁻ (nf..2nf-1), the slacks and
+    the artificials, and Bland's rule scans them in that order.  Only the
+    y⁺ and slack columns and the right-hand side are stored.  Every y⁻
+    column stays the negated y⁺ column, since B⁻¹(-a) = -B⁻¹a, so it is
+    read, and pivoted on, through a sign.  The artificial columns are never
+    read: the scan stops before them and only the right-hand side of their
+    rows is tested.  So every choice, pivot and witness is that of the full
+    tableau.
 
     Pivot p makes row i (p*row_i - row_i[c]*row_p) // D over one positive
     denominator D, exact as every entry is a minor.  A positive factor common
@@ -158,32 +185,16 @@ def _feasible_nonneg(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | 
     without the extra variable and yields the witness immediately.
     """
     m = len(rows)
-    nv = len(rows[0]) if m else 0
-    art_base = nv + m
-
+    nf = len(rows[0]) if m else 0
+    art_base = 2 * nf + m
     tableau: list[list[int]] = []
     basis: list[int] = []
-    n_art = 0
     for i in range(m):
         flip = -1 if rhs[i] < 0 else 1
-        row = [0] * art_base
-        for j, a in enumerate(rows[i]):
-            if a:
-                row[j] = flip * a
-        row[nv + i] = flip
+        row = [flip * a for a in rows[i]] + [0] * m + [abs(rhs[i])]
+        row[nf + i] = flip
         tableau.append(row)
-        if flip < 0:
-            basis.append(art_base + n_art)
-            n_art += 1
-        else:
-            basis.append(nv + i)
-    width = art_base + n_art
-    for i in range(m):
-        pad = [0] * (n_art + 1)
-        if basis[i] >= art_base:
-            pad[basis[i] - art_base] = 1
-        pad[-1] = abs(rhs[i])
-        tableau[i] = tableau[i] + pad
+        basis.append(art_base + i if flip < 0 else 2 * nf + i)  # artificials keep the row order
 
     D = 1
     while True:
@@ -195,31 +206,34 @@ def _feasible_nonneg(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | 
         for j in range(art_base):  # Bland: smallest improving column index
             if j in in_basis:
                 continue
-            if sum(tableau[r][j] for r in art_rows) > 0:
+            c, sign = (j, 1) if j < nf else (j - nf, -1 if j < 2 * nf else 1)
+            if sign * sum(tableau[r][c] for r in art_rows) > 0:
                 enter = j
                 break
         if enter < 0:
             break  # phase-I optimum reached with artificials still positive
         leave = -1
         for r in range(m):
-            a = tableau[r][enter]
+            a = sign * tableau[r][c]
             if a > 0:
                 if leave >= 0:  # sign of ratio(r) - ratio(leave)
-                    cross = tableau[r][width] * tableau[leave][enter] - tableau[leave][width] * a
+                    cross = tableau[r][-1] * sign * tableau[leave][c] - tableau[leave][-1] * a
                 if leave < 0 or cross < 0 or (cross == 0 and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:  # cannot happen: phase-I objective is bounded below
             raise RuntimeError("phase-I simplex lost boundedness")
-        D = _pivot_int(tableau, leave, enter, D)
+        D = _pivot_int(tableau, leave, c, D, sign)
         basis[leave] = enter
 
-    if any(tableau[r][width] for r in range(m) if basis[r] >= art_base):
+    if any(tableau[r][-1] for r in range(m) if basis[r] >= art_base):
         return None
-    y = [Fraction(0)] * nv
-    for r in range(m):
-        if basis[r] < nv:
-            y[basis[r]] = Fraction(tableau[r][width], D)
-    return y
+    t = [0] * nf
+    for r, j in enumerate(basis):
+        if j < nf:
+            t[j] += tableau[r][-1]
+        elif j < 2 * nf:
+            t[j - nf] -= tableau[r][-1]
+    return t, D
 
 
 def _eliminate(
@@ -288,7 +302,7 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
         return FeasibilityResult(False, None)
     red, pivots, free, D = solved
     reduced = list(zip(pivots, red))
-    t = [Fraction(0)] * len(free)
+    t, Dt = [0] * len(free), 1  # the free coefficients are t / Dt
     if free and boxed:
         rows: list[list[int]] = []
         rhs: list[int] = []
@@ -296,20 +310,19 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
             # q·D·(a·c) = coef·t + base
             coef = [q * (D * a[fc] - sum(a[c] * row[fc] for c, row in reduced)) for fc in free]
             base = q * sum(a[c] * row[nv] for c, row in reduced)
-            neg = [-v for v in coef]
-            rows.append(coef + neg)  # <= D·hi
+            rows.append(coef)  # <= D·hi
             rhs.append(D * hi - base)
-            rows.append(neg + coef)  # >= D·lo
+            rows.append([-v for v in coef])  # >= D·lo
             rhs.append(base - D * lo)
-        y = _feasible_nonneg(rows, rhs)
-        if y is None:
+        solved = _feasible_box(rows, rhs)
+        if solved is None:
             return FeasibilityResult(False, None)
-        t = [y[i] - y[len(free) + i] for i in range(len(free))]
+        t, Dt = solved
     coeffs = [Fraction(0)] * nv
     for fc, v in zip(free, t):
-        coeffs[fc] = v
+        coeffs[fc] = Fraction(v, Dt)
     for c, row in reduced:
-        coeffs[c] = Fraction(row[nv] - sum(row[fc] * v for fc, v in zip(free, t)), D)
+        coeffs[c] = Fraction(row[nv] * Dt - sum(row[fc] * v for fc, v in zip(free, t)), D * Dt)
     witness = PolyV(tuple(coeffs))
     if not check_representation(witness, f, eps):
         if free:

@@ -424,6 +424,13 @@ class TestRunInvariants:
                 listed = len(algos.run(alg, params, x).branches)
                 assert listed <= entry.branches(*args, x), (params, x)
 
+    def test_f2_bound_reads_both_searches(self):
+        # at weight k+1 neither search's bound counts a side it puts no mass
+        # on, so it equals the 30,300 branches run lists (tests/test_cli.py)
+        assert algos.ALGORITHMS["f2"].branches(400, 100, "1" * 101 + "0" * 299) == 101 + 299 * 101
+        # f4's x_1 = 1 subclass at n = 401, weight 200: f2 on weight 201
+        assert algos.ALGORITHMS["f4"].branches(401, "1" * 200 + "0" * 201) == 201 + 599 * 201
+
     def test_leaky_probabilities_rejected(self):
         half = algos.BranchTrace(("x1=0",), 0.5, 0, 1)
         with pytest.raises(ValueError, match="sum"):

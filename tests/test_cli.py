@@ -102,6 +102,9 @@ class TestRun:
             (("--alg", "f2", "--n", "400", "--k", "100", "--input", "1" * 100 + "0" * 300), 100),
             # x_1 = 0 leaves weight 200 = k for f2 on 400 bits
             (("--alg", "f4", "--n", "401", "--input", "0" + "1" * 200 + "0" * 200), 200),
+            # at weight k+1 the second search reports only its 101 1-positions,
+            # behind each of the first search's 1 + 299 positions: the bound
+            (("--alg", "f2", "--n", "400", "--k", "100", "--input", "1" * 101 + "0" * 299), 30_300),
         ],
     )
     def test_weight_aware_bound_admits_few_branches(self, capsys, argv, listed):

@@ -4,6 +4,7 @@ catalogue classification."""
 import hashlib
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,36 @@ class TestCheckRepresentation:
         assert not sq.check_representation(q, f, 0)
         assert sq.check_representation(q, f, F(1, 10))
 
+    @staticmethod
+    def _fraction_check(q, f, eps):
+        # the predicate in rationals, value by value
+        for w, b in enumerate(f.values):
+            v = sum((c * comb(w, k) for k, c in enumerate(q.coeffs)), F(0))
+            if v < 0 or v > 1 or (b is sq.FnValue.ZERO and v > eps) or (b is sq.FnValue.ONE and v < 1 - eps):
+                return False
+        return True
+
+    @given(sym_fns(max_n=8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_check_matches_fractions(self, f, data):
+        r = data.draw(st.one_of(st.integers(1, 12), st.integers(1, 10**40)), label="eps denominator")
+        eps = F(data.draw(st.integers(0, (r - 1) // 2), label="eps numerator"), r)
+        if data.draw(st.booleans(), label="through values"):
+            # values at 0, 1, eps, 1 - eps, or just beside them, interpolated
+            # in the binomial basis, so the bounds are met exactly
+            nudge = F(1, data.draw(st.sampled_from([7, 10**6, 3 * 10**45])))
+            values = [data.draw(st.sampled_from([F(0), F(1), eps, 1 - eps, F(1, 2)]))
+                      + data.draw(st.sampled_from([0, 0, 0, nudge, -nudge])) for _ in range(f.n + 1)]
+            coeffs = []
+            for w, v in enumerate(values):
+                coeffs.append(v - sum((c * comb(w, k) for k, c in enumerate(coeffs)), F(0)))
+            coeffs = coeffs[: data.draw(st.integers(1, f.n + 1), label="kept")]
+        else:  # mixed denominators
+            dens = st.sampled_from([1, 2, 3, 7, 12, 2**61 - 1, 10**30])
+            coeffs = data.draw(st.lists(st.builds(F, st.integers(-10**6, 10**6), dens), min_size=1, max_size=f.n + 1))
+        q = PolyV(tuple(coeffs))
+        assert sq.check_representation(q, f, eps) == self._fraction_check(q, f, eps)
+
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):
             sq.check_representation(PolyV((F(0),)), vec("01"), F(1, 2))
@@ -118,6 +149,26 @@ class TestLpFeasible:
                     w = None if r.witness is None else tuple(map(str, r.witness.coeffs))
                     h.update(repr((spec, eps, d, r.feasible, w)).encode())
         assert h.hexdigest() == "778d549860a9c6e97ab9271865f364d06e95dc66d289c19acbd449422601d223"
+
+    def test_large_least_degree_digest_pinned(self):
+        # verdict and witness at the least degree beyond n = 10: the
+        # benchmark's fixed families (n 16-20 at eps 0, n 9-10 at eps > 0)
+        # and seeded vectors with n 11-14; the digest was taken before the
+        # tableau lost its mirrored and artificial columns
+        exact = ("DJ:16,3", "DJ:20,4", "F1:17,11", "F1:19,7", "F2:18,5", "F3:19,12", "F4:19", "DW:16,2,10",
+                 "DW:18,5,13", "OR:20", "AND:19", "PARITY:20", "MAJ:19", "EXACT:18,6", "THRESHOLD:18,7")
+        cases = [(spec, "0") for spec in exact]
+        cases += [("PARITY:9", "1/8"), ("MAJ:9", "1/3"), ("THRESHOLD:9,3", "1/4"), ("PARITY:10", "1/4"),
+                  ("MAJ:10", "1/4"), ("THRESHOLD:10,3", "1/3")]
+        rng = random.Random(20162)
+        for _ in range(24):
+            spec = "".join(rng.choice("01*") for _ in range(rng.randint(12, 15)))
+            cases += [(spec, "0"), (spec, "1/8")]
+        h = hashlib.sha256()
+        for spec, eps in cases:
+            d, r = polydeg.least_degree(vec(spec), F(eps))
+            h.update(repr((spec, eps, d, r.feasible, tuple(map(str, r.witness.coeffs)))).encode())
+        assert h.hexdigest() == "55a6c294f066dd89b8d545d167693585ed6e9d7498c5a98e3317bfcce1afc562"
 
     @given(sym_fns(max_n=7), st.data())
     @settings(max_examples=60, deadline=None)

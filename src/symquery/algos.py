@@ -18,12 +18,17 @@ Both come with closed-form outcome laws in exact rationals, per input and
 per weight; the runners list branches from the per-input laws, as floats.
 Every algorithm reads explicit bits and calls these subroutines, so its law
 of (output, queries used) depends only on the weight of the input and, where
-it reads x_1 first, on x_1.  ``verify_exact`` computes that law exactly, in
-Fractions, once per weight class, and so certifies the whole promise domain
-in time polynomial in n; ``simulate_domain`` is the exponential reference
-that replays every promised input through the runners, and tests check that
-the two agree.  The dense circuits (``xquery_state``, ``grover1_state``, on
-``qsim`` and numpy) serve only the tests, as the closed forms' reference.
+it reads x_1 first, on x_1.  Each registry entry gives that law per class,
+in Fractions, with the number of branches behind each (output, queries)
+pair.  ``verify_exact`` certifies the whole domain from these laws, once per
+weight class, in time polynomial in n; ``run`` reads the same law's branch
+count to refuse an input before listing its branches.  ``simulate_domain``
+is the exponential reference that replays every promised input through the
+runners, and tests check that the two agree.  The bare subroutines are
+checked against output contracts that name the outcomes allowed at each
+weight, as a decision algorithm's promise names its answer.  The dense
+circuits (``xquery_state``, ``grover1_state``, on ``qsim`` and numpy) serve
+only the tests, as the closed forms' reference.
 """
 
 from __future__ import annotations
@@ -259,18 +264,28 @@ def grover_outcomes(x: str) -> tuple[tuple[int, float], ...]:
     return tuple((i, float(p)) for i, p in grover1_exact_distribution(x))
 
 
-def xquery_weight_law(t: int, m: int) -> tuple[Fraction, Fraction]:
-    """Pair-test law on every m-bit input of weight t: the probability of the
-    flat outcome, ((m - 2t)/m)^2, and of a differing pair, 4t(m - t)/m^2."""
-    return Fraction((m - 2 * t) ** 2, m * m), Fraction(4 * t * (m - t), m * m)
+# The exact probability of a set of branches and how many branches it holds.
+Mass = tuple[Fraction, int]
 
 
-def grover1_weight_law(t: int, n: int) -> tuple[Fraction, Fraction]:
+def xquery_weight_law(t: int, m: int) -> tuple[Mass, Mass]:
+    """Pair-test law on every m-bit input of weight t: the flat outcome, one
+    branch of probability ((m - 2t)/m)^2, and the t(m - t) differing pairs,
+    of total probability 4t(m - t)/m^2."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    pairs = t * (m - t)
+    return (Fraction((m - 2 * t) ** 2, m * m), 1), (Fraction(4 * pairs, m * m), pairs)
+
+
+def grover1_weight_law(t: int, n: int) -> tuple[Mass, Mass]:
     """One-iteration search law on every n-bit input of weight t: the mass on
     the t 1-positions and on the n - t 0-positions, from the amplitude
     (2s/n -+ 1)/sqrt(n), s = n - 2t, of grover1_exact_distribution."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     mean2 = Fraction(2 * (n - 2 * t), n)
-    return t * (mean2 + 1) ** 2 / n, (n - t) * (mean2 - 1) ** 2 / n
+    return (t * (mean2 + 1) ** 2 / n, t), ((n - t) * (mean2 - 1) ** 2 / n, n - t)
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +514,19 @@ def f4(n: int, x: str) -> AlgorithmRun:
 # Weight-class laws
 # ---------------------------------------------------------------------------
 
-# (output, queries used) -> exact probability, on every input of one class;
-# zero-probability branches are left out.
-Law = dict[tuple[object, int], Fraction]
+# (output, queries used) -> the mass of the branches that end so, on every
+# input of one class; zero-probability branches are left out.  Steps run in
+# sequence multiply both their probabilities and their branch counts.
+Law = dict[tuple[object, int], Mass]
 
 
-def _law(*branches: tuple[tuple[object, int], Fraction]) -> Law:
-    law: Law = {}
-    for key, p in branches:
-        if p:
-            law[key] = law.get(key, 0) + p
-    return law
+def _law(*branches: tuple[tuple[object, int], Mass]) -> Law:
+    return {key: mass for key, mass in branches if mass[0]}
 
 
 def _then(queries: int, law: Law) -> Law:
     """The law of a step run after `queries` queries already spent."""
-    return {(out, used + queries): p for (out, used), p in law.items()}
+    return {(out, used + queries): mass for (out, used), mass in law.items()}
 
 
 def _dj_law(n: int, k: int, t: int) -> Law:
@@ -522,16 +534,16 @@ def _dj_law(n: int, k: int, t: int) -> Law:
     pair removes one 1 and one 0, and in round k+1 ends with 1."""
     _check_dj(n, k)
     law: Law = {}
-    reach = Fraction(1)
+    reach, paths = Fraction(1), 1
     for used in range(1, k + 2):
-        flat, pair = xquery_weight_law(t, n)
+        (flat, _), (pair, pairs) = xquery_weight_law(t, n)
         if flat:
-            law[0, used] = reach * flat
-        reach *= pair
+            law[0, used] = reach * flat, paths
+        reach, paths = reach * pair, paths * pairs
         if not reach:
             return law
         t, n = t - 1, n - 2
-    law[1, k + 1] = reach
+    law[1, k + 1] = reach, paths
     return law
 
 
@@ -562,9 +574,21 @@ def _f2_law(n: int, k: int, t: int) -> Law:
     """A 1-position found by the first search settles 1 after 2 queries;
     otherwise the bit at the second search's position is the answer."""
     _check_f2(n, k)
-    on_ones, on_zeros = grover1_weight_law(t, 4 * k)
-    on_ones2, on_zeros2 = grover1_weight_law(t, 4 * (k + 1))
-    return _law(((1, 2), on_ones), ((1, 4), on_zeros * on_ones2), ((0, 4), on_zeros * on_zeros2))
+    on_ones, (p0, c0) = grover1_weight_law(t, 4 * k)
+    (p1, c1), (p2, c2) = grover1_weight_law(t, 4 * (k + 1))
+    return _law(((1, 2), on_ones), ((1, 4), (p0 * p1, c0 * c1)), ((0, 4), (p0 * p2, c0 * c2)))
+
+
+def _xquery_law(m: int, t: int) -> Law:
+    """The pair test in its contract's terms."""
+    flat, pair = xquery_weight_law(t, m)
+    return _law((("flat", 1), flat), (("differing pair", 1), pair))
+
+
+def _grover1_law(n: int, t: int) -> Law:
+    """The search in its contract's terms."""
+    on_ones, on_zeros = grover1_weight_law(t, n)
+    return _law((("1-position", 1), on_ones), (("0-position", 1), on_zeros))
 
 
 # Per-class laws of one algorithm at input weight t: a list of (prefix, law),
@@ -592,7 +616,7 @@ def _split(n: int, t: int, one: Callable[[int], Law], zero: Callable[[int], Law]
 
 def _f1_classes(n: int, t: int) -> Classes:
     _check_odd("f1", n, 3)
-    return _split(n, t, lambda r: {(1, 0): Fraction(1)}, lambda r: _dhw_law(n - 1, n // 2, r))
+    return _split(n, t, lambda r: {(1, 0): (Fraction(1), 1)}, lambda r: _dhw_law(n - 1, n // 2, r))
 
 
 def _f3_classes(n: int, t: int) -> Classes:
@@ -612,7 +636,8 @@ def _f4_classes(n: int, t: int) -> Classes:
 # Largest n run and verify_exact accept.  verify_exact's slowest instance,
 # dj at k = n/2 - 1, takes about 4 s at n = 1000 on a 2-core x86 VM.
 MAX_VERIFY_N = 1000
-# Most branches run lists; the bound is checked before any branch is built.
+# Most branches run lists; the count is read from the input's class law
+# before any subroutine runs.
 MAX_RUN_BRANCHES = 100_000
 
 
@@ -641,12 +666,16 @@ def canonical_function(alg: str, params: Mapping[str, int]) -> SymPartialFn:
 
 def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
     """Every branch of one execution on x.  Refuses n above MAX_VERIFY_N,
-    and an input whose weight admits more than MAX_RUN_BRANCHES branches,
-    before building any branch."""
+    and an input whose class law (the one verify_exact certifies) counts
+    more than MAX_RUN_BRANCHES branches, before any subroutine runs."""
     entry, args = _lookup(alg, params)
-    if params["n"] > MAX_VERIFY_N:
-        raise ValueError(f"run is capped at n={MAX_VERIFY_N}, got n={params['n']}")
-    if entry.branches(*args, x) > MAX_RUN_BRANCHES:
+    n = params["n"]
+    if n > MAX_VERIFY_N:
+        raise ValueError(f"run is capped at n={MAX_VERIFY_N}, got n={n}")
+    classes = entry.classes(*args, x.count("1"))  # checks the parameters first, as the runners do
+    _check_bits(x, n)
+    (law,) = [law for prefix, law in classes if x.startswith(prefix)]
+    if sum(count for _, count in law.values()) > MAX_RUN_BRANCHES:
         raise ValueError(
             f"run is capped at {MAX_RUN_BRANCHES} branches, and {alg} may list more "
             f"on an input of weight {x.count('1')}; verify checks the whole domain instead"
@@ -669,17 +698,24 @@ def _negate_output(transform: str) -> bool:
 
 
 def _check_request(
-    alg: str, params: Mapping[str, int], transform: str
-) -> tuple[Algorithm, list[int]]:
+    alg: str, params: Mapping[str, int], f: SymPartialFn | None, transform: str
+) -> tuple[Algorithm, list[int], SymPartialFn | None]:
+    """The registry entry, its parameter values and, for a decision
+    algorithm, the function it is checked against.  A subroutine is checked
+    against its output contract, which takes no f and no transform."""
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
     entry, args = _lookup(alg, params)
     n = params["n"]
     if n > MAX_VERIFY_N:
         raise ValueError(f"verification is capped at n={MAX_VERIFY_N}, got n={n}")
-    if entry.family is None and n < 1:
+    if entry.family is not None:
+        return entry, args, _target(alg, params, f, transform)
+    if n < 1:
         raise ValueError(f"{alg} contract needs n >= 1, got n={n}")
-    return entry, args
+    if f is not None or transform != "identity":
+        raise ValueError(f"{alg} is checked against its output contract, which takes no f and no transform")
+    return entry, args, None
 
 
 def _target(
@@ -701,6 +737,37 @@ def _target(
     return f
 
 
+# What an algorithm is checked against: its name, and the outputs allowed at
+# each weight of its domain.
+Contract = tuple[str, dict[int, frozenset]]
+
+
+def _contract(entry: Algorithm, args: list[int], f: SymPartialFn | None) -> Contract:
+    """f's value at each weight it defines, or a subroutine's contract."""
+    if f is None:
+        return entry.contract(*args)
+    return str(f), {w: frozenset({int(f.values[w] is ONE)}) for w in f.domain_weights}
+
+
+def _xquery_contract(m: int) -> Contract:
+    """The flat outcome may appear only off balance.  The law has no
+    same-bit pair: a pair's amplitude is the difference of its two phases."""
+    allowed = {t: frozenset({"differing pair"} if 2 * t == m else {"flat", "differing pair"}) for t in range(m + 1)}
+    return f"xquery-contract:m={m}", allowed
+
+
+def _grover1_contract(n: int) -> Contract:
+    """The reported index is a 1-position at weight n/4 and a 0-position at
+    weight 3n/4."""
+    if n % 4:
+        raise ValueError(f"grover1 contract needs n divisible by 4, got n={n}")
+    return f"grover1-contract:n={n}", {n // 4: frozenset({"1-position"}), 3 * n // 4: frozenset({"0-position"})}
+
+
+def _expected(allowed: frozenset) -> str:
+    return " or ".join(sorted(map(str, allowed)))
+
+
 def verify_exact(
     alg: str,
     params: Mapping[str, int],
@@ -714,7 +781,8 @@ def verify_exact(
     agree where defined.  ``transform`` runs the algorithm through the orbit
     wrapper (inputs complemented and/or outputs negated) and verifies it
     against the correspondingly transformed function.  The bare subroutines
-    xquery and grover1 are verified against their output contracts instead.
+    xquery and grover1 are verified against their output contracts instead,
+    and refuse f and transform.
 
     No input is simulated: each class of inputs that share a weight (and,
     where the algorithm reads it first, x_1) is certified by its exact law
@@ -722,11 +790,9 @@ def verify_exact(
     A failure names one input of its class.  Instances with n above
     MAX_VERIFY_N are refused.
     """
-    entry, args = _check_request(alg, params, transform)
-    if entry.family is None:
-        return _certify(*entry.classes(*args))
-    f = _target(alg, params, f, transform)
-    return _certify(str(f), _decision_classes(entry, args, f, transform))
+    entry, args, f = _check_request(alg, params, f, transform)
+    function, allowed = _contract(entry, args, f)
+    return _certify(function, _weight_classes(entry, args, params["n"], allowed, transform))
 
 
 # One certified class: an input it contains, how many inputs it has, the
@@ -739,44 +805,18 @@ def _class_input(n: int, t: int, prefix: str) -> str:
     return prefix + "1" * ones + "0" * (n - len(prefix) - ones)
 
 
-def _decision_classes(
-    entry: Algorithm, args: list[int], f: SymPartialFn, transform: str
+def _weight_classes(
+    entry: Algorithm, args: list[int], n: int, allowed: dict[int, frozenset], transform: str
 ) -> Iterator[_Class]:
     negate = _negate_output(transform)
-    for w in f.domain_weights:
-        want = frozenset({int(f.values[w] is ONE)})
-        t = f.n - w if _complement_input(transform) else w  # the weight the algorithm sees
+    for w, want in allowed.items():
+        t = n - w if _complement_input(transform) else w  # the weight the algorithm sees
         for prefix, law in entry.classes(*args, t):
-            x = _premap_input(_class_input(f.n, t, prefix), transform)
-            count = math.comb(f.n - len(prefix), t - prefix.count("1"))
+            x = _premap_input(_class_input(n, t, prefix), transform)
+            count = math.comb(n - len(prefix), t - prefix.count("1"))
             if negate:
-                law = {(1 - out, used): p for (out, used), p in law.items()}
+                law = {(1 - out, used): mass for (out, used), mass in law.items()}
             yield x, count, law, want
-
-
-def _xquery_contract(m: int) -> tuple[str, list[_Class]]:
-    """The flat outcome may appear only off balance.  The law has no
-    same-bit pair: a pair's amplitude is the difference of its two phases."""
-    classes = []
-    for t in range(m + 1):
-        flat, pair = xquery_weight_law(t, m)
-        allowed = {"differing pair"} if 2 * t == m else {"flat", "differing pair"}
-        law = _law((("flat", 1), flat), (("differing pair", 1), pair))
-        classes.append((_class_input(m, t, ""), math.comb(m, t), law, frozenset(allowed)))
-    return f"xquery-contract:m={m}", classes
-
-
-def _grover1_contract(n: int) -> tuple[str, list[_Class]]:
-    """The reported index is a 1-position at weight n/4 and a 0-position at
-    weight 3n/4."""
-    if n % 4:
-        raise ValueError(f"grover1 contract needs n divisible by 4, got n={n}")
-    classes = []
-    for t, want in ((n // 4, "1-position"), (3 * n // 4, "0-position")):
-        on_ones, on_zeros = grover1_weight_law(t, n)
-        law = _law((("1-position", 1), on_ones), (("0-position", 1), on_zeros))
-        classes.append((_class_input(n, t, ""), math.comb(n, t), law, frozenset({want})))
-    return f"grover1-contract:n={n}", classes
 
 
 def _certify(function: str, classes: Iterable[_Class]) -> VerificationReport:
@@ -784,15 +824,14 @@ def _certify(function: str, classes: Iterable[_Class]) -> VerificationReport:
     worst = 0
     checked = 0
     for x, count, law, allowed in classes:
-        total = sum(law.values())
+        total = sum(p for p, _ in law.values())
         if total != 1:
             raise RuntimeError(f"branch probabilities sum to {total}, not 1, on the class of {x}")
-        for (out, used), p in law.items():
+        for (out, used), (p, _) in law.items():
             worst = max(worst, used)
             if out not in allowed:
-                expected = " or ".join(sorted(map(str, allowed)))
                 failures.append(
-                    (x, f"weight-class branch output={out} expected={expected} (prob {p})")
+                    (x, f"weight-class branch output={out} expected={_expected(allowed)} (prob {p})")
                 )
         checked += count
     return VerificationReport(function, checked, not failures, worst, tuple(failures))
@@ -803,45 +842,37 @@ def simulate_domain(
 ) -> VerificationReport:
     """Reference for verify_exact: run every promised input through the
     algorithm's runner, in floats, and check every branch (a subroutine's
-    against its contract).  Exponential in n."""
-    entry, args = _check_request(alg, params, transform)
-    if entry.family is None:
-        return _simulate_contract(entry, args[0])
-    f = _target(alg, params, None, transform)
+    named in its contract's terms).  Exponential in n."""
+    entry, args, f = _check_request(alg, params, None, transform)
+    function, allowed = _contract(entry, args, f)
+    n = params["n"]
     negate = _negate_output(transform)
+    if f is None:
+        inputs = (x for t in allowed for x in _weight_inputs(n, t))
+    else:
+        inputs = domain_inputs(f)
     failures: list[tuple[str, str]] = []
     worst = 0
     checked = 0
-    for x in domain_inputs(f):
-        fx = 1 if f.values[x.count("1")] is ONE else 0
+    for x in inputs:
+        want = allowed[x.count("1")]
         for br in entry.runner(*args, _premap_input(x, transform)).branches:
-            out = 1 - br.output if negate else br.output
+            if f is None:
+                out = _contract_term(x, br.output)
+            else:
+                out = 1 - br.output if negate else br.output
             worst = max(worst, br.queries_used)
-            if out != fx:
+            if out not in want:
                 failures.append(
-                    (x, f"path={' ; '.join(br.path)} output={out} expected={fx}")
+                    (x, f"path={' ; '.join(br.path)} output={out} expected={_expected(want)}")
                 )
         checked += 1
-    return VerificationReport(str(f), checked, not failures, worst, tuple(failures))
-
-
-def _simulate_contract(entry: Algorithm, n: int) -> VerificationReport:
-    """Every input of each weight the contract covers, each branch named in
-    the contract's terms."""
-    function, classes = entry.classes(n)
-    failures: list[tuple[str, str]] = []
-    worst = 0
-    checked = 0
-    for rep, _, _, allowed in classes:
-        for ones in itertools.combinations(range(n), rep.count("1")):
-            x = "".join("1" if i in ones else "0" for i in range(n))
-            for br in entry.runner(n, x).branches:
-                worst = max(worst, br.queries_used)
-                term = _contract_term(x, br.output)
-                if term not in allowed:
-                    failures.append((x, f"output {br.output} is a {term}"))
-            checked += 1
     return VerificationReport(function, checked, not failures, worst, tuple(failures))
+
+
+def _weight_inputs(n: int, t: int) -> Iterator[str]:
+    for ones in itertools.combinations(range(n), t):
+        yield "".join("1" if i in ones else "0" for i in range(n))
 
 
 def _contract_term(x: str, out: int | tuple[int, int]) -> str:
@@ -867,71 +898,21 @@ class Algorithm:
     runner: Callable[..., AlgorithmRun]  # (*params, x) -> every branch on x
     family: Callable[..., SymPartialFn] | None  # the promise; None for a subroutine
     budget: Callable[..., int]  # (*params) -> declared worst-case queries
-    # (*params, weight) -> per-class laws; a subroutine's takes (*params) and
-    # returns its contract's name and certified classes
-    classes: Callable[..., object]
-    branches: Callable[..., int]  # (*params, x) -> bound on the branches of a run on x
+    classes: Callable[..., Classes]  # (*params, weight) -> per-class laws
+    contract: Callable[..., Contract] | None = None  # a subroutine's (*params) -> output contract
 
 
-def _by_weight(bound: Callable[..., int]) -> Callable[..., int]:
-    """A branch bound that reads the input only through its weight."""
-    return lambda *args: bound(*args[:-1], args[-1].count("1"))
-
-
-def _dj_branches(n: int, k: int, t: int) -> int:
-    """Each node of round i (from 0) has at most one flat leaf and
-    (t - i)(n - t - i) pairs; the pairs of round k+1 are leaves."""
-    _check_dj(n, k)
-    leaves, nodes = 0, 1
-    for i in range(k + 1):
-        leaves += nodes
-        nodes *= max(t - i, 0) * max(n - t - i, 0)
-    return leaves + nodes
-
-
-def _f2_branches(n: int, k: int, t: int) -> int:
-    """The first search's 1-positions are leaves; each of its 0-positions
-    leads to every position of the second search.  A search lists only the
-    side (the t 1-positions or the rest) it puts mass on: at weight k the
-    first reports no 0-position, at weight k+1 the second no 0-position."""
-    _check_f2(n, k)
-
-    def listed(m: int) -> tuple[int, int]:
-        on_ones, on_zeros = grover1_weight_law(t, m)
-        return (t if on_ones else 0), (m - t if on_zeros else 0)
-
-    ones, zeros = listed(4 * k)
-    return ones + zeros * sum(listed(4 * (k + 1)))
-
-
-def _f4_branches(n: int, x: str) -> int:
-    """f2 on the n - 1 bits after x_1, complemented when x_1 = 1."""
-    _check_odd("f4", n, 5)
-    t = x.count("1")
-    return _f2_branches(n - 1, n // 2, n - t if x[:1] == "1" else t)
-
-
-# In the order `symquery families` lists them.  Branch bounds leave the
-# parameter checks to the runners, except where they loop over a parameter
-# or divide by one.
+# In the order `symquery families` lists them.
 ALGORITHMS: dict[str, Algorithm] = {
-    # the flat outcome and the differing pairs
-    "xquery": Algorithm(("n",), xquery, None, lambda n: 1, _xquery_contract,
-                        _by_weight(lambda m, t: t * (m - t) + 1)),
-    "dj": Algorithm(("n", "k"), dj, family_dj, lambda n, k: k + 1, _whole(_dj_law), _by_weight(_dj_branches)),
-    "dhw": Algorithm(("n", "k"), dhw, family_f1, lambda n, k: 1, _whole(_dhw_law),
-                     _by_weight(lambda n, k, t: t * (2 * k - t) + 1)),
-    "f1": Algorithm(("n",), f1, lambda n: family_f1(n, n // 2), lambda n: 2, _f1_classes,
-                    _by_weight(lambda n, t: max(1, t * (n - 1 - t) + 1))),
-    "f3": Algorithm(("n",), f3, lambda n: family_f3(n, (n + 1) // 2), lambda n: 2, _f3_classes,
-                    _by_weight(lambda n, t: t * (n + 1 - t) + 1)),  # x_1 = 0 pads to more bits than x_1 = 1
-    "grover1": Algorithm(("n",), grover1, None, lambda n: 1, _grover1_contract, lambda n, x: n),
-    "dw1": Algorithm(("n",), dw1, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda n: 2, _whole(_dw1_law),
-                     lambda n, x: n),
-    "dw2": Algorithm(("n",), dw2, lambda n: family_dw(n, 0, n // 4), lambda n: 2, _whole(_dw2_law),
-                     lambda n, x: n),
-    "dw": Algorithm(("n", "k", "l"), dw_general, family_dw, lambda n, k, l: 2, _whole(_dw_law),
-                    lambda n, k, l, x: _dw_padding(n, k, l)[0]),
-    "f2": Algorithm(("n", "k"), f2, family_f2, lambda n, k: 4, _whole(_f2_law), _by_weight(_f2_branches)),
-    "f4": Algorithm(("n",), f4, family_f4, lambda n: 5, _f4_classes, _f4_branches),
+    "xquery": Algorithm(("n",), xquery, None, lambda n: 1, _whole(_xquery_law), _xquery_contract),
+    "dj": Algorithm(("n", "k"), dj, family_dj, lambda n, k: k + 1, _whole(_dj_law)),
+    "dhw": Algorithm(("n", "k"), dhw, family_f1, lambda n, k: 1, _whole(_dhw_law)),
+    "f1": Algorithm(("n",), f1, lambda n: family_f1(n, n // 2), lambda n: 2, _f1_classes),
+    "f3": Algorithm(("n",), f3, lambda n: family_f3(n, (n + 1) // 2), lambda n: 2, _f3_classes),
+    "grover1": Algorithm(("n",), grover1, None, lambda n: 1, _whole(_grover1_law), _grover1_contract),
+    "dw1": Algorithm(("n",), dw1, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda n: 2, _whole(_dw1_law)),
+    "dw2": Algorithm(("n",), dw2, lambda n: family_dw(n, 0, n // 4), lambda n: 2, _whole(_dw2_law)),
+    "dw": Algorithm(("n", "k", "l"), dw_general, family_dw, lambda n, k, l: 2, _whole(_dw_law)),
+    "f2": Algorithm(("n", "k"), f2, family_f2, lambda n, k: 4, _whole(_f2_law)),
+    "f4": Algorithm(("n",), f4, family_f4, lambda n: 5, _f4_classes),
 }

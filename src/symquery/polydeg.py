@@ -276,7 +276,7 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     gives a pair of box rows over the free coefficients t, built in integers
     through the reduced rows alone and all scaled by one common factor q·D,
     which keeps the simplex's choices those of the rational system (see
-    _feasible_nonneg).  Free coefficients are split into positive and
+    _feasible_box).  Free coefficients are split into positive and
     negative parts for the nonnegative Phase-I simplex; when feasible the
     returned witness is whichever basic solution the search lands on.  With
     nothing pinned (eps > 0) the free coefficients are c_0..c_d in order and

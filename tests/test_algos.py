@@ -414,6 +414,8 @@ class TestRunInvariants:
 
     @pytest.mark.parametrize("alg", list(algos.ALGORITHMS))
     def test_branch_bound_covers_every_run(self, alg):
+        # the class law's branch count, which run checks against its cap,
+        # is exactly the number of branches run lists
         entry = algos.ALGORITHMS[alg]
         instances = list(valid_instances(alg, 8)) if entry.family else [{"n": n} for n in range(1, 9)]
         assert instances
@@ -421,20 +423,26 @@ class TestRunInvariants:
             args = list(params.values())
             for bits in itertools.product("01", repeat=params["n"]):
                 x = "".join(bits)
-                listed = len(algos.run(alg, params, x).branches)
-                assert listed <= entry.branches(*args, x), (params, x)
+                assert counted(alg, args, x) == len(algos.run(alg, params, x).branches), (params, x)
 
     def test_f2_bound_reads_both_searches(self):
-        # at weight k+1 neither search's bound counts a side it puts no mass
-        # on, so it equals the 30,300 branches run lists (tests/test_cli.py)
-        assert algos.ALGORITHMS["f2"].branches(400, 100, "1" * 101 + "0" * 299) == 101 + 299 * 101
+        # at weight k+1 neither search counts a side it puts no mass on: the
+        # 30,300 branches run lists (tests/test_cli.py)
+        assert counted("f2", (400, 100), "1" * 101 + "0" * 299) == 101 + 299 * 101
         # f4's x_1 = 1 subclass at n = 401, weight 200: f2 on weight 201
-        assert algos.ALGORITHMS["f4"].branches(401, "1" * 200 + "0" * 201) == 201 + 599 * 201
+        assert counted("f4", (401,), "1" * 200 + "0" * 201) == 201 + 599 * 201
 
     def test_leaky_probabilities_rejected(self):
         half = algos.BranchTrace(("x1=0",), 0.5, 0, 1)
         with pytest.raises(ValueError, match="sum"):
             algos.AlgorithmRun("01", (half,))
+
+
+def counted(alg, args, x):
+    """The branch count of the class law x is in."""
+    classes = algos.ALGORITHMS[alg].classes(*args, x.count("1"))
+    (law,) = [law for prefix, law in classes if x.startswith(prefix)]
+    return sum(count for _, count in law.values())
 
 
 DECISION_ALGORITHMS = sorted(alg for alg, entry in algos.ALGORITHMS.items() if entry.family)
@@ -487,9 +495,12 @@ class TestWeightClassEngine:
                 simulated: dict = {}
                 for b in info.runner(*args, x).branches:
                     key = (b.output, b.queries_used)
-                    simulated[key] = simulated.get(key, 0.0) + b.probability
+                    p, count = simulated.get(key, (0.0, 0))
+                    simulated[key] = (p + b.probability, count + 1)
                 assert set(simulated) == set(law), (params, x)
-                assert all(abs(simulated[k] - float(p)) < 1e-9 for k, p in law.items()), (params, x)
+                for key, (p, count) in law.items():
+                    assert abs(simulated[key][0] - float(p)) < 1e-9, (params, x, key)
+                    assert simulated[key][1] == count, (params, x, key)
 
     def test_contracts_agree_with_simulation(self):
         cases = [("xquery", m) for m in range(1, 11)] + [("grover1", 4), ("grover1", 8)]
@@ -500,17 +511,22 @@ class TestWeightClassEngine:
         assert algos.verify_exact("grover1", {"n": 8}).inputs_checked == 2 * 28
 
     def test_weight_laws_sum_the_per_input_laws(self):
+        def sides(outcomes, first):
+            """Mass and number of the listed outcomes on either side."""
+            split = [[p for o, p in outcomes if first(o) is side] for side in (True, False)]
+            return [(sum(ps), len(ps)) for ps in split]
+
+        def agree(law, listed):
+            # a side with no mass lists no outcome, whatever it counts
+            return all(p == q and (not p or c == d) for (p, c), (q, d) in zip(law, listed))
+
         for m in range(1, 17):
             for t in range(m + 1):
                 x = "1" * t + "0" * (m - t)
-                pairs = algos.xquery_exact_distribution(x)
-                flat = sum(p for o, p in pairs if o == (0, 0))
-                differing = sum(p for o, p in pairs if o != (0, 0))
-                assert algos.xquery_weight_law(t, m) == (flat, differing), (m, t)
-                indices = algos.grover1_exact_distribution(x)
-                on_ones = sum(p for i, p in indices if x[i - 1] == "1")
-                on_zeros = sum(p for i, p in indices if x[i - 1] == "0")
-                assert algos.grover1_weight_law(t, m) == (on_ones, on_zeros), (m, t)
+                pairs = sides(algos.xquery_exact_distribution(x), lambda o: o == (0, 0))
+                assert agree(algos.xquery_weight_law(t, m), pairs), (m, t)
+                indices = sides(algos.grover1_exact_distribution(x), lambda i: x[i - 1] == "1")
+                assert agree(algos.grover1_weight_law(t, m), indices), (m, t)
 
     def test_wrong_target_fails_both_verifiers(self, monkeypatch):
         info = algos.ALGORITHMS["f1"]
@@ -549,3 +565,12 @@ class TestWeightClassEngine:
     def test_contract_needs_positive_n(self, alg, n):
         with pytest.raises(ValueError, match="needs n >= 1"):
             algos.verify_exact(alg, {"n": n})
+
+    @pytest.mark.parametrize("alg,n", [("xquery", 6), ("grover1", 8)])
+    def test_contract_refuses_f_and_transform(self, alg, n):
+        with pytest.raises(ValueError, match="takes no f and no transform"):
+            algos.verify_exact(alg, {"n": n}, f=sq.from_string(f"PARITY:{n}"))
+        for t in TRANSFORMS[1:]:
+            for check in (algos.verify_exact, algos.simulate_domain):
+                with pytest.raises(ValueError, match="takes no f and no transform"):
+                    check(alg, {"n": n}, transform=t)

@@ -105,6 +105,8 @@ class TestRun:
             # at weight k+1 the second search reports only its 101 1-positions,
             # behind each of the first search's 1 + 299 positions: the bound
             (("--alg", "f2", "--n", "400", "--k", "100", "--input", "1" * 101 + "0" * 299), 30_300),
+            # x_1 = 1 settles 1 at once, whatever the weight of the rest
+            (("--alg", "f1", "--n", "999", "--input", "1" * 500 + "0" * 499), 1),
         ],
     )
     def test_weight_aware_bound_admits_few_branches(self, capsys, argv, listed):
@@ -113,14 +115,26 @@ class TestRun:
         assert len(json.loads(out)["branches"]) == listed
 
     def test_branch_cap_boundary(self, monkeypatch):
-        entry = algos.ALGORITHMS["xquery"]
-        for bound in (algos.MAX_RUN_BRANCHES, algos.MAX_RUN_BRANCHES + 1):
-            monkeypatch.setitem(algos.ALGORITHMS, "xquery", dataclasses.replace(entry, branches=lambda m, x: bound))
-            if bound > algos.MAX_RUN_BRANCHES:
-                with pytest.raises(ValueError, match="capped"):
-                    algos.run("xquery", {"n": 4}, "1100")
-            else:
-                assert len(algos.run("xquery", {"n": 4}, "1100").branches) == 4
+        # xquery on 1100 lists its 4 differing pairs
+        monkeypatch.setattr(algos, "MAX_RUN_BRANCHES", 4)
+        assert len(algos.run("xquery", {"n": 4}, "1100").branches) == 4
+        monkeypatch.setattr(algos, "MAX_RUN_BRANCHES", 3)
+        with pytest.raises(ValueError, match="capped at 3 branches"):
+            algos.run("xquery", {"n": 4}, "1100")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--alg", "xquery", "--n", "0"), "need m >= 1, got 0"),
+            (("--alg", "grover1", "--n", "0"), "need n >= 1, got 0"),
+            (("--alg", "dw1", "--n", "0"), "need n >= 1, got 0"),
+            (("--alg", "dw2", "--n", "0"), "need n >= 1, got 0"),
+            (("--alg", "dhw", "--n", "0", "--k", "0"), "need m >= 1, got 0"),
+        ],
+    )
+    def test_zero_length_subroutine_call(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "run", *argv, "--input", "")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_parameter(self, capsys):
         code, _, err = run_cli(capsys, "run", "--alg", "dj", "--n", "8", "--input", "10000000")

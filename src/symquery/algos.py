@@ -842,7 +842,8 @@ def simulate_domain(
 ) -> VerificationReport:
     """Reference for verify_exact: run every promised input through the
     algorithm's runner, in floats, and check every branch (a subroutine's
-    named in its contract's terms).  Exponential in n."""
+    named in its contract's terms).  A failing input keeps one failure: its
+    first wrong branch and how many more there are.  Exponential in n."""
     entry, args, f = _check_request(alg, params, None, transform)
     function, allowed = _contract(entry, args, f)
     n = params["n"]
@@ -856,6 +857,7 @@ def simulate_domain(
     checked = 0
     for x in inputs:
         want = allowed[x.count("1")]
+        first, wrong = "", 0
         for br in entry.runner(*args, _premap_input(x, transform)).branches:
             if f is None:
                 out = _contract_term(x, br.output)
@@ -863,9 +865,10 @@ def simulate_domain(
                 out = 1 - br.output if negate else br.output
             worst = max(worst, br.queries_used)
             if out not in want:
-                failures.append(
-                    (x, f"path={' ; '.join(br.path)} output={out} expected={_expected(want)}")
-                )
+                wrong += 1
+                first = first or f"path={' ; '.join(br.path)} output={out} expected={_expected(want)}"
+        if wrong:
+            failures.append((x, first + (f", and {wrong - 1} more" if wrong > 1 else "")))
         checked += 1
     return VerificationReport(function, checked, not failures, worst, tuple(failures))
 

@@ -6,14 +6,14 @@ c_0..c_d.  Whether some degree-d profile fits a function within error eps is
 a linear feasibility question, decided exactly on one path for every eps:
 with eps = p/q the weight bounds are integers over q, the weights they pin
 (the defined ones, at eps = 0) are eliminated by Gauss–Jordan, and a Phase-I
-simplex decides the box rows left over.  Both pivot fraction-free (Edmonds
-1967, Bareiss 1968), on integers over one common denominator; the simplex
-stores no column it can derive (each negative part is its positive part
-negated) or never reads (the artificials), so its choices are those of the
-full tableau.  Every feasible witness is re-checked exactly, in integers
-over the lcm of its denominators.  The least feasible degree is found by
-binary search, and a complete catalogue matcher identifies every function
-of degree at most 2 up to isomorphism.
+simplex decides the box rows left over.  Both run one column-major
+fraction-free pivot (Edmonds 1967, Bareiss 1968) on integers over one common
+denominator and store no basic column, as each is D·e_r: the simplex keeps a
+dictionary (Chvátal 1983) whose choices are those of the full tableau.
+Every feasible witness is re-checked exactly, in integers over the lcm of
+its denominators.  The least feasible degree is found by binary search from
+an exact lower bound, and a complete catalogue matcher identifies every
+function of degree at most 2 up to isomorphism.
 """
 
 from __future__ import annotations
@@ -132,23 +132,27 @@ def check_representation(q: PolyV, f: SymPartialFn, eps: RationalLike) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Phase-I simplex over an integer tableau
+# Phase-I simplex over an integer dictionary
 # ---------------------------------------------------------------------------
 
 
-def _pivot_int(rows: list[list[int]], r: int, c: int, D: int, sign: int = 1) -> int:
-    """Fraction-free pivot on sign·rows[r][c] of rows / D, where sign = -1
-    pivots on the negated column c; returns the new D, |rows[r][c]|."""
-    if sign * rows[r][c] < 0:
-        rows[r] = [-v for v in rows[r]]
-    prow = rows[r]
-    p = sign * prow[c]
-    for i, row in enumerate(rows):
-        f = sign * row[c]
-        if i != r and f:
-            rows[i] = [(p * a - f * b) // D for a, b in zip(row, prow)]
-        elif i != r and p != D:
-            rows[i] = [p * a // D for a in row]
+def _pivot(cols: list[list[int]], col: list[int], r: int, D: int) -> int:
+    """Fraction-free pivot on col[r] of the columns cols over D: row r takes
+    the sign that makes p = |col[r]| the new D, and row i != r of column a
+    becomes (p·a[i] - a[r]·col[i]) // D, exact as every entry is a minor.
+    col, now D·e_r, is the caller's to drop.  Returns p."""
+    p = col[r]
+    if p < 0:
+        p = -p
+        for a in cols:
+            a[r] = -a[r]
+    for a in cols:
+        b = a[r]
+        if b:
+            a[:] = [(p * x - b * y) // D for x, y in zip(a, col)]
+            a[r] = b
+        elif p != D:
+            a[:] = [p * x // D for x in a]
     return p
 
 
@@ -156,113 +160,106 @@ def _feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int
     """Find t with rows·t <= rhs exactly, as numerators over one denominator,
     or None when infeasible.
 
-    Phase-I simplex with Bland's anti-cycling rule over an integer tableau.
-    The free t is split as y⁺ - y⁻ with y⁺, y⁻ >= 0, and rows·y⁺ - rows·y⁻
-    + slack = rhs.  Rows with negative right-hand side are sign-flipped and
-    given an artificial variable; the search drives the artificial total to
-    zero.  Artificial columns never re-enter the basis.
+    Phase-I simplex with Bland's anti-cycling rule over an integer
+    dictionary.  The free t is split as y⁺ - y⁻ with y⁺, y⁻ >= 0, and
+    rows·y⁺ - rows·y⁻ + slack = rhs.  Rows with negative right-hand side are
+    sign-flipped and given an artificial variable; the search drives the
+    artificial total to zero.  Bland's rule scans the virtual columns y⁺
+    (0..nf-1), y⁻ (nf..2nf-1), the slacks and the artificials in that order.
 
-    The virtual columns are y⁺ (0..nf-1), y⁻ (nf..2nf-1), the slacks and
-    the artificials, and Bland's rule scans them in that order.  Only the
-    y⁺ and slack columns and the right-hand side are stored.  Every y⁻
-    column stays the negated y⁺ column, since B⁻¹(-a) = -B⁻¹a, so it is
-    read, and pivoted on, through a sign.  The artificial columns are never
-    read: the scan stops before them and only the right-hand side of their
-    rows is tested.  So every choice, pivot and witness is that of the full
-    tableau.
+    A basic column is always D·e_r, so only nonbasic ones are stored, beside
+    the right-hand side: a y pair while neither half is basic (as y⁺; y⁻ is
+    its negation, since B⁻¹(-a) = -B⁻¹a) and a nonbasic slack.  An
+    artificial is dropped when it leaves and never re-enters.  The scan
+    skips a y half whose partner is basic (its reduced cost is 0).  A pivot
+    at (r, c) updates every other stored column by _pivot, and the entering
+    slot takes the leaver's new column: -col off row r, the old D on it,
+    negated for a y⁻.  So every choice, pivot and witness is that of the
+    full tableau.
 
-    Pivot p makes row i (p*row_i - row_i[c]*row_p) // D over one positive
-    denominator D, exact as every entry is a minor.  A positive factor common
-    to every row (the caller's q·D) rescales only the slacks, so every sign
-    and ratio test (ratios by cross-multiplication) decides as over the
-    rationals and the pivots and witness are those of the rational system;
-    per-row factors would reweight the phase-I objective and could change
-    Bland's entering column.
-
-    Reference formulation: the same verdict is reached by maximizing a slack
-    z added to every constraint (rows·y + z <= rhs, z <= 0), feasible iff the
-    optimum is z = 0; the direct phase-I basis used here decides that maximum
-    without the extra variable and yields the witness immediately.
+    A positive factor common to every row (the caller's q·D) rescales only
+    the slacks, so every sign and ratio test (ratios by cross-multiplication)
+    decides as over the rationals and the pivots and witness are those of
+    the rational system; per-row factors would reweight the phase-I
+    objective and could change Bland's entering column.
     """
     m = len(rows)
     nf = len(rows[0]) if m else 0
     art_base = 2 * nf + m
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    for i in range(m):
-        flip = -1 if rhs[i] < 0 else 1
-        row = [flip * a for a in rows[i]] + [0] * m + [abs(rhs[i])]
-        row[nf + i] = flip
-        tableau.append(row)
-        basis.append(art_base + i if flip < 0 else 2 * nf + i)  # artificials keep the row order
+    flips = [-1 if b < 0 else 1 for b in rhs]
+    # slot j < nf holds the y pair j, slot nf + i the slack of row i
+    slots: list[list[int] | None] = [[s * row[j] for s, row in zip(flips, rows)] for j in range(nf)]
+    slots += [None if s > 0 else [-(k == i) for k in range(m)] for i, s in enumerate(flips)]
+    rhs = [abs(b) for b in rhs]
+    basis = [art_base + i if s < 0 else 2 * nf + i for i, s in enumerate(flips)]  # artificials keep the row order
+    order = [(j, 1) for j in range(nf)] + [(j, -1) for j in range(nf)] + [(nf + i, 1) for i in range(m)]
 
     D = 1
     while True:
         art_rows = [r for r in range(m) if basis[r] >= art_base]
         if not art_rows:
             break
-        in_basis = set(basis)
-        enter = -1
-        for j in range(art_base):  # Bland: smallest improving column index
-            if j in in_basis:
-                continue
-            c, sign = (j, 1) if j < nf else (j - nf, -1 if j < 2 * nf else 1)
-            if sign * sum(tableau[r][c] for r in art_rows) > 0:
-                enter = j
+        for enter, (s, sign) in enumerate(order):  # Bland: smallest improving column index
+            a = slots[s]
+            if a is not None and sign * sum(a[r] for r in art_rows) > 0:
                 break
-        if enter < 0:
+        else:
             break  # phase-I optimum reached with artificials still positive
+        col = a if sign > 0 else [-v for v in a]
         leave = -1
         for r in range(m):
-            a = sign * tableau[r][c]
-            if a > 0:
+            v = col[r]
+            if v > 0:
                 if leave >= 0:  # sign of ratio(r) - ratio(leave)
-                    cross = tableau[r][-1] * sign * tableau[leave][c] - tableau[leave][-1] * a
+                    cross = rhs[r] * col[leave] - rhs[leave] * v
                 if leave < 0 or cross < 0 or (cross == 0 and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:  # cannot happen: phase-I objective is bounded below
             raise RuntimeError("phase-I simplex lost boundedness")
-        D = _pivot_int(tableau, leave, c, D, sign)
+        slots[s] = None
+        old, D_old = basis[leave], D
+        D = _pivot([a for a in slots if a is not None] + [rhs], col, leave, D)
         basis[leave] = enter
+        if old < art_base:  # the leaving column, stored as y⁺ for a y⁻
+            sign = -1 if nf <= old < 2 * nf else 1
+            slots[old if old < nf else old - nf] = back = [-sign * v for v in col]
+            back[leave] = sign * D_old
 
-    if any(tableau[r][-1] for r in range(m) if basis[r] >= art_base):
+    if any(rhs[r] for r in range(m) if basis[r] >= art_base):
         return None
     t = [0] * nf
     for r, j in enumerate(basis):
         if j < nf:
-            t[j] += tableau[r][-1]
+            t[j] += rhs[r]
         elif j < 2 * nf:
-            t[j - nf] -= tableau[r][-1]
+            t[j - nf] -= rhs[r]
     return t, D
 
 
-def _eliminate(
-    aug: list[list[int]], nv: int
-) -> tuple[list[list[int]], list[int], list[int], int] | None:
-    """Gauss–Jordan on the integer equalities aug = [a | b] (a·c = b), with
-    the simplex's pivot: the reduced rows, their pivot columns, the free
-    columns and D, or None when inconsistent.  Reduced row i reads
-    D·c[pivots[i]] + sum over free columns fc of row[fc]·c[fc] = row[nv]."""
+def _eliminate(cols: list[list[int]]) -> tuple[list[int], list[int], list[list[int]], int] | None:
+    """Gauss–Jordan on the integer equalities a·c = b, as cols = a's columns
+    then b, with the simplex's pivot, dropping each pivoted column (D·e_r).
+    Returns the pivot and free columns, the free columns then b cut to the
+    pivot rows (kept), and D, or None when inconsistent.  Reduced row i reads
+    D·c[pivots[i]] + sum over k of kept[k][i]·c[free[k]] = kept[-1][i]."""
+    *coef, b = cols
     pivots: list[int] = []
-    D = 1
-    r = 0
-    for c in range(nv):
-        if r == len(aug):
-            break
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+    free: list[int] = []
+    D, r = 1, 0
+    for c, col in enumerate(coef):
+        pr = next((i for i in range(r, len(b)) if col[i]), None)
         if pr is None:
+            free.append(c)
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        D = _pivot_int(aug, r, c, D)
+        live = [coef[k] for k in free] + coef[c + 1 :] + [b]
+        for a in live + [col]:
+            a[r], a[pr] = a[pr], a[r]
+        D = _pivot(live, col, r, D)
         pivots.append(c)
         r += 1
-    if any(row[nv] for row in aug[r:]):
+    if any(b[r:]):
         return None
-    return aug[:r], pivots, [c for c in range(nv) if c not in pivots], D
-
-
-def _binom_row(w: int, nv: int) -> list[int]:
-    return [comb(w, k) for k in range(nv)]
+    return pivots, free, [coef[k][:r] for k in free] + [b[:r]], D
 
 
 def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult:
@@ -272,13 +269,11 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     the profile value a·c = sum_k c_k C(w,k) to integers [lo, hi]: [0, p]
     where f is 0, [q-p, q] where f is 1 and [0, q] where f is undefined.
     Weights with lo = hi (the defined ones, at eps = 0 only) are equalities,
-    eliminated by Gauss–Jordan over the integer pivot.  Every other weight
-    gives a pair of box rows over the free coefficients t, built in integers
-    through the reduced rows alone and all scaled by one common factor q·D,
-    which keeps the simplex's choices those of the rational system (see
-    _feasible_box).  Free coefficients are split into positive and
-    negative parts for the nonnegative Phase-I simplex; when feasible the
-    returned witness is whichever basic solution the search lands on.  With
+    eliminated by Gauss–Jordan (_eliminate).  Every other weight gives a
+    pair of box rows over the free coefficients t, built in integers from
+    the reduced rows and all scaled by one common factor q·D, which keeps
+    the simplex's choices those of the rational system (see _feasible_box);
+    when feasible the witness is whichever basic solution it lands on.  With
     nothing pinned (eps > 0) the free coefficients are c_0..c_d in order and
     D = 1.  A unique solution (no free coefficient) that leaves a box is
     infeasible; an unsound witness from the simplex raises RuntimeError.
@@ -289,27 +284,26 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     nv = d + 1
     p, q = eps.numerator, eps.denominator
     bounds = {ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}
-    pinned: list[list[int]] = []
+    pinned: list[tuple[list[int], int]] = []
     boxed: list[tuple[list[int], int, int]] = []
     for w, b in enumerate(f.values):
-        a, (lo, hi) = _binom_row(w, nv), bounds[b]
+        a, (lo, hi) = [comb(w, k) for k in range(nv)], bounds[b]
         if lo == hi:  # only at p = 0, so q = 1 and the row reads a·c = lo
-            pinned.append(a + [lo])
+            pinned.append((a, lo))
         else:
             boxed.append((a, lo, hi))
-    solved = _eliminate(pinned, nv)
+    solved = _eliminate([[a[k] for a, _ in pinned] for k in range(nv)] + [[lo for _, lo in pinned]])
     if solved is None:
         return FeasibilityResult(False, None)
-    red, pivots, free, D = solved
-    reduced = list(zip(pivots, red))
+    pivots, free, (*kept, base_col), D = solved
     t, Dt = [0] * len(free), 1  # the free coefficients are t / Dt
     if free and boxed:
         rows: list[list[int]] = []
         rhs: list[int] = []
         for a, lo, hi in boxed:
             # q·D·(a·c) = coef·t + base
-            coef = [q * (D * a[fc] - sum(a[c] * row[fc] for c, row in reduced)) for fc in free]
-            base = q * sum(a[c] * row[nv] for c, row in reduced)
+            coef = [q * (D * a[fc] - sum(a[c] * v for c, v in zip(pivots, col))) for fc, col in zip(free, kept)]
+            base = q * sum(a[c] * v for c, v in zip(pivots, base_col))
             rows.append(coef)  # <= D·hi
             rhs.append(D * hi - base)
             rows.append([-v for v in coef])  # >= D·lo
@@ -321,8 +315,8 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     coeffs = [Fraction(0)] * nv
     for fc, v in zip(free, t):
         coeffs[fc] = Fraction(v, Dt)
-    for c, row in reduced:
-        coeffs[c] = Fraction(row[nv] * Dt - sum(row[fc] * v for fc, v in zip(free, t)), D * Dt)
+    for i, c in enumerate(pivots):
+        coeffs[c] = Fraction(base_col[i] * Dt - sum(col[i] * v for col, v in zip(kept, t)), D * Dt)
     witness = PolyV(tuple(coeffs))
     if not check_representation(witness, f, eps):
         if free:
@@ -333,15 +327,21 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
 
 
 def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
-    """Least d with a feasible degree-d profile, by binary search on [0, n],
+    """Least d with a feasible degree-d profile, by binary search on [lo, n],
     with the feasible result (and witness) of the search's probe at d.
 
-    Always terminates with d <= n: interpolating the defined values (zero at
-    undefined weights) is feasible at degree n.  The last feasible probe is
-    always at the returned d, so its witness needs no second solve.
+    lo, the number of adjacent defined weights (undefined ones skipped) with
+    different values, is exact.  If q fits f within eps < 1/2, q - 1/2 is
+    <= eps - 1/2 < 0 at one weight of such a pair and >= 1/2 - eps > 0 at
+    the other, so it has a root strictly between them: a nonzero polynomial
+    in w of degree <= d with lo distinct roots, so d >= lo.  Interpolating
+    the defined values (zero at undefined weights) is feasible at d = n.
+    The last feasible probe is always at the returned d, so its witness
+    needs no second solve.
     """
     eps = _as_eps(eps)
-    lo, hi = 0, f.n
+    defined = [v for v in f.values if v is not UNDEFINED]
+    lo, hi = sum(u is not v for u, v in zip(defined, defined[1:])), f.n
     best = None
     while lo <= hi:
         d = (lo + hi) // 2

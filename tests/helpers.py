@@ -42,6 +42,79 @@ def interpolation_profile(f: SymPartialFn) -> PolyV:
     return PolyV(tuple(coeffs))
 
 
+def _pivot_rows(rows: list[list[int]], r: int, c: int, D: int, sign: int = 1) -> int:
+    """Row-major fraction-free pivot on sign·rows[r][c] of rows / D, where
+    sign = -1 pivots on the negated column c; returns the new D, |rows[r][c]|."""
+    if sign * rows[r][c] < 0:
+        rows[r] = [-v for v in rows[r]]
+    prow = rows[r]
+    p = sign * prow[c]
+    for i, row in enumerate(rows):
+        f = sign * row[c]
+        if i != r and f:
+            rows[i] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        elif i != r and p != D:
+            rows[i] = [p * a // D for a in row]
+    return p
+
+
+def full_tableau_feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """Reference for polydeg._feasible_box: the same Phase-I simplex, Bland's
+    rule over the virtual columns y⁺, y⁻, slacks, artificials in that order,
+    on a row-major tableau that stores every y⁺ and slack column, basic or
+    not (each y⁻ is read as -y⁺ through a sign; artificials never re-enter).
+    Returns the numerators t of rows·t <= rhs over one denominator D, or
+    None when infeasible."""
+    m = len(rows)
+    nf = len(rows[0]) if m else 0
+    art_base = 2 * nf + m
+    tableau: list[list[int]] = []
+    basis: list[int] = []
+    for i in range(m):
+        flip = -1 if rhs[i] < 0 else 1
+        row = [flip * a for a in rows[i]] + [0] * m + [abs(rhs[i])]
+        row[nf + i] = flip
+        tableau.append(row)
+        basis.append(art_base + i if flip < 0 else 2 * nf + i)
+
+    D = 1
+    while True:
+        art_rows = [r for r in range(m) if basis[r] >= art_base]
+        if not art_rows:
+            break
+        in_basis = set(basis)
+        enter = -1
+        for j in range(art_base):
+            if j in in_basis:
+                continue
+            c, sign = (j, 1) if j < nf else (j - nf, -1 if j < 2 * nf else 1)
+            if sign * sum(tableau[r][c] for r in art_rows) > 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        for r in range(m):
+            a = sign * tableau[r][c]
+            if a > 0:
+                if leave >= 0:
+                    cross = tableau[r][-1] * sign * tableau[leave][c] - tableau[leave][-1] * a
+                if leave < 0 or cross < 0 or (cross == 0 and basis[r] < basis[leave]):
+                    leave = r
+        D = _pivot_rows(tableau, leave, c, D, sign)
+        basis[leave] = enter
+
+    if any(tableau[r][-1] for r in range(m) if basis[r] >= art_base):
+        return None
+    t = [0] * nf
+    for r, j in enumerate(basis):
+        if j < nf:
+            t[j] += tableau[r][-1]
+        elif j < 2 * nf:
+            t[j - nf] -= tableau[r][-1]
+    return t, D
+
+
 def tree_search_depth(f: SymPartialFn) -> int:
     """Independent deterministic-query-complexity oracle: full minimax over
     index-choice decision trees, memoized on exact partial assignments.

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 import symquery as sq
 from symquery import algos, qsim
-from symquery.symfun import TRANSFORMS
+from symquery.symfun import TRANSFORMS, complement_fn
 
 
 def outputs(run):
@@ -537,6 +537,18 @@ class TestWeightClassEngine:
             assert report.failures
             # x_1 = 1 answers 1 correctly; the weight test on the rest fails
             assert all(x.count("1") == 4 and x[0] == "0" for x, _ in report.failures)
+
+    def test_simulated_failures_stay_one_per_input(self, monkeypatch):
+        info = algos.ALGORITHMS["dj"]
+        wrong = dataclasses.replace(info, family=lambda n, k: complement_fn(sq.family_dj(n, k)))
+        monkeypatch.setitem(algos.ALGORITHMS, "dj", wrong)
+        report = algos.simulate_domain("dj", {"n": 8, "k": 3})
+        assert not report.all_exact
+        assert len(report.failures) <= report.inputs_checked
+        # every branch of a balanced input is wrong: the first is named, the rest counted
+        balanced = dict(x for x in report.failures if x[0].count("1") == 4)
+        assert len(balanced) == 70
+        assert all(", and " in why and why.endswith(" more") for why in balanced.values())
 
     @pytest.mark.parametrize(
         "alg,params",

@@ -14,7 +14,7 @@ import symquery as sq
 from symquery import polydeg
 from symquery.polydeg import FamilyKind, PolyV
 
-from helpers import interpolation_profile, sym_fns
+from helpers import full_tableau_feasible_box, interpolation_profile, sym_fns
 
 vec = sq.from_string
 F = Fraction
@@ -186,6 +186,73 @@ class TestLpFeasible:
             assert sq.check_representation(result.witness, f, eps)
 
 
+class TestFeasibleBox:
+    """The dictionary simplex against the full tableau it stands for: the same
+    Bland pivots give the same (t, D) or None, on small entries where ties
+    and degenerate pivots are frequent."""
+
+    @staticmethod
+    def assert_matches_full_tableau(rows, rhs):
+        want = full_tableau_feasible_box([list(a) for a in rows], list(rhs))
+        assert polydeg._feasible_box([list(a) for a in rows], list(rhs)) == want
+
+    @given(st.integers(1, 6).flatmap(lambda nf: st.lists(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=nf, max_size=nf), st.integers(-4, 4)),
+        min_size=1, max_size=12)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_systems(self, system):
+        self.assert_matches_full_tableau([a for a, _ in system], [b for _, b in system])
+
+    @given(st.integers(1, 6).flatmap(lambda nf: st.lists(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=nf, max_size=nf), st.integers(-4, 4), st.integers(-4, 4)),
+        min_size=1, max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_paired_box_rows(self, boxes):
+        rows, rhs = [], []
+        for a, lo, hi in boxes:  # lo <= a·t <= hi, empty when lo > hi
+            rows += [a, [-v for v in a]]
+            rhs += [hi, -lo]
+        self.assert_matches_full_tableau(rows, rhs)
+
+
+class TestEliminate:
+    @staticmethod
+    def rank(rows):
+        rows, rank = [[F(v) for v in row] for row in rows], 0
+        for c in range(len(rows[0]) if rows else 0):
+            pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+            if pr is not None:
+                rows[rank], rows[pr] = rows[pr], rows[rank]
+                for i in range(rank + 1, len(rows)):
+                    rows[i] = [x - rows[i][c] / rows[rank][c] * y for x, y in zip(rows[i], rows[rank])]
+                rank += 1
+        return rank
+
+    @given(st.integers(1, 5).flatmap(lambda nv: st.lists(
+        st.lists(st.integers(-3, 3), min_size=nv + 1, max_size=nv + 1), min_size=1, max_size=6)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_rows_solve_the_system(self, aug, data):
+        # signed entries give negative pivots, which the binomial rows never do
+        nv = len(aug[0]) - 1
+        solved = polydeg._eliminate([[row[k] for row in aug] for k in range(nv + 1)])
+        if self.rank([row[:nv] for row in aug]) < self.rank(aug):
+            assert solved is None
+            return
+        pivots, free, (*kept, base), D = solved
+        assert D > 0 and sorted(pivots + free) == list(range(nv))
+        c = [F(0)] * nv
+        for fc in free:
+            c[fc] = F(data.draw(st.integers(-5, 5)))
+        for i, pc in enumerate(pivots):
+            c[pc] = (base[i] - sum(col[i] * c[fc] for fc, col in zip(free, kept))) / F(D)
+        assert all(sum(a * x for a, x in zip(row, c)) == row[nv] for row in aug)
+
+
+def sign_changes(f):
+    defined = [v for v in f.values if v is not sq.FnValue.UNDEFINED]
+    return sum(u is not v for u, v in zip(defined, defined[1:]))
+
+
 class TestDegree:
     def test_single_top_weight_is_degree_one(self):
         assert sq.degree(vec("F1:4,4"), 0) == 1
@@ -265,6 +332,21 @@ class TestDegree:
         d, result = polydeg.least_degree(f, eps)
         assert d == sq.degree(f, eps)
         assert result == sq.lp_feasible(f, eps, d)
+
+    @given(sym_fns(max_n=8), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_sign_changes_bound_the_degree(self, f, eps):
+        assert sign_changes(f) <= sq.degree(f, eps)
+
+    @pytest.mark.parametrize("n", [1, 6, 30])
+    def test_parity_solves_once(self, monkeypatch, n):
+        probes = []
+        solve = polydeg.lp_feasible
+        monkeypatch.setattr(polydeg, "lp_feasible", lambda f, eps, d: probes.append(d) or solve(f, eps, d))
+        for eps in (F(1, 8), F(1, 3)):
+            probes.clear()
+            assert polydeg.least_degree(vec(f"PARITY:{n}"), eps)[0] == n
+            assert probes == [n]
 
     def test_degree_command_solves_each_degree_once(self, monkeypatch, capsys):
         from symquery.cli import main

@@ -5,15 +5,17 @@ weight w it evaluates to sum_k c_k * C(w, k) with rational coefficients
 c_0..c_d.  Whether some degree-d profile fits a function within error eps is
 a linear feasibility question, decided exactly on one path for every eps:
 with eps = p/q the weight bounds are integers over q, the weights they pin
-(the defined ones, at eps = 0) are eliminated by Gauss–Jordan, and a Phase-I
-simplex decides the box rows left over.  Both run one column-major
-fraction-free pivot (Edmonds 1967, Bareiss 1968) on integers over one common
-denominator and store no basic column, as each is D·e_r: the simplex keeps a
-dictionary (Chvátal 1983) whose choices are those of the full tableau.
-Every feasible witness is re-checked exactly, in integers over the lcm of
-its denominators.  The least feasible degree is found by binary search from
-an exact lower bound, and a complete catalogue matcher identifies every
-function of degree at most 2 up to isomorphism.
+(the defined ones, at eps = 0) are eliminated by Gauss–Jordan with the box
+rows of the others carried along, and a Phase-I simplex decides the box
+rows.  Both run one column-major fraction-free pivot (Edmonds 1967, Bareiss
+1968) on integers over one common denominator and store no basic column,
+as each is D·e_r: the simplex keeps a dictionary (Chvátal 1983) whose
+choices are those of the full tableau.  Every feasible witness is
+re-checked exactly, in integers over the lcm of its denominators.  The
+least feasible degree is found by binary search from an exact lower bound
+on one elimination, whose state after pivot d is the degree-d system; a
+complete catalogue matcher identifies every function of degree <= 2 up to
+isomorphism.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from .symfun import (
     ONE,
@@ -137,15 +140,14 @@ def check_representation(q: PolyV, f: SymPartialFn, eps: RationalLike) -> bool:
 
 
 def _pivot(cols: list[list[int]], col: list[int], r: int, D: int) -> int:
-    """Fraction-free pivot on col[r] of the columns cols over D: row r takes
-    the sign that makes p = |col[r]| the new D, and row i != r of column a
-    becomes (p·a[i] - a[r]·col[i]) // D, exact as every entry is a minor.
-    col, now D·e_r, is the caller's to drop.  Returns p."""
+    """Fraction-free pivot on p = col[r] > 0 of the columns cols over D: p
+    is the new D, and row i != r of column a becomes (p·a[i] - a[r]·col[i])
+    // D, exact as every entry is a minor.  p is positive for both callers:
+    the simplex's ratio test picks a positive entry, and _reduce's pivots
+    are ratios of leading minors of C(w, k) over ascending weights, each a
+    Vandermonde determinant over prod k!.  col, now D·e_r, is the caller's
+    to drop.  Returns p."""
     p = col[r]
-    if p < 0:
-        p = -p
-        for a in cols:
-            a[r] = -a[r]
     for a in cols:
         b = a[r]
         if b:
@@ -236,30 +238,69 @@ def _feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int
     return t, D
 
 
-def _eliminate(cols: list[list[int]]) -> tuple[list[int], list[int], list[list[int]], int] | None:
-    """Gauss–Jordan on the integer equalities a·c = b, as cols = a's columns
-    then b, with the simplex's pivot, dropping each pivoted column (D·e_r).
-    Returns the pivot and free columns, the free columns then b cut to the
-    pivot rows (kept), and D, or None when inconsistent.  Reduced row i reads
-    D·c[pivots[i]] + sum over k of kept[k][i]·c[free[k]] = kept[-1][i]."""
-    *coef, b = cols
-    pivots: list[int] = []
-    free: list[int] = []
-    D, r = 1, 0
-    for c, col in enumerate(coef):
-        pr = next((i for i in range(r, len(b)) if col[i]), None)
-        if pr is None:
-            free.append(c)
-            continue
-        live = [coef[k] for k in free] + coef[c + 1 :] + [b]
-        for a in live + [col]:
-            a[r], a[pr] = a[pr], a[r]
-        D = _pivot(live, col, r, D)
-        pivots.append(c)
-        r += 1
-    if any(b[r:]):
-        return None
-    return pivots, free, [coef[k][:r] for k in free] + [b[:r]], D
+class _Reduction(NamedTuple):
+    """f within eps, its npin pinned weights eliminated (see _reduce): rows
+    are the pinned weights, then q times the box weights' rows (bounds in
+    boxes); cols holds the free columns npin.. and b the rhs, over D."""
+
+    f: SymPartialFn
+    eps: Fraction
+    npin: int
+    boxes: list[tuple[int, int]]
+    cols: list[list[int]]
+    b: list[int]
+    D: int
+
+
+def _reduce(f: SymPartialFn, eps: Fraction, top: int) -> _Reduction:
+    """Gauss–Jordan on the pinned equalities a·c = lo over c_0..c_top, with
+    the simplex's pivot, carrying the box rows along as non-pivot rows with
+    b = 0.  The pinned weights are distinct and ascending, so the leading
+    minors of their rows C(w, k) are positive (see _pivot): column c pivots
+    on row c, and the free columns c >= npin take no later pivot.  Reduced pinned row i reads D·c_i + sum over free k of
+    cols[k][i]·c_k = b[i].  By the Schur complement a carried box row of a
+    holds D·a_k - sum_i a_i·cols[k][i] and, in b, -sum_i a_i·b[i], so
+    q·D·(a·c) = sum over free k of cols[k][row]·c_k - b[row]."""
+    p, q = eps.numerator, eps.denominator
+    bounds = [{ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}[v] for v in f.values]
+    pinned = [w for w, (lo, hi) in enumerate(bounds) if lo == hi]  # only at p = 0, so q = 1
+    boxed = [w for w, (lo, hi) in enumerate(bounds) if lo != hi]
+    cols = [[comb(w, k) for w in pinned] + [q * comb(w, k) for w in boxed] for k in range(top + 1)]
+    b, D = [bounds[w][0] for w in pinned] + [0] * len(boxed), 1
+    for c in range(min(top + 1, len(pinned))):
+        D = _pivot(cols[c + 1 :] + [b], cols[c], c, D)
+    return _Reduction(f, eps, len(pinned), [bounds[w] for w in boxed], cols[len(pinned) :], b, D)
+
+
+def _solve_at(red: _Reduction, d: int) -> FeasibilityResult:
+    """Decide degree d <= top from its reduction up to top.  For d < npin a
+    degree-d fit of the pinned values is their interpolant of degree
+    < npin, which is unique, so it exists iff that one's coefficients
+    c_(d+1).. are zero: b[d+1:npin] = 0, with the free ones set to zero.
+    Otherwise the box simplex decides the free coefficients c_npin..c_d."""
+    b, D, npiv = red.b, red.D, min(d + 1, red.npin)
+    if any(b[npiv : red.npin]):
+        return FeasibilityResult(False, None)
+    free = red.cols[: d + 1 - npiv]
+    t, Dt = [0] * len(free), 1  # the free coefficients are t / Dt
+    if free and red.boxes:
+        rows, rhs = [], []
+        for i, (lo, hi) in enumerate(red.boxes, red.npin):
+            coef = [col[i] for col in free]  # D·lo <= coef·t - b[i] <= D·hi
+            rows += [coef, [-v for v in coef]]
+            rhs += [D * hi + b[i], -b[i] - D * lo]
+        solved = _feasible_box(rows, rhs)
+        if solved is None:
+            return FeasibilityResult(False, None)
+        t, Dt = solved
+    coeffs = [Fraction(b[i] * Dt - sum(col[i] * v for col, v in zip(free, t)), D * Dt) for i in range(npiv)]
+    witness = PolyV(tuple(coeffs + [Fraction(v, Dt) for v in t]))
+    if not check_representation(witness, red.f, red.eps):
+        if free:
+            # the simplex saw every box constraint, so this is a solver bug
+            raise RuntimeError(f"simplex produced an unsound witness for {red.f}")
+        return FeasibilityResult(False, None)  # unique solution fails the boxes
+    return FeasibilityResult(True, witness)
 
 
 def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult:
@@ -269,61 +310,17 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     the profile value a·c = sum_k c_k C(w,k) to integers [lo, hi]: [0, p]
     where f is 0, [q-p, q] where f is 1 and [0, q] where f is undefined.
     Weights with lo = hi (the defined ones, at eps = 0 only) are equalities,
-    eliminated by Gauss–Jordan (_eliminate).  Every other weight gives a
-    pair of box rows over the free coefficients t, built in integers from
-    the reduced rows and all scaled by one common factor q·D, which keeps
-    the simplex's choices those of the rational system (see _feasible_box);
-    when feasible the witness is whichever basic solution it lands on.  With
-    nothing pinned (eps > 0) the free coefficients are c_0..c_d in order and
-    D = 1.  A unique solution (no free coefficient) that leaves a box is
+    eliminated up to d by _reduce, which carries the pair of box rows of
+    every other weight along, all scaled by one common factor q·D: so the
+    simplex's choices are those of the rational system (see _feasible_box),
+    and when feasible the witness is whichever basic solution it lands on.
+    A unique solution (no free coefficient) that leaves a box is
     infeasible; an unsound witness from the simplex raises RuntimeError.
     """
     eps = _as_eps(eps)
     if not 0 <= d <= f.n:
         raise ValueError(f"degree bound must satisfy 0 <= d <= n={f.n}, got {d}")
-    nv = d + 1
-    p, q = eps.numerator, eps.denominator
-    bounds = {ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}
-    pinned: list[tuple[list[int], int]] = []
-    boxed: list[tuple[list[int], int, int]] = []
-    for w, b in enumerate(f.values):
-        a, (lo, hi) = [comb(w, k) for k in range(nv)], bounds[b]
-        if lo == hi:  # only at p = 0, so q = 1 and the row reads a·c = lo
-            pinned.append((a, lo))
-        else:
-            boxed.append((a, lo, hi))
-    solved = _eliminate([[a[k] for a, _ in pinned] for k in range(nv)] + [[lo for _, lo in pinned]])
-    if solved is None:
-        return FeasibilityResult(False, None)
-    pivots, free, (*kept, base_col), D = solved
-    t, Dt = [0] * len(free), 1  # the free coefficients are t / Dt
-    if free and boxed:
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        for a, lo, hi in boxed:
-            # q·D·(a·c) = coef·t + base
-            coef = [q * (D * a[fc] - sum(a[c] * v for c, v in zip(pivots, col))) for fc, col in zip(free, kept)]
-            base = q * sum(a[c] * v for c, v in zip(pivots, base_col))
-            rows.append(coef)  # <= D·hi
-            rhs.append(D * hi - base)
-            rows.append([-v for v in coef])  # >= D·lo
-            rhs.append(base - D * lo)
-        solved = _feasible_box(rows, rhs)
-        if solved is None:
-            return FeasibilityResult(False, None)
-        t, Dt = solved
-    coeffs = [Fraction(0)] * nv
-    for fc, v in zip(free, t):
-        coeffs[fc] = Fraction(v, Dt)
-    for i, c in enumerate(pivots):
-        coeffs[c] = Fraction(base_col[i] * Dt - sum(col[i] * v for col, v in zip(kept, t)), D * Dt)
-    witness = PolyV(tuple(coeffs))
-    if not check_representation(witness, f, eps):
-        if free:
-            # the simplex saw every box constraint, so this is a solver bug
-            raise RuntimeError(f"simplex produced an unsound witness for {f}")
-        return FeasibilityResult(False, None)  # unique solution fails the boxes
-    return FeasibilityResult(True, witness)
+    return _solve_at(_reduce(f, eps, d), d)
 
 
 def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
@@ -336,16 +333,17 @@ def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, Feasibili
     the other, so it has a root strictly between them: a nonzero polynomial
     in w of degree <= d with lo distinct roots, so d >= lo.  Interpolating
     the defined values (zero at undefined weights) is feasible at d = n.
-    The last feasible probe is always at the returned d, so its witness
+    The search eliminates once, up to n, and solves every probe from that
+    state; its last feasible probe is at the returned d, so the witness
     needs no second solve.
     """
     eps = _as_eps(eps)
     defined = [v for v in f.values if v is not UNDEFINED]
     lo, hi = sum(u is not v for u, v in zip(defined, defined[1:])), f.n
-    best = None
+    reduced, best = _reduce(f, eps, hi), None
     while lo <= hi:
         d = (lo + hi) // 2
-        result = lp_feasible(f, eps, d)
+        result = _solve_at(reduced, d)
         if result.feasible:
             hi, best = d - 1, result
         else:

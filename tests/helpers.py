@@ -115,6 +115,22 @@ def full_tableau_feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[li
     return t, D
 
 
+def set_rule_d_complexity(f: SymPartialFn) -> int:
+    """Reference for classical.d_complexity: the same minimax over count
+    pairs, deciding "one value left in [a, n-b]" from the set of values of
+    the domain weights in that range."""
+    n = f.n
+    memo: dict[tuple[int, int], int] = {}
+
+    def cost(a: int, b: int) -> int:
+        if (a, b) not in memo:
+            seen = {f.values[w] for w in f.domain_weights if a <= w <= n - b}
+            memo[a, b] = 0 if len(seen) <= 1 else 1 + max(cost(a + 1, b), cost(a, b + 1))
+        return memo[a, b]
+
+    return cost(0, 0)
+
+
 def tree_search_depth(f: SymPartialFn) -> int:
     """Independent deterministic-query-complexity oracle: full minimax over
     index-choice decision trees, memoized on exact partial assignments.

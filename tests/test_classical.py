@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import symquery as sq
 
-from helpers import sym_fns, tree_search_depth
+from helpers import set_rule_d_complexity, sym_fns, tree_search_depth
 
 vec = sq.from_string
 
@@ -61,6 +61,13 @@ class TestAgainstTreeSearchOracle:
         ]
         for f in cases:
             assert sq.d_complexity(f) == tree_search_depth(f), str(f)
+
+
+class TestAgainstSetRule:
+    @given(sym_fns(max_n=16))
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_counts_match_the_set_rule(self, f):
+        assert sq.d_complexity(f) == set_rule_d_complexity(f)
 
 
 class TestProperties:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import symquery as sq
-from symquery.identities import binom_matrix, comb_ext
+from symquery.identities import _bareiss_det, _pascal_reduce, binom_matrix, comb_ext
 
 
 class TestHelperIdentity:
@@ -56,6 +56,17 @@ class TestDeterminant:
             for n in range(2 * k + 2, 31):
                 assert sq.check_identity(n, k), (n, k)
                 assert sq.binom_det(n, k) != 0, (n, k)
+
+    def test_pascal_reduction_is_the_hankel_matrix(self):
+        for k in range(9):
+            for n in range(2 * k + 1, 41):
+                hankel = [[comb_ext(n - k, r + c + 1) for c in range(k + 1)] for r in range(k + 1)]
+                assert _pascal_reduce(binom_matrix(n, k)) == hankel, (n, k)
+
+    def test_reduction_keeps_the_determinant(self):
+        for k in range(1, 7):
+            for n in range(2 * k + 2, 31):
+                assert sq.binom_det(n, k) == _bareiss_det(binom_matrix(n, k)), (n, k)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

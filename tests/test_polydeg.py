@@ -5,6 +5,7 @@ import hashlib
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -216,36 +217,80 @@ class TestFeasibleBox:
 
 
 class TestEliminate:
-    @staticmethod
-    def rank(rows):
-        rows, rank = [[F(v) for v in row] for row in rows], 0
-        for c in range(len(rows[0]) if rows else 0):
-            pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-            if pr is not None:
-                rows[rank], rows[pr] = rows[pr], rows[rank]
-                for i in range(rank + 1, len(rows)):
-                    rows[i] = [x - rows[i][c] / rows[rank][c] * y for x, y in zip(rows[i], rows[rank])]
-                rank += 1
-        return rank
+    """The one reducer of a degree search: at eps = 0 it eliminates the
+    defined (pinned) weights once, up to degree top, and carries the
+    undefined (box) weights along; its state is the degree-d system for
+    every d <= top."""
 
-    @given(st.integers(1, 5).flatmap(lambda nv: st.lists(
-        st.lists(st.integers(-3, 3), min_size=nv + 1, max_size=nv + 1), min_size=1, max_size=6)), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_reduced_rows_solve_the_system(self, aug, data):
-        # signed entries give negative pivots, which the binomial rows never do
-        nv = len(aug[0]) - 1
-        solved = polydeg._eliminate([[row[k] for row in aug] for k in range(nv + 1)])
-        if self.rank([row[:nv] for row in aug]) < self.rank(aug):
-            assert solved is None
-            return
-        pivots, free, (*kept, base), D = solved
-        assert D > 0 and sorted(pivots + free) == list(range(nv))
-        c = [F(0)] * nv
-        for fc in free:
-            c[fc] = F(data.draw(st.integers(-5, 5)))
-        for i, pc in enumerate(pivots):
-            c[pc] = (base[i] - sum(col[i] * c[fc] for fc, col in zip(free, kept))) / F(D)
-        assert all(sum(a * x for a, x in zip(row, c)) == row[nv] for row in aug)
+    @staticmethod
+    def pivot_columns(rows):
+        # column-by-column row echelon over the rationals, with pivot search
+        rows, pivots = [[F(v) for v in row] for row in rows], []
+        for c in range(len(rows[0]) if rows else 0):
+            r = len(pivots)
+            pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if pr is not None:
+                rows[r], rows[pr] = rows[pr], rows[r]
+                for i in range(r + 1, len(rows)):
+                    rows[i] = [x - rows[i][c] / rows[r][c] * y for x, y in zip(rows[i], rows[r])]
+                pivots.append(c)
+        return pivots
+
+    @given(sym_fns(max_n=12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reduced_rows_solve_the_system(self, f, data):
+        pinned = [w for w, v in enumerate(f.values) if v is not sq.FnValue.UNDEFINED]
+        value = {sq.FnValue.ZERO: 0, sq.FnValue.ONE: 1}
+        top = data.draw(st.integers(0, f.n), label="top")
+        red = polydeg._reduce(f, F(0), top)
+        P = red.npin
+        assert P == len(pinned) and len(red.cols) == top + 1 - min(top + 1, P) and red.D > 0
+        for d in range(top + 1):
+            aug = [[comb(w, k) for k in range(d + 1)] + [value[f.values[w]]] for w in pinned]
+            # the pinned weights are distinct, so the pivots are a prefix
+            npiv = min(d + 1, P)
+            assert self.pivot_columns([row[:-1] for row in aug]) == list(range(npiv))
+            # a degree-d solution reads c_0..c_d off the reduced rows, the rest zero
+            if any(red.b[npiv:P]):
+                assert self.pivot_columns(aug)[-1] == d + 1  # inconsistent
+                continue
+            free = red.cols[: d + 1 - npiv]
+            c = [F(data.draw(st.integers(-5, 5))) for _ in free]
+            c = [(red.b[i] - sum(col[i] * x for col, x in zip(free, c))) / F(red.D) for i in range(npiv)] + c
+            assert all(sum(a * x for a, x in zip(row, c)) == row[-1] for row in aug)
+
+    @given(sym_fns(max_n=12))
+    @settings(max_examples=100, deadline=None)
+    def test_carried_box_rows_are_the_schur_complement(self, f):
+        boxed = [w for w, v in enumerate(f.values) if v is sq.FnValue.UNDEFINED]
+        red = polydeg._reduce(f, F(0), f.n)
+        P = red.npin
+        for j, w in enumerate(boxed, P):
+            a = [comb(w, k) for k in range(f.n + 1)]
+            for fc, col in enumerate(red.cols, P):
+                assert col[j] == red.D * a[fc] - sum(a[i] * col[i] for i in range(P))
+            assert red.b[j] == -sum(a[i] * red.b[i] for i in range(P))
+
+    @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_pivot_is_positive(self, f, eps):
+        # _pivot takes p = col[r] as the new D, with no sign flip
+        seen, pivot = [], polydeg._pivot
+
+        def recorded(cols, col, r, D):
+            seen.append(col[r])
+            return pivot(cols, col, r, D)
+
+        with mock.patch.object(polydeg, "_pivot", recorded):
+            polydeg.least_degree(f, eps)
+        assert all(p > 0 for p in seen)
+
+    @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_state_solves_as_lp_feasible(self, f, eps):
+        red = polydeg._reduce(f, eps, f.n)
+        for d in range(f.n + 1):
+            assert polydeg._solve_at(red, d) == sq.lp_feasible(f, eps, d), d
 
 
 def sign_changes(f):
@@ -341,8 +386,8 @@ class TestDegree:
     @pytest.mark.parametrize("n", [1, 6, 30])
     def test_parity_solves_once(self, monkeypatch, n):
         probes = []
-        solve = polydeg.lp_feasible
-        monkeypatch.setattr(polydeg, "lp_feasible", lambda f, eps, d: probes.append(d) or solve(f, eps, d))
+        solve = polydeg._solve_at
+        monkeypatch.setattr(polydeg, "_solve_at", lambda red, d: probes.append(d) or solve(red, d))
         for eps in (F(1, 8), F(1, 3)):
             probes.clear()
             assert polydeg.least_degree(vec(f"PARITY:{n}"), eps)[0] == n
@@ -351,22 +396,32 @@ class TestDegree:
     def test_degree_command_solves_each_degree_once(self, monkeypatch, capsys):
         from symquery.cli import main
 
-        probes = []
-        solve = polydeg.lp_feasible
+        probes, reductions = [], []
+        solve, reduce = polydeg._solve_at, polydeg._reduce
 
-        def counted(f, eps, d):
+        def counted(red, d):
             probes.append(d)
-            return solve(f, eps, d)
+            return solve(red, d)
 
-        monkeypatch.setattr(polydeg, "lp_feasible", counted)
+        def counted_reduce(f, eps, top):
+            reductions.append(top)
+            return reduce(f, eps, top)
+
+        monkeypatch.setattr(polydeg, "_solve_at", counted)
+        monkeypatch.setattr(polydeg, "_reduce", counted_reduce)
         for spec, eps in (("DJ:8,1", "0"), ("MAJ:9", "1/8"), ("0*1*0", "0")):
             probes.clear()
+            reductions.clear()
             sq.degree(vec(spec), F(eps))
             searched = list(probes)
+            assert searched and reductions == [vec(spec).n], spec  # one elimination per search
             probes.clear()
+            reductions.clear()
             assert main(["degree", "--fn", spec, "--eps", eps]) == 0
             assert probes == searched and len(set(probes)) == len(probes), spec
+            assert reductions == [vec(spec).n], spec
         capsys.readouterr()
+
 
 class TestQeLowerBound:
     def test_examples(self):

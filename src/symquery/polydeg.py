@@ -8,14 +8,13 @@ with eps = p/q the weight bounds are integers over q, the weights they pin
 (the defined ones, at eps = 0) are eliminated by Gauss–Jordan with the box
 rows of the others carried along, and a Phase-I simplex decides the box
 rows.  Both run one column-major fraction-free pivot (Edmonds 1967, Bareiss
-1968) on integers over one common denominator and store no basic column,
-as each is D·e_r: the simplex keeps a dictionary (Chvátal 1983) whose
-choices are those of the full tableau.  Every feasible witness is
-re-checked exactly, in integers over the lcm of its denominators.  The
-least feasible degree is found by binary search from an exact lower bound
-on one elimination, whose state after pivot d is the degree-d system; a
-complete catalogue matcher identifies every function of degree <= 2 up to
-isomorphism.
+1968) on integers over one common denominator; the simplex keeps a
+dictionary (Chvátal 1983) that stores no basic column and gains columns
+without a restart.  The least feasible degree is found by one upward scan
+from an exact lower bound, on one elimination and one dictionary that
+gains a column per degree; its feasible witness and its last Farkas
+certificate are re-checked in integers.  A complete catalogue matcher
+identifies every function of degree <= 2 up to isomorphism.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .symfun import (
@@ -158,84 +158,99 @@ def _pivot(cols: list[list[int]], col: list[int], r: int, D: int) -> int:
     return p
 
 
-def _feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
-    """Find t with rows·t <= rhs exactly, as numerators over one denominator,
-    or None when infeasible.
+class _FeasibleBox:
+    """Phase-I simplex for rows·t <= rhs on an integer dictionary that takes
+    its columns one at a time: add_column keeps the basis, which stays
+    Phase-I feasible, and run() resumes Bland's rule from it, returning t
+    over one denominator, or None, which farkas() then certifies.
 
-    Phase-I simplex with Bland's anti-cycling rule over an integer
-    dictionary.  The free t is split as y⁺ - y⁻ with y⁺, y⁻ >= 0, and
-    rows·y⁺ - rows·y⁻ + slack = rhs.  Rows with negative right-hand side are
-    sign-flipped and given an artificial variable; the search drives the
-    artificial total to zero.  Bland's rule scans the virtual columns y⁺
-    (0..nf-1), y⁻ (nf..2nf-1), the slacks and the artificials in that order.
-
-    A basic column is always D·e_r, so only nonbasic ones are stored, beside
-    the right-hand side: a y pair while neither half is basic (as y⁺; y⁻ is
-    its negation, since B⁻¹(-a) = -B⁻¹a) and a nonbasic slack.  An
-    artificial is dropped when it leaves and never re-enters.  The scan
-    skips a y half whose partner is basic (its reduced cost is 0).  A pivot
-    at (r, c) updates every other stored column by _pivot, and the entering
-    slot takes the leaver's new column: -col off row r, the old D on it,
-    negated for a y⁻.  So every choice, pivot and witness is that of the
-    full tableau.
-
-    A positive factor common to every row (the caller's q·D) rescales only
-    the slacks, so every sign and ratio test (ratios by cross-multiplication)
-    decides as over the rationals and the pivots and witness are those of
-    the rational system; per-row factors would reweight the phase-I
-    objective and could change Bland's entering column.
+    t = y⁺ - y⁻ with y⁺, y⁻ >= 0 and rows·y⁺ - rows·y⁻ + slack = rhs; rows
+    with rhs < 0 are sign-flipped and given an artificial, which counts as
+    feasible while basic at level 0.  Bland scans y⁺ (0..nf-1), y⁻
+    (nf..2nf-1), the slacks and the artificials, renumbered as nf grows.  A
+    basic column is D·e_r, so only nonbasic ones are stored: a y pair while
+    neither half is basic (as y⁺) and a nonbasic slack.  A leaving
+    artificial is dropped; a leaving y or slack takes the entering slot
+    (-col off row r, the old D on it, negated for a y⁻), so a cold solve
+    (all columns, then run) pivots as the full tableau.  A new column a is
+    D·B⁻¹(flips⊙a) = sum_i a_i·T(slack_i), T(slack_i) being the slack's
+    stored column, or D·e_r while it is basic in row r.  A positive factor
+    common to every row rescales only the slacks and keeps every test
+    (ratios by cross-multiplication); per-row factors could change Bland's.
     """
-    m = len(rows)
-    nf = len(rows[0]) if m else 0
-    art_base = 2 * nf + m
-    flips = [-1 if b < 0 else 1 for b in rhs]
-    # slot j < nf holds the y pair j, slot nf + i the slack of row i
-    slots: list[list[int] | None] = [[s * row[j] for s, row in zip(flips, rows)] for j in range(nf)]
-    slots += [None if s > 0 else [-(k == i) for k in range(m)] for i, s in enumerate(flips)]
-    rhs = [abs(b) for b in rhs]
-    basis = [art_base + i if s < 0 else 2 * nf + i for i, s in enumerate(flips)]  # artificials keep the row order
-    order = [(j, 1) for j in range(nf)] + [(j, -1) for j in range(nf)] + [(nf + i, 1) for i in range(m)]
 
-    D = 1
-    while True:
-        art_rows = [r for r in range(m) if basis[r] >= art_base]
-        if not art_rows:
-            break
-        for enter, (s, sign) in enumerate(order):  # Bland: smallest improving column index
-            a = slots[s]
-            if a is not None and sign * sum(a[r] for r in art_rows) > 0:
+    def __init__(self, rhs: list[int]) -> None:
+        m, self.rhs = len(rhs), [abs(b) for b in rhs]
+        # slot j < nf holds the y pair j, slot nf + i the slack of row i
+        self.slots: list[list[int] | None] = [None if b >= 0 else [-(k == i) for k in range(m)]
+                                              for i, b in enumerate(rhs)]
+        self.basis = [m + i if b < 0 else i for i, b in enumerate(rhs)]  # artificials keep the row order
+        self.nf, self.D, self.pivots = 0, 1, 0
+
+    def add_column(self, a: list[int]) -> None:
+        nf, m = self.nf, len(self.rhs)
+        col = [self.D * a[j - 2 * nf] if 2 * nf <= j < 2 * nf + m else 0 for j in self.basis]  # basic slacks: D·e_r
+        for v, slack in zip(a, self.slots[nf:]):
+            if v and slack is not None:
+                col = [x + v * y for x, y in zip(col, slack)]
+        self.slots.insert(nf, col)
+        self.basis = [j + (j >= nf) + (j >= 2 * nf) for j in self.basis]
+        self.nf += 1
+
+    def run(self) -> tuple[list[int], int] | None:
+        nf, m, rhs, slots, basis = self.nf, len(self.rhs), self.rhs, self.slots, self.basis
+        art_base = 2 * nf + m
+        order = [(j, 1) for j in range(nf)] + [(j, -1) for j in range(nf)] + [(nf + i, 1) for i in range(m)]
+        while True:
+            art_rows = [r for r in range(m) if basis[r] >= art_base]
+            if not art_rows:
                 break
-        else:
-            break  # phase-I optimum reached with artificials still positive
-        col = a if sign > 0 else [-v for v in a]
-        leave = -1
-        for r in range(m):
-            v = col[r]
-            if v > 0:
-                if leave >= 0:  # sign of ratio(r) - ratio(leave)
-                    cross = rhs[r] * col[leave] - rhs[leave] * v
-                if leave < 0 or cross < 0 or (cross == 0 and basis[r] < basis[leave]):
-                    leave = r
-        if leave < 0:  # cannot happen: phase-I objective is bounded below
-            raise RuntimeError("phase-I simplex lost boundedness")
-        slots[s] = None
-        old, D_old = basis[leave], D
-        D = _pivot([a for a in slots if a is not None] + [rhs], col, leave, D)
-        basis[leave] = enter
-        if old < art_base:  # the leaving column, stored as y⁺ for a y⁻
-            sign = -1 if nf <= old < 2 * nf else 1
-            slots[old if old < nf else old - nf] = back = [-sign * v for v in col]
-            back[leave] = sign * D_old
+            for enter, (s, sign) in enumerate(order):  # Bland: smallest improving column index
+                a = slots[s]
+                if a is not None and sign * sum(a[r] for r in art_rows) > 0:
+                    break
+            else:
+                break  # phase-I optimum reached with artificials still positive
+            col = a if sign > 0 else [-v for v in a]
+            leave = -1
+            for r in range(m):
+                v = col[r]
+                if v > 0:
+                    if leave >= 0:  # sign of ratio(r) - ratio(leave)
+                        cross = rhs[r] * col[leave] - rhs[leave] * v
+                    if leave < 0 or cross < 0 or (cross == 0 and basis[r] < basis[leave]):
+                        leave = r
+            if leave < 0:  # cannot happen: phase-I objective is bounded below
+                raise RuntimeError("phase-I simplex lost boundedness")
+            slots[s] = None
+            old, D_old = basis[leave], self.D
+            self.D = _pivot([a for a in slots if a is not None] + [rhs], col, leave, self.D)
+            self.pivots += 1
+            basis[leave] = enter
+            if old < art_base:  # the leaving column, stored as y⁺ for a y⁻
+                sign = -1 if nf <= old < 2 * nf else 1
+                slots[old if old < nf else old - nf] = back = [-sign * v for v in col]
+                back[leave] = sign * D_old
 
-    if any(rhs[r] for r in range(m) if basis[r] >= art_base):
-        return None
-    t = [0] * nf
-    for r, j in enumerate(basis):
-        if j < nf:
-            t[j] += rhs[r]
-        elif j < 2 * nf:
-            t[j - nf] -= rhs[r]
-    return t, D
+        if any(rhs[r] for r in range(m) if basis[r] >= art_base):
+            return None
+        value = {j: rhs[r] for r, j in enumerate(basis)}
+        return [value.get(j, 0) - value.get(nf + j, 0) for j in range(nf)], self.D
+
+    def farkas(self) -> list[int]:
+        """After an infeasible run, integers λ >= 0, λ·rows = 0 (both halves of
+        a y pair cost >= 0), λ·rhs < 0 (Chvátal 1983, ch. 9): λ_i = -sum of
+        T(slack_i) over the artificials' rows, D times slack i's reduced cost."""
+        art_base = 2 * self.nf + len(self.rhs)
+        art_rows = [r for r, j in enumerate(self.basis) if j >= art_base]
+        return [0 if slack is None else -sum(slack[r] for r in art_rows) for slack in self.slots[self.nf :]]
+
+
+def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool:
+    """Exact check that integers lam >= 0 have lam·rows = 0 (rows given by
+    columns) and lam·rhs < 0, so 0 = lam·rows·t <= lam·rhs < 0 has no t."""
+    return (len(lam) == len(rhs) and all(type(v) is int and v >= 0 for v in lam)
+            and all(sum(map(mul, lam, a)) == 0 for a in columns) and sum(map(mul, lam, rhs)) < 0)
 
 
 class _Reduction(NamedTuple):
@@ -251,16 +266,26 @@ class _Reduction(NamedTuple):
     b: list[int]
     D: int
 
+    def box_rhs(self) -> list[int]:
+        """D·lo <= col·t - b <= D·hi per box, as col·t <= D·hi + b, -col·t <= -b - D·lo."""
+        b, D = self.b, self.D
+        return [v for i, (lo, hi) in enumerate(self.boxes, self.npin) for v in (D * hi + b[i], -b[i] - D * lo)]
+
+    def box_column(self, k: int) -> list[int]:  # of c_(npin+k) in the box rows
+        col = self.cols[k]
+        return [v for i in range(self.npin, len(col)) for v in (col[i], -col[i])]
+
 
 def _reduce(f: SymPartialFn, eps: Fraction, top: int) -> _Reduction:
     """Gauss–Jordan on the pinned equalities a·c = lo over c_0..c_top, with
     the simplex's pivot, carrying the box rows along as non-pivot rows with
     b = 0.  The pinned weights are distinct and ascending, so the leading
     minors of their rows C(w, k) are positive (see _pivot): column c pivots
-    on row c, and the free columns c >= npin take no later pivot.  Reduced pinned row i reads D·c_i + sum over free k of
-    cols[k][i]·c_k = b[i].  By the Schur complement a carried box row of a
-    holds D·a_k - sum_i a_i·cols[k][i] and, in b, -sum_i a_i·b[i], so
-    q·D·(a·c) = sum over free k of cols[k][row]·c_k - b[row]."""
+    on row c, and the free columns c >= npin take no later pivot.  Reduced
+    pinned row i reads D·c_i + sum over free k of cols[k][i]·c_k = b[i].  By
+    the Schur complement a carried box row of a holds D·a_k - sum_i
+    a_i·cols[k][i] and, in b, -sum_i a_i·b[i], so q·D·(a·c) = sum over free
+    k of cols[k][row]·c_k - b[row]."""
     p, q = eps.numerator, eps.denominator
     bounds = [{ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}[v] for v in f.values]
     pinned = [w for w, (lo, hi) in enumerate(bounds) if lo == hi]  # only at p = 0, so q = 1
@@ -272,50 +297,48 @@ def _reduce(f: SymPartialFn, eps: Fraction, top: int) -> _Reduction:
     return _Reduction(f, eps, len(pinned), [bounds[w] for w in boxed], cols[len(pinned) :], b, D)
 
 
+def _witness(red: _Reduction, npiv: int, t: list[int], Dt: int) -> FeasibilityResult:
+    """The profile with free coefficients t / Dt and the npiv pivot ones read
+    off the reduced rows, re-checked: without free ones it is the unique fit
+    and may leave a box; an unsound simplex witness raises RuntimeError."""
+    b, D, free = red.b, red.D, red.cols[: len(t)]
+    coeffs = [Fraction(b[i] * Dt - sum(col[i] * v for col, v in zip(free, t)), D * Dt) for i in range(npiv)]
+    witness = PolyV(tuple(coeffs + [Fraction(v, Dt) for v in t]))
+    if check_representation(witness, red.f, red.eps):
+        return FeasibilityResult(True, witness)
+    if t:
+        raise RuntimeError(f"simplex produced an unsound witness for {red.f}")
+    return FeasibilityResult(False, None)
+
+
 def _solve_at(red: _Reduction, d: int) -> FeasibilityResult:
-    """Decide degree d <= top from its reduction up to top.  For d < npin a
-    degree-d fit of the pinned values is their interpolant of degree
+    """Decide degree d <= top from its reduction up to top, cold.  For d <
+    npin a degree-d fit of the pinned values is their interpolant of degree
     < npin, which is unique, so it exists iff that one's coefficients
     c_(d+1).. are zero: b[d+1:npin] = 0, with the free ones set to zero.
     Otherwise the box simplex decides the free coefficients c_npin..c_d."""
-    b, D, npiv = red.b, red.D, min(d + 1, red.npin)
-    if any(b[npiv : red.npin]):
+    npiv = min(d + 1, red.npin)
+    if any(red.b[npiv : red.npin]):
         return FeasibilityResult(False, None)
-    free = red.cols[: d + 1 - npiv]
-    t, Dt = [0] * len(free), 1  # the free coefficients are t / Dt
-    if free and red.boxes:
-        rows, rhs = [], []
-        for i, (lo, hi) in enumerate(red.boxes, red.npin):
-            coef = [col[i] for col in free]  # D·lo <= coef·t - b[i] <= D·hi
-            rows += [coef, [-v for v in coef]]
-            rhs += [D * hi + b[i], -b[i] - D * lo]
-        solved = _feasible_box(rows, rhs)
-        if solved is None:
-            return FeasibilityResult(False, None)
-        t, Dt = solved
-    coeffs = [Fraction(b[i] * Dt - sum(col[i] * v for col, v in zip(free, t)), D * Dt) for i in range(npiv)]
-    witness = PolyV(tuple(coeffs + [Fraction(v, Dt) for v in t]))
-    if not check_representation(witness, red.f, red.eps):
-        if free:
-            # the simplex saw every box constraint, so this is a solver bug
-            raise RuntimeError(f"simplex produced an unsound witness for {red.f}")
-        return FeasibilityResult(False, None)  # unique solution fails the boxes
-    return FeasibilityResult(True, witness)
+    if npiv == d + 1:
+        return _witness(red, npiv, [], 1)
+    box = _FeasibleBox(red.box_rhs())
+    for k in range(d + 1 - npiv):
+        box.add_column(red.box_column(k))
+    solved = box.run()
+    return FeasibilityResult(False, None) if solved is None else _witness(red, npiv, *solved)
 
 
 def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult:
     """Decide, exactly, whether some degree-<=d profile fits f within eps.
 
-    One path for every eps.  With eps = p/q, each weight w bounds q times
-    the profile value a·c = sum_k c_k C(w,k) to integers [lo, hi]: [0, p]
-    where f is 0, [q-p, q] where f is 1 and [0, q] where f is undefined.
-    Weights with lo = hi (the defined ones, at eps = 0 only) are equalities,
-    eliminated up to d by _reduce, which carries the pair of box rows of
-    every other weight along, all scaled by one common factor q·D: so the
-    simplex's choices are those of the rational system (see _feasible_box),
-    and when feasible the witness is whichever basic solution it lands on.
-    A unique solution (no free coefficient) that leaves a box is
-    infeasible; an unsound witness from the simplex raises RuntimeError.
+    With eps = p/q, each weight w bounds q times the profile value a·c =
+    sum_k c_k C(w,k) to integers [lo, hi]: [0, p] where f is 0, [q-p, q]
+    where f is 1 and [0, q] where f is undefined.  Weights with lo = hi (the
+    defined ones, at eps = 0 only) are eliminated up to d by _reduce, which
+    carries the box rows of the others along, all scaled by one factor q·D,
+    so the simplex decides as on the rational system (see _FeasibleBox).  A
+    witness is its cold solve's basic solution; an unsound one raises.
     """
     eps = _as_eps(eps)
     if not 0 <= d <= f.n:
@@ -323,37 +346,59 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     return _solve_at(_reduce(f, eps, d), d)
 
 
-def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
-    """Least d with a feasible degree-d profile, by binary search on [lo, n],
-    with the feasible result (and witness) of the search's probe at d.
-
-    lo, the number of adjacent defined weights (undefined ones skipped) with
-    different values, is exact.  If q fits f within eps < 1/2, q - 1/2 is
-    <= eps - 1/2 < 0 at one weight of such a pair and >= 1/2 - eps > 0 at
-    the other, so it has a root strictly between them: a nonzero polynomial
-    in w of degree <= d with lo distinct roots, so d >= lo.  Interpolating
-    the defined values (zero at undefined weights) is feasible at d = n.
-    The search eliminates once, up to n, and solves every probe from that
-    state; its last feasible probe is at the returned d, so the witness
-    needs no second solve.
+def _scan(f: SymPartialFn, eps: RationalLike) -> tuple[_Reduction, int, FeasibilityResult | None]:
+    """The least feasible degree d by one upward scan from an exact lower
+    bound lo, with the reduction up to n and, if it is _solve_at(red, d)'s,
+    the result at d.  lo counts adjacent defined weights (undefined ones
+    skipped) with different values: if q fits f within eps < 1/2, q - 1/2
+    changes sign strictly between such a pair, so it has lo roots.  Below
+    npin each consistent degree has the pinned interpolant as its unique
+    fit, so one check decides [max(lo, d0), npin-1].  Then one dictionary
+    gains the box column of each degree up to the first feasible one; d = n,
+    where interpolation fits, needs no solve.  The witness is re-checked,
+    and so is the last infeasible step's Farkas certificate, which covers
+    every lower degree as feasibility is monotone in d.
     """
     eps = _as_eps(eps)
     defined = [v for v in f.values if v is not UNDEFINED]
-    lo, hi = sum(u is not v for u, v in zip(defined, defined[1:])), f.n
-    reduced, best = _reduce(f, eps, hi), None
-    while lo <= hi:
-        d = (lo + hi) // 2
-        result = _solve_at(reduced, d)
+    lo = sum(u is not v for u, v in zip(defined, defined[1:]))
+    red = _reduce(f, eps, f.n)
+    npin, d = red.npin, max([lo] + [i for i in range(red.npin) if red.b[i]])  # d0: the last nonzero b[i]
+    if d < npin:
+        result = _witness(red, d + 1, [], 1)
         if result.feasible:
-            hi, best = d - 1, result
-        else:
-            lo = d + 1
-    return lo, best
+            return red, d, result
+    box, lam, result = _FeasibleBox(red.box_rhs()), None, None
+    for d in range(npin, f.n + 1):
+        if d == f.n and lam is not None:
+            break
+        box.add_column(red.box_column(d - npin))
+        if d < lo:
+            continue
+        cold, solved = not box.pivots, box.run()  # with no pivot before, this run is the cold one
+        if solved is not None:
+            result = _witness(red, npin, *solved)
+            break
+        lam = box.farkas()
+    else:
+        raise RuntimeError(f"phase-I simplex found no degree-n fit of {f}")
+    if lam is not None and not _is_farkas(lam, [red.box_column(k) for k in range(d - npin)], red.box_rhs()):
+        raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {f} at degree {d - 1}")
+    return red, d, result if cold else None
+
+
+def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
+    """Least d with a feasible degree-d profile, with lp_feasible(f, eps, d):
+    the scan of ``degree``, then one cold _solve_at for that witness unless
+    the scan's is it (below npin, or with no pivot before its last step)."""
+    red, d, result = _scan(f, eps)
+    return d, result if result is not None else _solve_at(red, d)
 
 
 def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
-    """Least d with a feasible degree-d profile (see ``least_degree``)."""
-    return least_degree(f, eps)[0]
+    """Least d with a feasible degree-d profile, by one upward scan from an
+    exact lower bound that checks both sides of its answer (see _scan)."""
+    return _scan(f, eps)[1]
 
 
 def qe_lower_bound(f: SymPartialFn) -> int:

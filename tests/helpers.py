@@ -7,7 +7,8 @@ from math import comb
 
 import hypothesis.strategies as st
 
-from symquery import PolyV, SymPartialFn, from_string
+from symquery import PolyV, SymPartialFn, from_string, polydeg
+from symquery.polydeg import FeasibilityResult
 from symquery.symfun import FnValue
 
 
@@ -164,3 +165,21 @@ def tree_search_depth(f: SymPartialFn) -> int:
         return best
 
     return depth((None,) * n)
+
+
+def binary_search_least_degree(f: SymPartialFn, eps) -> tuple[int, FeasibilityResult | None]:
+    """Reference for polydeg.least_degree and degree: binary search on
+    [lo, n] from the sign-change lower bound, every probe a cold solve on
+    one reduction; returns the least d with the result of its probe."""
+    eps = Fraction(eps)
+    defined = [v for v in f.values if v is not FnValue.UNDEFINED]
+    lo, hi = sum(u is not v for u, v in zip(defined, defined[1:])), f.n
+    reduced, best = polydeg._reduce(f, eps, hi), None
+    while lo <= hi:
+        d = (lo + hi) // 2
+        result = polydeg._solve_at(reduced, d)
+        if result.feasible:
+            hi, best = d - 1, result
+        else:
+            lo = d + 1
+    return lo, best

@@ -1,7 +1,8 @@
-"""Degree certification: profile evaluation, feasibility, binary search,
+"""Degree certification: profile evaluation, feasibility, the degree scan,
 catalogue classification."""
 
 import hashlib
+import operator
 import random
 from fractions import Fraction
 from math import comb
@@ -15,7 +16,7 @@ import symquery as sq
 from symquery import polydeg
 from symquery.polydeg import FamilyKind, PolyV
 
-from helpers import full_tableau_feasible_box, interpolation_profile, sym_fns
+from helpers import binary_search_least_degree, full_tableau_feasible_box, interpolation_profile, sym_fns
 
 vec = sq.from_string
 F = Fraction
@@ -190,30 +191,73 @@ class TestLpFeasible:
 class TestFeasibleBox:
     """The dictionary simplex against the full tableau it stands for: the same
     Bland pivots give the same (t, D) or None, on small entries where ties
-    and degenerate pivots are frequent."""
+    and degenerate pivots are frequent; and, resumed one column at a time,
+    the same verdict at every prefix, each infeasible one with a checked
+    Farkas certificate."""
 
     @staticmethod
     def assert_matches_full_tableau(rows, rhs):
         want = full_tableau_feasible_box([list(a) for a in rows], list(rhs))
-        assert polydeg._feasible_box([list(a) for a in rows], list(rhs)) == want
+        box = polydeg._FeasibleBox(list(rhs))
+        for a in zip(*rows):  # a cold solve: all columns, then run
+            box.add_column(list(a))
+        assert box.run() == want
 
-    @given(st.integers(1, 6).flatmap(lambda nf: st.lists(
+    @staticmethod
+    def assert_prefixes_match(rows, rhs):
+        box, columns = polydeg._FeasibleBox(list(rhs)), [list(a) for a in zip(*rows)]
+        for k, a in enumerate(columns, 1):
+            box.add_column(a)
+            want = full_tableau_feasible_box([row[:k] for row in rows], list(rhs))
+            got = box.run()
+            assert (got is None) == (want is None), k
+            if got is not None:  # a warm witness, not the cold one, but feasible
+                t, D = got
+                assert all(sum(map(operator.mul, row, t)) <= D * b for row, b in zip(rows, rhs)), k
+                continue
+            lam = box.farkas()
+            assert polydeg._is_farkas(lam, columns[:k], rhs), k
+            for i in range(len(lam)):  # a one-entry change fails the checker
+                assert not polydeg._is_farkas(lam[:i] + [-1] + lam[i + 1 :], columns[:k], rhs), (k, i)
+                if any(row[i] for row in columns[:k]):
+                    for delta in (-1, 1):
+                        changed = lam[:i] + [lam[i] + delta] + lam[i + 1 :]
+                        assert not polydeg._is_farkas(changed, columns[:k], rhs), (k, i, delta)
+
+    systems = st.integers(1, 6).flatmap(lambda nf: st.lists(
         st.tuples(st.lists(st.integers(-3, 3), min_size=nf, max_size=nf), st.integers(-4, 4)),
-        min_size=1, max_size=12)))
-    @settings(max_examples=300, deadline=None)
-    def test_random_systems(self, system):
-        self.assert_matches_full_tableau([a for a, _ in system], [b for _, b in system])
-
-    @given(st.integers(1, 6).flatmap(lambda nf: st.lists(
+        min_size=1, max_size=12))
+    boxes = st.integers(1, 6).flatmap(lambda nf: st.lists(
         st.tuples(st.lists(st.integers(-3, 3), min_size=nf, max_size=nf), st.integers(-4, 4), st.integers(-4, 4)),
-        min_size=1, max_size=6)))
-    @settings(max_examples=300, deadline=None)
-    def test_paired_box_rows(self, boxes):
+        min_size=1, max_size=6))
+
+    @staticmethod
+    def paired(boxes):
         rows, rhs = [], []
         for a, lo, hi in boxes:  # lo <= a·t <= hi, empty when lo > hi
             rows += [a, [-v for v in a]]
             rhs += [hi, -lo]
-        self.assert_matches_full_tableau(rows, rhs)
+        return rows, rhs
+
+    @given(systems)
+    @settings(max_examples=300, deadline=None)
+    def test_random_systems(self, system):
+        self.assert_matches_full_tableau([a for a, _ in system], [b for _, b in system])
+
+    @given(boxes)
+    @settings(max_examples=300, deadline=None)
+    def test_paired_box_rows(self, boxes):
+        self.assert_matches_full_tableau(*self.paired(boxes))
+
+    @given(systems)
+    @settings(max_examples=200, deadline=None)
+    def test_prefixes_of_random_systems(self, system):
+        self.assert_prefixes_match([a for a, _ in system], [b for _, b in system])
+
+    @given(boxes)
+    @settings(max_examples=200, deadline=None)
+    def test_prefixes_of_paired_box_rows(self, boxes):
+        self.assert_prefixes_match(*self.paired(boxes))
 
 
 class TestEliminate:
@@ -383,43 +427,60 @@ class TestDegree:
     def test_sign_changes_bound_the_degree(self, f, eps):
         assert sign_changes(f) <= sq.degree(f, eps)
 
+    @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3), F(3, 7)]))
+    @settings(max_examples=80, deadline=None)
+    def test_scan_matches_binary_search(self, f, eps):
+        want, _ = binary_search_least_degree(f, eps)
+        assert sq.degree(f, eps) == want
+        d, result = polydeg.least_degree(f, eps)
+        assert d == want and result == sq.lp_feasible(f, eps, d)
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        """Record the degrees of cold solves, the column count of every
+        dictionary run and the top of every reduction."""
+        seen = {"cold": [], "runs": [], "reductions": []}
+        solve, run, reduce = polydeg._solve_at, polydeg._FeasibleBox.run, polydeg._reduce
+        monkeypatch.setattr(polydeg, "_solve_at", lambda red, d: seen["cold"].append(d) or solve(red, d))
+        monkeypatch.setattr(polydeg._FeasibleBox, "run", lambda box: seen["runs"].append(box.nf) or run(box))
+        monkeypatch.setattr(polydeg, "_reduce", lambda f, eps, top: seen["reductions"].append(top) or reduce(f, eps, top))
+        return seen
+
     @pytest.mark.parametrize("n", [1, 6, 30])
     def test_parity_solves_once(self, monkeypatch, n):
-        probes = []
-        solve = polydeg._solve_at
-        monkeypatch.setattr(polydeg, "_solve_at", lambda red, d: probes.append(d) or solve(red, d))
+        # the scan starts at its lower bound n, and that first run is the
+        # cold solve, so least_degree keeps its witness
+        seen = self.count_solves(monkeypatch)
         for eps in (F(1, 8), F(1, 3)):
-            probes.clear()
-            assert polydeg.least_degree(vec(f"PARITY:{n}"), eps)[0] == n
-            assert probes == [n]
+            for search in (polydeg.least_degree, lambda f, eps: (sq.degree(f, eps),)):
+                for probes in seen.values():
+                    probes.clear()
+                assert search(vec(f"PARITY:{n}"), eps)[0] == n
+                assert seen == {"cold": [], "runs": [n + 1], "reductions": [n]}
 
     def test_degree_command_solves_each_degree_once(self, monkeypatch, capsys):
         from symquery.cli import main
 
-        probes, reductions = [], []
-        solve, reduce = polydeg._solve_at, polydeg._reduce
-
-        def counted(red, d):
-            probes.append(d)
-            return solve(red, d)
-
-        def counted_reduce(f, eps, top):
-            reductions.append(top)
-            return reduce(f, eps, top)
-
-        monkeypatch.setattr(polydeg, "_solve_at", counted)
-        monkeypatch.setattr(polydeg, "_reduce", counted_reduce)
-        for spec, eps in (("DJ:8,1", "0"), ("MAJ:9", "1/8"), ("0*1*0", "0")):
-            probes.clear()
-            reductions.clear()
-            sq.degree(vec(spec), F(eps))
-            searched = list(probes)
-            assert searched and reductions == [vec(spec).n], spec  # one elimination per search
-            probes.clear()
-            reductions.clear()
+        seen = self.count_solves(monkeypatch)
+        # (spec, eps, column counts of the scan's runs, cold solves of least_degree)
+        cases = (("DJ:8,1", "0", [], 0),  # decided below npin by the pinned interpolant
+                 ("0*1*0", "0", [], 0),
+                 ("*0*1*0*", "0", [1, 2], 0),  # no pivot before the feasible run: it is the cold one
+                 ("MAJ:9", "1/8", list(range(2, 10)), 1),  # d = n after an infeasible step: not solved
+                 ("THRESHOLD:9,3", "1/4", list(range(2, 9)), 1))
+        for spec, eps, runs, cold in cases:
+            n = vec(spec).n
+            for probes in seen.values():
+                probes.clear()
+            d = sq.degree(vec(spec), F(eps))
+            # one elimination, no cold solve, one dictionary run per degree, upward from lo
+            assert seen == {"cold": [], "runs": runs, "reductions": [n]}, spec
+            for probes in seen.values():
+                probes.clear()
             assert main(["degree", "--fn", spec, "--eps", eps]) == 0
-            assert probes == searched and len(set(probes)) == len(probes), spec
-            assert reductions == [vec(spec).n], spec
+            assert seen["reductions"] == [n] and seen["cold"] == [d] * cold, spec
+            npin = len(vec(spec).domain_weights) if eps == "0" else 0
+            assert seen["runs"] == runs + [d + 1 - npin] * cold, spec
         capsys.readouterr()
 
 

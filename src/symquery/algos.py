@@ -371,9 +371,10 @@ def dhw(n: int, k: int, x: str) -> AlgorithmRun:
     return AlgorithmRun(x, branches)
 
 
-def _with_prefix(x: str, step: str, sub: AlgorithmRun, extra_queries: int = 1) -> AlgorithmRun:
+def _with_prefix(x: str, step: str, sub: AlgorithmRun) -> AlgorithmRun:
+    """sub's branches behind one classical query, recorded as step."""
     branches = tuple(
-        BranchTrace((step,) + b.path, b.probability, b.output, b.queries_used + extra_queries)
+        BranchTrace((step,) + b.path, b.probability, b.output, b.queries_used + 1)
         for b in sub.branches
     )
     return AlgorithmRun(x, branches)

@@ -190,31 +190,16 @@ def _cmd_det(args: argparse.Namespace) -> int:
     return 0 if match else 1
 
 
-_FAMILY_HELP = [
-    ("literal", "string over 0/1/* of length >= 2, value vector by weight"),
-    ("DJ:n,k", "even n, 0 <= k < n/2: 1 at weight n/2, 0 at weights <= k or >= n-k"),
-    ("F1:n,k", "0 < k <= n: 0 at weight 0, 1 at weight k"),
-    ("F2:n,k", "0 < k < n: 0 at weight 0, 1 at weights k and k+1"),
-    ("F3:n,l", "0 < l < n: 0 at weights 0 and n, 1 at weight l"),
-    ("F4:n", "n > 1: 0 at weights 0 and n, 1 at the middle weight(s)"),
-    ("DW:n,k,l", "0 <= k < l <= n: 0 at weight k, 1 at weight l"),
-    ("EXACT:n,k", "total: 1 iff weight = k"),
-    ("THRESHOLD:n,k", "total: 1 iff weight >= k"),
-    ("OR:n", "total: 1 iff weight >= 1"),
-    ("AND:n", "total: 1 iff weight = n"),
-    ("PARITY:n", "total: 1 iff weight odd"),
-    ("MAJ:n", "total: 1 iff weight > n/2"),
-]
-
-
 def _cmd_families(args: argparse.Namespace) -> int:
+    functions = [("literal", "string over 0/1/* of length >= 2, value vector by weight")]
+    functions += [(f"{name}:{','.join(params)}", desc) for name, (params, _, desc) in symfun.FAMILIES.items()]
     payload = {
         "command": "families",
-        "functions": [{"spec": spec, "description": desc} for spec, desc in _FAMILY_HELP],
+        "functions": [{"spec": spec, "description": desc} for spec, desc in functions],
         "algorithms": {name: list(entry.params) for name, entry in algos.ALGORITHMS.items()},
     }
     lines = ["function constructors:"]
-    for spec, desc in _FAMILY_HELP:
+    for spec, desc in functions:
         lines.append(f"  {spec:<14} {desc}")
     lines.append("algorithms (flags for run/verify):")
     for name, entry in algos.ALGORITHMS.items():

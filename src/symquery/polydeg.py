@@ -10,10 +10,10 @@ rows of the others carried along, and a Phase-I simplex decides the box
 rows.  Both run one column-major fraction-free pivot (Edmonds 1967, Bareiss
 1968) on integers over one common denominator; the simplex keeps a
 dictionary (Chvátal 1983) that stores no basic column and gains columns
-without a restart.  The least feasible degree is found by one upward scan
-from an exact lower bound, on one elimination and one dictionary that
-gains a column per degree; its feasible witness and its last Farkas
-certificate are re-checked in integers.  A complete catalogue matcher
+without a restart.  One search decides a degree and finds the least one,
+upward from a lower bound on one elimination and one dictionary that gains
+a column per degree; its feasible witness and its last Farkas certificate
+are re-checked in integers.  A complete catalogue matcher
 identifies every function of degree <= 2 up to isomorphism.
 """
 
@@ -254,12 +254,14 @@ def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool
 
 
 class _Reduction(NamedTuple):
-    """f within eps, its npin pinned weights eliminated (see _reduce): rows
-    are the pinned weights, then q times the box weights' rows (bounds in
-    boxes); cols holds the free columns npin.. and b the rhs, over D."""
+    """f within eps, its npin pinned weights eliminated up to degree top
+    (see _reduce): rows are the pinned weights, then q times the box
+    weights' rows (bounds in boxes); cols holds the free columns npin..top
+    and b the rhs, over D."""
 
     f: SymPartialFn
     eps: Fraction
+    top: int
     npin: int
     boxes: list[tuple[int, int]]
     cols: list[list[int]]
@@ -294,7 +296,7 @@ def _reduce(f: SymPartialFn, eps: Fraction, top: int) -> _Reduction:
     b, D = [bounds[w][0] for w in pinned] + [0] * len(boxed), 1
     for c in range(min(top + 1, len(pinned))):
         D = _pivot(cols[c + 1 :] + [b], cols[c], c, D)
-    return _Reduction(f, eps, len(pinned), [bounds[w] for w in boxed], cols[len(pinned) :], b, D)
+    return _Reduction(f, eps, top, len(pinned), [bounds[w] for w in boxed], cols[len(pinned) :], b, D)
 
 
 def _witness(red: _Reduction, npiv: int, t: list[int], Dt: int) -> FeasibilityResult:
@@ -311,22 +313,44 @@ def _witness(red: _Reduction, npiv: int, t: list[int], Dt: int) -> FeasibilityRe
     return FeasibilityResult(False, None)
 
 
-def _solve_at(red: _Reduction, d: int) -> FeasibilityResult:
-    """Decide degree d <= top from its reduction up to top, cold.  For d <
-    npin a degree-d fit of the pinned values is their interpolant of degree
-    < npin, which is unique, so it exists iff that one's coefficients
-    c_(d+1).. are zero: b[d+1:npin] = 0, with the free ones set to zero.
-    Otherwise the box simplex decides the free coefficients c_npin..c_d."""
-    npiv = min(d + 1, red.npin)
-    if any(red.b[npiv : red.npin]):
-        return FeasibilityResult(False, None)
-    if npiv == d + 1:
-        return _witness(red, npiv, [], 1)
-    box = _FeasibleBox(red.box_rhs())
-    for k in range(d + 1 - npiv):
-        box.add_column(red.box_column(k))
-    solved = box.run()
-    return FeasibilityResult(False, None) if solved is None else _witness(red, npiv, *solved)
+def _search(red: _Reduction, lo: int) -> tuple[int, FeasibilityResult | None]:
+    """The least feasible degree d in [lo, top] of red, or top + 1 if none,
+    with the result at d if it is the cold solve's (None otherwise).  For d
+    < npin a degree-d fit of the pinned values is their interpolant of
+    degree < npin, which is unique, so it exists iff b[d+1:npin] = 0 (a
+    nonzero b past top leaves no fit), and one check decides [max(lo, d0),
+    npin-1], d0 the last nonzero b[i].  Then one dictionary gains the box
+    column of each degree, running from lo up to the first feasible one; a
+    run with no pivot before it is the cold solve.  d = n, where
+    interpolation fits, needs no run after an infeasible one.  The witness
+    is re-checked, and so is the last infeasible run's Farkas certificate,
+    which covers every lower degree as feasibility is monotone in d.
+    """
+    npin, top = red.npin, red.top
+    d = max([lo] + [i for i in range(npin) if red.b[i]])
+    if d < min(npin, top + 1):
+        result = _witness(red, d + 1, [], 1)
+        if result.feasible:
+            return d, result
+    box, lam, result = _FeasibleBox(red.box_rhs()), None, None
+    for d in range(npin, top + 1):
+        if d == red.f.n and lam is not None:
+            break
+        box.add_column(red.box_column(d - npin))
+        if d < lo:
+            continue
+        cold, solved = not box.pivots, box.run()
+        if solved is not None:
+            result = _witness(red, npin, *solved)
+            break
+        lam = box.farkas()
+    else:
+        if top == red.f.n:
+            raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
+        d, cold, result = top + 1, True, FeasibilityResult(False, None)
+    if lam is not None and not _is_farkas(lam, [red.box_column(k) for k in range(d - npin)], red.box_rhs()):
+        raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {red.f} at degree {d - 1}")
+    return d, result if cold else None
 
 
 def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult:
@@ -337,68 +361,38 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     where f is 1 and [0, q] where f is undefined.  Weights with lo = hi (the
     defined ones, at eps = 0 only) are eliminated up to d by _reduce, which
     carries the box rows of the others along, all scaled by one factor q·D,
-    so the simplex decides as on the rational system (see _FeasibleBox).  A
-    witness is its cold solve's basic solution; an unsound one raises.
+    so the simplex decides as on the rational system (see _FeasibleBox).
+    This is the search from d on that reduction: one cold run, whose
+    witness or Farkas certificate is re-checked; an unsound one raises.
     """
     eps = _as_eps(eps)
     if not 0 <= d <= f.n:
         raise ValueError(f"degree bound must satisfy 0 <= d <= n={f.n}, got {d}")
-    return _solve_at(_reduce(f, eps, d), d)
+    return _search(_reduce(f, eps, d), d)[1]
 
 
-def _scan(f: SymPartialFn, eps: RationalLike) -> tuple[_Reduction, int, FeasibilityResult | None]:
-    """The least feasible degree d by one upward scan from an exact lower
-    bound lo, with the reduction up to n and, if it is _solve_at(red, d)'s,
-    the result at d.  lo counts adjacent defined weights (undefined ones
-    skipped) with different values: if q fits f within eps < 1/2, q - 1/2
-    changes sign strictly between such a pair, so it has lo roots.  Below
-    npin each consistent degree has the pinned interpolant as its unique
-    fit, so one check decides [max(lo, d0), npin-1].  Then one dictionary
-    gains the box column of each degree up to the first feasible one; d = n,
-    where interpolation fits, needs no solve.  The witness is re-checked,
-    and so is the last infeasible step's Farkas certificate, which covers
-    every lower degree as feasibility is monotone in d.
-    """
-    eps = _as_eps(eps)
+def _lower_bound(f: SymPartialFn) -> int:
+    """The count of adjacent defined weights (undefined ones skipped) with
+    different values: if q fits f within eps < 1/2, q - 1/2 changes sign
+    strictly between such a pair, so it has that many roots."""
     defined = [v for v in f.values if v is not UNDEFINED]
-    lo = sum(u is not v for u, v in zip(defined, defined[1:]))
-    red = _reduce(f, eps, f.n)
-    npin, d = red.npin, max([lo] + [i for i in range(red.npin) if red.b[i]])  # d0: the last nonzero b[i]
-    if d < npin:
-        result = _witness(red, d + 1, [], 1)
-        if result.feasible:
-            return red, d, result
-    box, lam, result = _FeasibleBox(red.box_rhs()), None, None
-    for d in range(npin, f.n + 1):
-        if d == f.n and lam is not None:
-            break
-        box.add_column(red.box_column(d - npin))
-        if d < lo:
-            continue
-        cold, solved = not box.pivots, box.run()  # with no pivot before, this run is the cold one
-        if solved is not None:
-            result = _witness(red, npin, *solved)
-            break
-        lam = box.farkas()
-    else:
-        raise RuntimeError(f"phase-I simplex found no degree-n fit of {f}")
-    if lam is not None and not _is_farkas(lam, [red.box_column(k) for k in range(d - npin)], red.box_rhs()):
-        raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {f} at degree {d - 1}")
-    return red, d, result if cold else None
+    return sum(u is not v for u, v in zip(defined, defined[1:]))
 
 
 def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
     """Least d with a feasible degree-d profile, with lp_feasible(f, eps, d):
-    the scan of ``degree``, then one cold _solve_at for that witness unless
-    the scan's is it (below npin, or with no pivot before its last step)."""
-    red, d, result = _scan(f, eps)
-    return d, result if result is not None else _solve_at(red, d)
+    the search of ``degree``, then the search from d for that witness unless
+    the first one's is it (below npin, or with no pivot before its last run)."""
+    red = _reduce(f, _as_eps(eps), f.n)
+    d, result = _search(red, _lower_bound(f))
+    return d, result if result is not None else _search(red, d)[1]
 
 
 def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
-    """Least d with a feasible degree-d profile, by one upward scan from an
-    exact lower bound that checks both sides of its answer (see _scan)."""
-    return _scan(f, eps)[1]
+    """Least d with a feasible degree-d profile, by one upward search on the
+    reduction up to n from an exact lower bound, which checks both sides of
+    its answer (see _search)."""
+    return _search(_reduce(f, _as_eps(eps), f.n), _lower_bound(f))[0]
 
 
 def qe_lower_bound(f: SymPartialFn) -> int:

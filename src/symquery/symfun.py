@@ -223,20 +223,20 @@ def family_named(name: str, n: int, k: int | None = None) -> SymPartialFn:
 
 _LITERAL_RE = re.compile(r"[01*]{2,}")
 
-# family name -> (argument count, constructor)
-_FAMILIES = {
-    "DJ": (2, family_dj),
-    "F1": (2, family_f1),
-    "F2": (2, family_f2),
-    "F3": (2, family_f3),
-    "F4": (1, family_f4),
-    "DW": (3, family_dw),
-    "EXACT": (2, lambda n, k: family_named("EXACT", n, k)),
-    "THRESHOLD": (2, lambda n, k: family_named("THRESHOLD", n, k)),
-    "OR": (1, lambda n: family_named("OR", n)),
-    "AND": (1, lambda n: family_named("AND", n)),
-    "PARITY": (1, lambda n: family_named("PARITY", n)),
-    "MAJ": (1, lambda n: family_named("MAJ", n)),
+# family name -> (parameter names, constructor, description)
+FAMILIES = {
+    "DJ": (("n", "k"), family_dj, "even n, 0 <= k < n/2: 1 at weight n/2, 0 at weights <= k or >= n-k"),
+    "F1": (("n", "k"), family_f1, "0 < k <= n: 0 at weight 0, 1 at weight k"),
+    "F2": (("n", "k"), family_f2, "0 < k < n: 0 at weight 0, 1 at weights k and k+1"),
+    "F3": (("n", "l"), family_f3, "0 < l < n: 0 at weights 0 and n, 1 at weight l"),
+    "F4": (("n",), family_f4, "n > 1: 0 at weights 0 and n, 1 at the middle weight(s)"),
+    "DW": (("n", "k", "l"), family_dw, "0 <= k < l <= n: 0 at weight k, 1 at weight l"),
+    "EXACT": (("n", "k"), lambda n, k: family_named("EXACT", n, k), "total: 1 iff weight = k"),
+    "THRESHOLD": (("n", "k"), lambda n, k: family_named("THRESHOLD", n, k), "total: 1 iff weight >= k"),
+    "OR": (("n",), lambda n: family_named("OR", n), "total: 1 iff weight >= 1"),
+    "AND": (("n",), lambda n: family_named("AND", n), "total: 1 iff weight = n"),
+    "PARITY": (("n",), lambda n: family_named("PARITY", n), "total: 1 iff weight odd"),
+    "MAJ": (("n",), lambda n: family_named("MAJ", n), "total: 1 iff weight > n/2"),
 }
 
 
@@ -250,12 +250,12 @@ def from_string(spec: str) -> SymPartialFn:
     if ":" in s:
         name, _, argstr = s.partition(":")
         name = name.strip().upper()
-        if name not in _FAMILIES:
+        if name not in FAMILIES:
             raise ValueError(f"unknown family {name!r} in {spec!r}")
-        arity, ctor = _FAMILIES[name]
+        params, ctor, _ = FAMILIES[name]
         parts = [p.strip() for p in argstr.split(",")] if argstr.strip() else []
-        if len(parts) != arity:
-            raise ValueError(f"{name} takes {arity} parameter(s), got {len(parts)} in {spec!r}")
+        if len(parts) != len(params):
+            raise ValueError(f"{name} takes {len(params)} parameter(s), got {len(parts)} in {spec!r}")
         try:
             args = [int(p) for p in parts]
         except ValueError:

@@ -169,15 +169,16 @@ def tree_search_depth(f: SymPartialFn) -> int:
 
 def binary_search_least_degree(f: SymPartialFn, eps) -> tuple[int, FeasibilityResult | None]:
     """Reference for polydeg.least_degree and degree: binary search on
-    [lo, n] from the sign-change lower bound, every probe a cold solve on
-    one reduction; returns the least d with the result of its probe."""
+    [lo, n] from the sign-change lower bound, every probe a public
+    lp_feasible call on its own reduction; returns the least d with the
+    result of its probe."""
     eps = Fraction(eps)
     defined = [v for v in f.values if v is not FnValue.UNDEFINED]
     lo, hi = sum(u is not v for u, v in zip(defined, defined[1:])), f.n
-    reduced, best = polydeg._reduce(f, eps, hi), None
+    best = None
     while lo <= hi:
         d = (lo + hi) // 2
-        result = polydeg._solve_at(reduced, d)
+        result = polydeg.lp_feasible(f, eps, d)
         if result.feasible:
             hi, best = d - 1, result
         else:

@@ -187,6 +187,15 @@ class TestLpFeasible:
         if result.feasible:
             assert sq.check_representation(result.witness, f, eps)
 
+    def test_bent_certificate_is_caught(self, monkeypatch):
+        # an infeasible box verdict stands only on a Farkas certificate that
+        # passes the integer check
+        f, eps, farkas = vec("THRESHOLD:9,3"), F(1, 4), polydeg._FeasibleBox.farkas
+        assert not sq.lp_feasible(f, eps, 6).feasible
+        monkeypatch.setattr(polydeg._FeasibleBox, "farkas", lambda box: [v + (i == 0) for i, v in enumerate(farkas(box))])
+        with pytest.raises(RuntimeError, match="unsound infeasibility certificate"):
+            sq.lp_feasible(f, eps, 6)
+
 
 class TestFeasibleBox:
     """The dictionary simplex against the full tableau it stands for: the same
@@ -332,9 +341,14 @@ class TestEliminate:
     @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
     @settings(max_examples=40, deadline=None)
     def test_shared_state_solves_as_lp_feasible(self, f, eps):
+        # the search from d on the reduction up to n stops at d exactly when
+        # lp_feasible finds degree d feasible, and then with its result, cold
         red = polydeg._reduce(f, eps, f.n)
         for d in range(f.n + 1):
-            assert polydeg._solve_at(red, d) == sq.lp_feasible(f, eps, d), d
+            want, (got, result) = sq.lp_feasible(f, eps, d), polydeg._search(red, d)
+            assert got >= d and (got == d) == want.feasible, d
+            if want.feasible:
+                assert result == want, d
 
 
 def sign_changes(f):
@@ -437,48 +451,48 @@ class TestDegree:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record the degrees of cold solves, the column count of every
+        """Record the start of every search, the column count of every
         dictionary run and the top of every reduction."""
-        seen = {"cold": [], "runs": [], "reductions": []}
-        solve, run, reduce = polydeg._solve_at, polydeg._FeasibleBox.run, polydeg._reduce
-        monkeypatch.setattr(polydeg, "_solve_at", lambda red, d: seen["cold"].append(d) or solve(red, d))
+        seen = {"searches": [], "runs": [], "reductions": []}
+        search, run, reduce = polydeg._search, polydeg._FeasibleBox.run, polydeg._reduce
+        monkeypatch.setattr(polydeg, "_search", lambda red, lo: seen["searches"].append(lo) or search(red, lo))
         monkeypatch.setattr(polydeg._FeasibleBox, "run", lambda box: seen["runs"].append(box.nf) or run(box))
         monkeypatch.setattr(polydeg, "_reduce", lambda f, eps, top: seen["reductions"].append(top) or reduce(f, eps, top))
         return seen
 
     @pytest.mark.parametrize("n", [1, 6, 30])
     def test_parity_solves_once(self, monkeypatch, n):
-        # the scan starts at its lower bound n, and that first run is the
-        # cold solve, so least_degree keeps its witness
+        # the search starts at its lower bound n, and that first run is the
+        # cold solve, so least_degree keeps its witness and searches once
         seen = self.count_solves(monkeypatch)
         for eps in (F(1, 8), F(1, 3)):
             for search in (polydeg.least_degree, lambda f, eps: (sq.degree(f, eps),)):
                 for probes in seen.values():
                     probes.clear()
                 assert search(vec(f"PARITY:{n}"), eps)[0] == n
-                assert seen == {"cold": [], "runs": [n + 1], "reductions": [n]}
+                assert seen == {"searches": [n], "runs": [n + 1], "reductions": [n]}
 
     def test_degree_command_solves_each_degree_once(self, monkeypatch, capsys):
         from symquery.cli import main
 
         seen = self.count_solves(monkeypatch)
-        # (spec, eps, column counts of the scan's runs, cold solves of least_degree)
+        # (spec, eps, column counts of the first search's runs, second searches of least_degree)
         cases = (("DJ:8,1", "0", [], 0),  # decided below npin by the pinned interpolant
                  ("0*1*0", "0", [], 0),
                  ("*0*1*0*", "0", [1, 2], 0),  # no pivot before the feasible run: it is the cold one
                  ("MAJ:9", "1/8", list(range(2, 10)), 1),  # d = n after an infeasible step: not solved
                  ("THRESHOLD:9,3", "1/4", list(range(2, 9)), 1))
         for spec, eps, runs, cold in cases:
-            n = vec(spec).n
+            n, lo = vec(spec).n, sign_changes(vec(spec))
             for probes in seen.values():
                 probes.clear()
             d = sq.degree(vec(spec), F(eps))
-            # one elimination, no cold solve, one dictionary run per degree, upward from lo
-            assert seen == {"cold": [], "runs": runs, "reductions": [n]}, spec
+            # one elimination, one search, one dictionary run per degree, upward from lo
+            assert seen == {"searches": [lo], "runs": runs, "reductions": [n]}, spec
             for probes in seen.values():
                 probes.clear()
             assert main(["degree", "--fn", spec, "--eps", eps]) == 0
-            assert seen["reductions"] == [n] and seen["cold"] == [d] * cold, spec
+            assert seen["reductions"] == [n] and seen["searches"] == [lo] + [d] * cold, spec
             npin = len(vec(spec).domain_weights) if eps == "0" else 0
             assert seen["runs"] == runs + [d + 1 - npin] * cold, spec
         capsys.readouterr()

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 import symquery as sq
 from symquery.symfun import (
+    FAMILIES,
     ONE,
     TRANSFORMS,
     UNDEFINED,
@@ -57,6 +58,16 @@ class TestParsing:
     def test_out_of_range_parameters(self):
         with pytest.raises(ValueError):
             vec("DJ:4,2")
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_every_listed_family_parses_at_its_arity_only(self, name):
+        # 8, 3, 5 is in range for every family of that arity
+        params, ctor, _ = FAMILIES[name]
+        args = [8, 3, 5, 6]
+        assert vec(f"{name}:" + ",".join(map(str, args[: len(params)]))) == ctor(*args[: len(params)])
+        for m in set(range(len(args) + 1)) - {len(params)}:
+            with pytest.raises(ValueError, match=f"{name} takes {len(params)} parameter"):
+                vec(f"{name}:" + ",".join(map(str, args[:m])))
 
     @pytest.mark.parametrize(
         "spec",

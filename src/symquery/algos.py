@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .symfun import (
     ONE,
@@ -61,8 +60,7 @@ class UnsupportedParameters(ValueError):
     """No implemented padding reduction applies to these parameters."""
 
 
-@dataclass(frozen=True)
-class BranchTrace:
+class BranchTrace(NamedTuple):
     """One measurement branch: outcome path, its probability, the final
     output (a bit, or an index/pair for the bare subroutines), and how many
     oracle queries the branch consumed."""
@@ -73,17 +71,17 @@ class BranchTrace:
     queries_used: int
 
 
-@dataclass(frozen=True)
-class AlgorithmRun:
+class AlgorithmRun(NamedTuple("AlgorithmRun", [("x", str), ("branches", tuple[BranchTrace, ...])])):
     """All branches of one algorithm execution on input x."""
 
-    x: str
-    branches: tuple[BranchTrace, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
-        total = sum(b.probability for b in self.branches)
+    def __new__(cls, x: str, branches: tuple[BranchTrace, ...]) -> AlgorithmRun:
+        total = sum(b.probability for b in branches)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"branch probabilities sum to {total!r}, not 1")
+        return super().__new__(cls, x, branches)
 
     @property
     def outputs(self) -> set[int | tuple[int, int]]:
@@ -94,8 +92,7 @@ class AlgorithmRun:
         return max(b.queries_used for b in self.branches)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of replaying an algorithm over an entire promise domain."""
 
     function: str
@@ -893,8 +890,7 @@ def _contract_term(x: str, out: int | tuple[int, int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Algorithm:
+class Algorithm(NamedTuple):
     """One algorithm id.  Every callable takes the parameters positionally,
     in the order of `params`."""
 

@@ -11,7 +11,7 @@ the queried property holds.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from fractions import Fraction
 
@@ -24,6 +24,8 @@ def _prob(p: float) -> float:
 
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
     if args.json:
+        import json  # only --json pays for it
+
         print(json.dumps(payload, indent=2))
     else:
         print(human, end="")
@@ -244,10 +246,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed its usage error or help
         return exc.code
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone: what is left in the buffer goes to devnull,
+        # so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the answer was written", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

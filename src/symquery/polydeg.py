@@ -19,7 +19,6 @@ identifies every function of degree <= 2 up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
@@ -42,17 +41,18 @@ from .symfun import (
 RationalLike = Fraction | int | str
 
 
-@dataclass(frozen=True)
-class PolyV:
+class PolyV(NamedTuple("PolyV", [("coeffs", tuple[Fraction, ...])])):
     """Weight profile in the binomial basis: coeffs = (c_0, ..., c_d)."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __new__(cls, coeffs: tuple[RationalLike, ...]) -> PolyV:
+        if not coeffs:
             raise ValueError("need at least the constant coefficient c_0")
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
-            object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        if not all(isinstance(c, Fraction) for c in coeffs):
+            coeffs = tuple(Fraction(c) for c in coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -62,8 +62,7 @@ class PolyV:
         return ", ".join(f"c{k}={c}" for k, c in enumerate(self.coeffs))
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Verdict of a degree-d fit, with a witness profile when feasible."""
 
     feasible: bool
@@ -79,8 +78,7 @@ class FamilyKind(Enum):
     F4 = "F4"
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(NamedTuple):
     """Catalogue match: which low-degree family, with which parameter, under
     which orbit transform."""
 

@@ -8,7 +8,7 @@ matrices over the flattened basis and checked for column orthonormality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,27 +19,26 @@ PRUNE_TOL = 1e-12  # measurement outcomes below this are dropped
 OutcomeDistribution = list[tuple[tuple[int, int], float]]
 
 
-@dataclass(frozen=True)
-class QState:
+class QState(NamedTuple("QState", [("n", int), ("m", int), ("amplitudes", np.ndarray)])):
     """Normalized amplitudes over pairs (i, j), flattened as i*m + j.
 
     The amplitude array is copied on construction and marked read-only, so
     states are immutable values.
     """
 
-    n: int
-    m: int
-    amplitudes: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex, copy=True)
-        if amp.shape != (self.dim,):
-            raise ValueError(f"need {self.dim} amplitudes for n={self.n}, m={self.m}")
+    def __new__(cls, n: int, m: int, amplitudes: np.ndarray) -> QState:
+        amp = np.array(amplitudes, dtype=complex, copy=True)
+        dim = (n + 1) * m
+        if amp.shape != (dim,):
+            raise ValueError(f"need {dim} amplitudes for n={n}, m={m}")
         norm = float(np.sum(np.abs(amp) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} drifted beyond {NORM_TOL}")
         amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        return super().__new__(cls, n, m, amp)
 
     @property
     def dim(self) -> int:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 MAX_ENUM_N = 30  # 2^n input enumeration must stay at desk scale
 
@@ -37,8 +36,7 @@ ONE = FnValue.ONE
 UNDEFINED = FnValue.UNDEFINED
 
 
-@dataclass(frozen=True)
-class SymPartialFn:
+class SymPartialFn(NamedTuple("SymPartialFn", [("n", int), ("values", tuple[FnValue, ...])])):
     """A weight-promise problem on n-bit inputs.
 
     ``values[w]`` is the required output on inputs of weight w; entries equal
@@ -46,18 +44,17 @@ class SymPartialFn:
     and safe to share.
     """
 
-    n: int
-    values: tuple[FnValue, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"input length must be >= 1, got n={self.n}")
-        if len(self.values) != self.n + 1:
-            raise ValueError(
-                f"need {self.n + 1} weight entries for n={self.n}, got {len(self.values)}"
-            )
-        if not all(isinstance(v, FnValue) for v in self.values):
+    def __new__(cls, n: int, values: tuple[FnValue, ...]) -> SymPartialFn:
+        if n < 1:
+            raise ValueError(f"input length must be >= 1, got n={n}")
+        if len(values) != n + 1:
+            raise ValueError(f"need {n + 1} weight entries for n={n}, got {len(values)}")
+        if not all(isinstance(v, FnValue) for v in values):
             raise ValueError("vector entries must be FnValue")
+        return super().__new__(cls, n, values)
 
     def __str__(self) -> str:
         return "".join(str(v) for v in self.values)

@@ -14,7 +14,6 @@ Python versions.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import sys
@@ -105,7 +104,7 @@ def _patched(patch: str | None):
         return
     alg, family = PATCHES[patch]
     original = algos.ALGORITHMS[alg]
-    algos.ALGORITHMS[alg] = dataclasses.replace(original, family=family)
+    algos.ALGORITHMS[alg] = original._replace(family=family)
     try:
         yield
     finally:

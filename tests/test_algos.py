@@ -1,6 +1,5 @@
 """Algorithms: branch enumeration, exactness, query budgets, padding routes."""
 
-import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -530,7 +529,7 @@ class TestWeightClassEngine:
 
     def test_wrong_target_fails_both_verifiers(self, monkeypatch):
         info = algos.ALGORITHMS["f1"]
-        wrong = dataclasses.replace(info, family=lambda n: sq.family_f1(n, n // 2 + 1))
+        wrong = info._replace(family=lambda n: sq.family_f1(n, n // 2 + 1))
         monkeypatch.setitem(algos.ALGORITHMS, "f1", wrong)
         for report in (algos.verify_exact("f1", {"n": 7}), algos.simulate_domain("f1", {"n": 7})):
             assert not report.all_exact
@@ -540,7 +539,7 @@ class TestWeightClassEngine:
 
     def test_simulated_failures_stay_one_per_input(self, monkeypatch):
         info = algos.ALGORITHMS["dj"]
-        wrong = dataclasses.replace(info, family=lambda n, k: complement_fn(sq.family_dj(n, k)))
+        wrong = info._replace(family=lambda n, k: complement_fn(sq.family_dj(n, k)))
         monkeypatch.setitem(algos.ALGORITHMS, "dj", wrong)
         report = algos.simulate_domain("dj", {"n": 8, "k": 3})
         assert not report.all_exact

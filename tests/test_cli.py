@@ -1,12 +1,13 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 
 import symquery
-from symquery import algos, family_f1, identities
+from symquery import algos, family_f1, identities, polydeg
 from symquery.cli import main
+from symquery.symfun import ONE, UNDEFINED, ZERO
 
 
 def run_cli(capsys, *argv):
@@ -190,7 +192,7 @@ class TestVerify:
 
     def test_inexact_exit_one(self, capsys, monkeypatch):
         info = algos.ALGORITHMS["f1"]
-        wrong = dataclasses.replace(info, family=lambda n: family_f1(n, n // 2 + 1))
+        wrong = info._replace(family=lambda n: family_f1(n, n // 2 + 1))
         monkeypatch.setitem(algos.ALGORITHMS, "f1", wrong)
         code, out, _ = run_cli(capsys, "verify", "--alg", "f1", "--n", "7")
         assert code == 1
@@ -311,15 +313,100 @@ print("ok")
 """
 
 
+# Counted as the difference from the modules loaded before the import, so
+# whatever site hooks import does not count.
+IMPORT_GRAPH_CHILD = """
+import sys
+before = set(sys.modules)
+import symquery.cli
+added = set(sys.modules) - before
+assert not added & {"dataclasses", "json"}, sorted(added)
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()):
+    assert symquery.cli.main(["families", "--json"]) == 0
+assert "json" in sys.modules
+print("ok")
+"""
+
+SRC = str(Path(symquery.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def run_child(script: str) -> None:
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=CHILD_ENV, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "ok\n"
+
+
 class TestStartup:
     def test_every_command_runs_without_numpy(self):
-        src = str(Path(symquery.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run(
-            [sys.executable, "-c", NO_NUMPY_CHILD], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert child.returncode == 0, child.stderr
-        assert child.stdout == "ok\n"
+        run_child(NO_NUMPY_CHILD)
+
+    def test_import_loads_neither_dataclasses_nor_json(self):
+        run_child(IMPORT_GRAPH_CHILD)
+
+    @pytest.mark.parametrize(
+        "argv", [["families", "--json"], ["verify", "--alg", "dj", "--n", "8", "--k", "1"]], ids=" ".join
+    )
+    def test_closed_stdout_exits_two(self, argv):
+        child = subprocess.Popen([sys.executable, "-m", "symquery.cli", *argv], env=CHILD_ENV,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        child.stdout.close()  # the child is still importing: nothing is written yet
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 2
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+class TestRecords:
+    """Every record is an immutable NamedTuple; the validating ones check and
+    convert on construction."""
+
+    RECORDS = [
+        (symquery.SymPartialFn(2, (ZERO, UNDEFINED, ONE)), "n"),
+        (polydeg.PolyV((1, 2)), "coeffs"),
+        (polydeg.FeasibilityResult(True, polydeg.PolyV((0,))), "feasible"),
+        (polydeg.FamilyTag(polydeg.FamilyKind.F1, 2, "identity"), "kind"),
+        (algos.BranchTrace(("m",), 1.0, 0, 1), "path"),
+        (algos.AlgorithmRun("01", (algos.BranchTrace(("m",), 1.0, 0, 1),)), "x"),
+        (algos.VerificationReport("01", 4, True, 1, ()), "function"),
+        (algos.ALGORITHMS["dj"], "params"),
+    ]
+
+    @pytest.mark.parametrize("record, field", RECORDS, ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+    def test_immutable(self, record, field):
+        getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_polyv_coefficients_become_fractions(self):
+        coeffs = polydeg.PolyV((1, 2)).coeffs
+        assert coeffs == (1, 2) and all(type(c) is Fraction for c in coeffs)
+        assert all(type(c) is Fraction for c in polydeg.PolyV((0,))._replace(coeffs=(1, 2)).coeffs)
+        with pytest.raises(ValueError, match="^need at least the constant coefficient c_0$"):
+            polydeg.PolyV(())
+
+    @pytest.mark.parametrize(
+        "n, values, message",
+        [
+            (0, (ZERO,), "input length must be >= 1, got n=0"),
+            (2, (ZERO, ONE), "need 3 weight entries for n=2, got 2"),
+            (1, (ZERO, "1"), "vector entries must be FnValue"),
+        ],
+    )
+    def test_symfn_validation_messages(self, n, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            symquery.SymPartialFn(n, values)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            symquery.SymPartialFn(2, (ZERO, UNDEFINED, ONE))._replace(n=n, values=values)
+
+    def test_algorithm_run_checks_probabilities(self):
+        with pytest.raises(ValueError, match="branch probabilities sum to 0.5, not 1"):
+            algos.AlgorithmRun("01", (algos.BranchTrace(("m",), 0.5, 0, 1),))
 
 
 ALGS = [*algos.ALGORITHMS, "nope"]

@@ -41,6 +41,12 @@ def test_state_is_immutable():
     s = qsim.basis_state(1, 1, 0, 0)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
+    with pytest.raises(AttributeError):
+        s.amplitudes = np.zeros(2)
+    amp = np.array([1.0, 0.0])
+    s = qsim.QState(1, 1, amp)
+    amp[0] = 0.0
+    assert s.amplitudes[0] == 1.0
 
 
 class TestOracle:

@@ -4,12 +4,15 @@ The matrix with entries C(n-r, k+1+c) for r, c in 0..k has determinant
 
     (-1)^(k(k+5)/2) * prod_{i=k+1}^{2k+1} C(n,i) / prod_{i=1}^{k} C(n,i),
 
-nonzero throughout the range used here.  The determinant side is evaluated
-by Bareiss fraction-free elimination over arbitrary-precision integers,
-after k sweeps of integer row subtractions that leave the Hankel matrix
-C(n-k, r+c+1) with the same determinant and smaller entries (a mean of 235
-bits against 324 at n = 1000, k = 40); the closed form is evaluated
-directly; both are compared exactly.
+nonzero whenever n >= 2k+1.  k sweeps of integer row subtractions take it
+to the Hankel matrix C(N, r+c+1), N = n-k, with the same determinant and
+smaller entries (a mean of 235 bits against 324 at n = 1000, k = 40).  Its
+j x j leading block is the reduced matrix of the instance n' = N+j-1,
+k' = j-1, where n' - 2k' - 1 = N - j >= 0 as N >= k+1 >= j, so every
+leading minor is that instance's nonzero closed form.  A symmetric
+fraction-free elimination therefore meets no zero pivot and needs no row
+swap.  The closed form is evaluated directly; both sides are compared
+exactly.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ def helper_identity(p: int, l: int) -> bool:
 
 # Largest n and k the determinant side accepts.  Elimination cost grows
 # steeply with k: on the Pascal-reduced matrix the corner instance
-# (1000, 40) takes 0.3 s on a 2-core x86 VM, (1000, 50) 1.3 s and
-# (1000, 60) 4.2 s.
+# (1000, 40) takes 0.16 s on a 2-core x86 VM, (1000, 50) 0.56 s and
+# (1000, 60) 1.6 s.
 MAX_DET_N = 1000
 MAX_DET_K = 40
 
@@ -55,26 +58,21 @@ def binom_matrix(n: int, k: int) -> list[list[int]]:
 
 
 def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant; all intermediate divisions are exact."""
+    """Fraction-free determinant of a symmetric matrix; every division is
+    exact.  After step p, entry (r, c) is the minor on rows {0..p, r} and
+    columns {0..p, c}, symmetric in r and c, so row r updates only row[r:]
+    and reads m[r][p] as m[p][r].  The pivots are the leading minors; a zero
+    one before the last step raises RuntimeError (no pivot search)."""
     m = [row[:] for row in matrix]
-    size = len(m)
-    sign = 1
     prev = 1
-    for p in range(size - 1):
-        if m[p][p] == 0:
-            for r in range(p + 1, size):
-                if m[r][p] != 0:
-                    m[p], m[r] = m[r], m[p]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(p + 1, size):
-            for c in range(p + 1, size):
-                m[r][c] = (m[r][c] * m[p][p] - m[r][p] * m[p][c]) // prev
-            m[r][p] = 0
-        prev = m[p][p]
-    return sign * m[size - 1][size - 1]
+    for p in range(len(m) - 1):
+        prow, piv = m[p], m[p][p]
+        if piv == 0:
+            raise RuntimeError(f"zero leading minor of order {p + 1}")
+        for r, f in enumerate(prow[p + 1 :], p + 1):
+            m[r][r:] = [(x * piv - f * y) // prev for x, y in zip(m[r][r:], prow[r:])]
+        prev = piv
+    return m[-1][-1]
 
 
 def _pascal_reduce(matrix: list[list[int]]) -> list[list[int]]:

@@ -287,7 +287,8 @@ def _reduce(f: SymPartialFn, eps: Fraction, top: int) -> _Reduction:
     a_i·cols[k][i] and, in b, -sum_i a_i·b[i], so q·D·(a·c) = sum over free
     k of cols[k][row]·c_k - b[row]."""
     p, q = eps.numerator, eps.denominator
-    bounds = [{ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}[v] for v in f.values]
+    bound_of = {ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}
+    bounds = [bound_of[v] for v in f.values]
     pinned = [w for w, (lo, hi) in enumerate(bounds) if lo == hi]  # only at p = 0, so q = 1
     boxed = [w for w, (lo, hi) in enumerate(bounds) if lo != hi]
     cols = [[comb(w, k) for w in pinned] + [q * comb(w, k) for w in boxed] for k in range(top + 1)]

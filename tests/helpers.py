@@ -116,6 +116,32 @@ def full_tableau_feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[li
     return t, D
 
 
+def pivoting_bareiss_det(matrix: list[list[int]]) -> int:
+    """Reference for identities._bareiss_det, for any square matrix: the
+    general Bareiss elimination, updating each whole trailing block, with a
+    row-swap search on a zero pivot.  Fraction-free determinant; all
+    intermediate divisions are exact."""
+    m = [row[:] for row in matrix]
+    size = len(m)
+    sign = 1
+    prev = 1
+    for p in range(size - 1):
+        if m[p][p] == 0:
+            for r in range(p + 1, size):
+                if m[r][p] != 0:
+                    m[p], m[r] = m[r], m[p]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(p + 1, size):
+            for c in range(p + 1, size):
+                m[r][c] = (m[r][c] * m[p][p] - m[r][p] * m[p][c]) // prev
+            m[r][p] = 0
+        prev = m[p][p]
+    return sign * m[size - 1][size - 1]
+
+
 def set_rule_d_complexity(f: SymPartialFn) -> int:
     """Reference for classical.d_complexity: the same minimax over count
     pairs, deciding "one value left in [a, n-b]" from the set of values of

@@ -2,10 +2,28 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import symquery as sq
+from helpers import pivoting_bareiss_det
 from symquery.identities import _bareiss_det, _pascal_reduce, binom_matrix, comb_ext
+
+
+def leading_minors(m: list[list[int]]) -> list[int]:
+    """Determinants of the j x j leading blocks, j = 1..size, by the reference."""
+    return [pivoting_bareiss_det([row[:j] for row in m[:j]]) for j in range(1, len(m) + 1)]
+
+
+@st.composite
+def symmetric_matrices(draw, max_size: int = 8, bound: int = 50) -> list[list[int]]:
+    size = draw(st.integers(1, max_size))
+    m = [[0] * size for _ in range(size)]
+    for r in range(size):
+        for c in range(r, size):
+            m[r][c] = m[c][r] = draw(st.integers(-bound, bound))
+    return m
 
 
 class TestHelperIdentity:
@@ -66,13 +84,37 @@ class TestDeterminant:
     def test_reduction_keeps_the_determinant(self):
         for k in range(1, 7):
             for n in range(2 * k + 2, 31):
-                assert sq.binom_det(n, k) == _bareiss_det(binom_matrix(n, k)), (n, k)
+                assert sq.binom_det(n, k) == pivoting_bareiss_det(binom_matrix(n, k)), (n, k)
+
+    def test_leading_minors_are_smaller_closed_forms(self):
+        # why the kernel needs no pivot search: the j x j leading block of the
+        # reduced matrix is the reduced matrix of (n-k+j-1, j-1)
+        for k in range(9):
+            for n in range(2 * k + 1, 41):
+                closed = [sq.binom_det_closed(n - k + j - 1, j - 1) for j in range(1, k + 2)]
+                assert leading_minors(_pascal_reduce(binom_matrix(n, k))) == closed, (n, k)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             sq.binom_det(4, 2)  # n < 2k+1
         with pytest.raises(ValueError):
             sq.binom_det(4, -1)
+
+
+class TestSymmetricKernel:
+    @given(symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_or_raises(self, m):
+        if all(leading_minors(m)[:-1]):
+            assert _bareiss_det(m) == pivoting_bareiss_det(m)
+        else:
+            with pytest.raises(RuntimeError):
+                _bareiss_det(m)
+
+    def test_zero_pivot_raises_not_zero(self):
+        assert pivoting_bareiss_det([[0, 1], [1, 0]]) == -1
+        with pytest.raises(RuntimeError):
+            _bareiss_det([[0, 1], [1, 0]])
 
 
 class TestBareissAgainstCofactors:

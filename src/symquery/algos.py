@@ -1,9 +1,5 @@
-"""Exact query algorithms: explicit branch enumeration and weight-class
-verification.
-
-Each algorithm returns an AlgorithmRun listing every measurement branch of
-one input's execution, together with the branch's probability, final output
-and oracle-query count.
+"""Exact query algorithms: one plan per algorithm, walked per input to list
+its branches and per weight class to verify it.
 
 Two one-query subroutines power everything:
 
@@ -15,20 +11,26 @@ Two one-query subroutines power everything:
   0-position at weight 3n/4.
 
 Both come with closed-form outcome laws in exact rationals, per input and
-per weight; the runners list branches from the per-input laws, as floats.
-Every algorithm reads explicit bits and calls these subroutines, so its law
-of (output, queries used) depends only on the weight of the input and, where
-it reads x_1 first, on x_1.  Each registry entry gives that law per class,
-in Fractions, with the number of branches behind each (output, queries)
-pair.  ``verify_exact`` certifies the whole domain from these laws, once per
-weight class, in time polynomial in n; ``run`` reads the same law's branch
+per weight.  Each registry entry describes its algorithm once, as a plan: a
+small tree of pair tests on the bits padded with zeros, searches on the bits
+padded with zeros then ones (which may read the reported bit), and a first
+read of x_1 (which may complement the rest), whose leaves are an output bit
+or the subroutine's outcome itself.  The plan is walked two ways.  Per
+input, it lists every measurement branch of one execution (an
+AlgorithmRun) with its path, probability (from the per-input laws, as
+floats), output and query count.  Per weight class, it gives the exact law
+of (output, queries used) in Fractions, with the number of branches behind
+each pair: the plan reads explicit bits and calls the subroutines, so the
+law depends only on the weight of the input and, where the plan reads x_1
+first, on x_1.  ``verify_exact`` certifies the whole domain from these laws,
+once per class, in time polynomial in n; ``run`` reads the same law's branch
 count to refuse an input before listing its branches.  ``simulate_domain``
 is the exponential reference that replays every promised input through the
-runners, and tests check that the two agree.  The bare subroutines are
-checked against output contracts that name the outcomes allowed at each
-weight, as a decision algorithm's promise names its answer.  The dense
-circuits (``xquery_state``, ``grover1_state``, on ``qsim`` and numpy) serve
-only the tests, as the closed forms' reference.
+per-input walk, and tests check that the two walks agree.  The bare
+subroutines are checked against output contracts that name the outcomes
+allowed at each weight, as a decision algorithm's promise names its answer.
+The dense circuits (``xquery_state``, ``grover1_state``, on ``qsim`` and
+numpy) serve only the tests, as the closed forms' reference.
 """
 
 from __future__ import annotations
@@ -286,8 +288,49 @@ def grover1_weight_law(t: int, n: int) -> tuple[Mass, Mass]:
 
 
 # ---------------------------------------------------------------------------
-# Algorithms
+# Plans: every algorithm instance, described once
 # ---------------------------------------------------------------------------
+
+# A plan is a tree of steps.  A leaf is an output bit, or OUTCOME: the bare
+# subroutines output the outcome they measure.  A node is one of the tuples
+# below.  Of a Pair's or a Search's children only the second (after a
+# differing pair, or a 0 read) may be a node, so below a ReadFirst root a
+# plan is a chain.
+OUTCOME = None
+
+
+class Pair(NamedTuple):
+    """The pair test on the bits padded with zeros to `length`.  The leaf
+    `flat` follows the outcome (0,0); `pair` follows a differing pair and
+    runs on the padded bits without it."""
+
+    length: int
+    flat: Step
+    pair: Step
+
+
+class Search(NamedTuple):
+    """One search on the bits padded with zeros, then `ones` ones, to
+    `length`.  Unless its leaves are OUTCOME it reads the reported position
+    (a second query), and the leaf `one` or the step `zero` follows on the
+    unpadded bits."""
+
+    length: int
+    ones: int
+    one: Step
+    zero: Step
+
+
+class ReadFirst(NamedTuple):
+    """Read x_1; `one` or `zero` follows on x_2..x_n, complemented when
+    x_1 = 1 and `complement` is set.  Only a plan's root reads x_1."""
+
+    one: Step
+    zero: Step
+    complement: bool = False
+
+
+Step = int | None | Pair | Search | ReadFirst
 
 
 def _check_dj(n: int, k: int) -> None:
@@ -295,11 +338,6 @@ def _check_dj(n: int, k: int) -> None:
         raise ValueError(f"dj needs even n >= 2, got n={n}")
     if not 0 <= k < n // 2:
         raise ValueError(f"dj needs 0 <= k < n/2, got k={k}")
-
-
-def _check_dhw(n: int, k: int) -> None:
-    if not (n + 1) // 2 <= k <= n:
-        raise ValueError(f"dhw needs ceil(n/2) <= k <= n, got k={k} with n={n}")
 
 
 def _check_odd(alg: str, n: int, least: int) -> None:
@@ -312,132 +350,73 @@ def _check_quarter(alg: str, n: int) -> None:
         raise ValueError(f"{alg} needs n divisible by 4, got n={n}")
 
 
-def _check_f2(n: int, k: int) -> None:
-    if not 0 < k < n or 4 * k < n:
-        raise ValueError(f"f2 needs n/4 <= k < n with k >= 1, got k={k}, n={n}")
-
-
-def xquery(m: int, x: str) -> AlgorithmRun:
+def _xquery_plan(m: int) -> Step:
     """One query on m bits; outputs (0,0) only off balance, otherwise a
     differing index pair."""
-    _check_bits(x, m)
-    branches = tuple(
-        BranchTrace((f"xq:{i},{j}",), p, (i, j), 1) for (i, j), p in xquery_outcomes(x)
-    )
-    return AlgorithmRun(x, branches)
+    return Pair(m, OUTCOME, OUTCOME)
 
 
-def dj(n: int, k: int, x: str) -> AlgorithmRun:
+def _dj_plan(n: int, k: int) -> Step:
     """Balanced-weight detection with at most k+1 queries (n even, k < n/2).
 
     Rounds of the pair test: the flat outcome settles the answer with 0, a
-    pair removes the two differing positions and the loop continues; a pair
-    in the final round settles 1.  Inputs off the promise are run as-is and
-    may produce either output.
+    pair removes the two differing positions and the next round runs on the
+    rest; a pair in the final round settles 1.  Inputs off the promise are
+    run as-is and may produce either output.
     """
     _check_dj(n, k)
-    _check_bits(x, n)
-    branches: list[BranchTrace] = []
-
-    def explore(cur: str, path: tuple[str, ...], prob: float, used: int) -> None:
-        last_round = used == k
-        for (i, j), p in xquery_outcomes(cur):
-            step = path + (f"xq:{i},{j}",)
-            if (i, j) == (0, 0):
-                branches.append(BranchTrace(step, prob * p, 0, used + 1))
-            elif last_round:
-                branches.append(BranchTrace(step, prob * p, 1, used + 1))
-            else:
-                rest = cur[: i - 1] + cur[i : j - 1] + cur[j:]
-                explore(rest, step, prob * p, used + 1)
-
-    explore(x, (), 1.0, 0)
-    return AlgorithmRun(x, tuple(branches))
+    plan: Step = 1
+    for r in range(k, -1, -1):
+        plan = Pair(n - 2 * r, 0, plan)
+    return plan
 
 
-def dhw(n: int, k: int, x: str) -> AlgorithmRun:
+def _dhw_plan(n: int, k: int) -> Step:
     """Distinguish weight 0 from weight k >= ceil(n/2) with a single query,
     padding 2k-n zeros so weight k becomes balanced."""
-    _check_dhw(n, k)
-    _check_bits(x, n)
-    padded = x + "0" * (2 * k - n)
-    branches = tuple(
-        BranchTrace((f"xq:{i},{j}",), p, 0 if (i, j) == (0, 0) else 1, 1)
-        for (i, j), p in xquery_outcomes(padded)
-    )
-    return AlgorithmRun(x, branches)
+    if not (n + 1) // 2 <= k <= n:
+        raise ValueError(f"dhw needs ceil(n/2) <= k <= n, got k={k} with n={n}")
+    return Pair(2 * k, 0, 1)
 
 
-def _with_prefix(x: str, step: str, sub: AlgorithmRun) -> AlgorithmRun:
-    """sub's branches behind one classical query, recorded as step."""
-    branches = tuple(
-        BranchTrace((step,) + b.path, b.probability, b.output, b.queries_used + 1)
-        for b in sub.branches
-    )
-    return AlgorithmRun(x, branches)
-
-
-def f1(n: int, x: str) -> AlgorithmRun:
+def _f1_plan(n: int) -> Step:
     """Two queries for the odd-n promise {0, floor(n/2)}: read x_1; a one
     settles 1, otherwise run the one-query weight test on the rest."""
     _check_odd("f1", n, 3)
-    _check_bits(x, n)
-    if x[0] == "1":
-        return AlgorithmRun(x, (BranchTrace(("x1=1",), 1.0, 1, 1),))
-    return _with_prefix(x, "x1=0", dhw(n - 1, n // 2, x[1:]))
+    return ReadFirst(1, _dhw_plan(n - 1, n // 2))
 
 
-def f3(n: int, x: str) -> AlgorithmRun:
+def _f3_plan(n: int) -> Step:
     """Two queries for the odd-n promise {0, n, ceil(n/2)}: read x_1, then
     run balanced detection (x_1 = 1) or the one-query weight test (x_1 = 0)
     on the remaining n-1 bits."""
     _check_odd("f3", n, 3)
-    _check_bits(x, n)
-    rest = x[1:]
-    if x[0] == "1":
-        sub = dj(n - 1, 0, rest)
-    else:
-        sub = dhw(n - 1, (n + 1) // 2, rest)
-    return _with_prefix(x, f"x1={x[0]}", sub)
+    return ReadFirst(_dj_plan(n - 1, 0), _dhw_plan(n - 1, (n + 1) // 2))
 
 
-def grover1(n: int, x: str) -> AlgorithmRun:
+def _grover1_plan(n: int) -> Step:
     """One search iteration; outputs the measured index (1-based)."""
-    _check_bits(x, n)
-    branches = tuple(
-        BranchTrace((f"grover:{i}",), p, i, 1) for i, p in grover_outcomes(x)
-    )
-    return AlgorithmRun(x, branches)
+    return Search(n, 0, OUTCOME, OUTCOME)
 
 
-def dw1(n: int, x: str) -> AlgorithmRun:
+def _dw1_plan(n: int) -> Step:
     """Two queries separating weight n/4 from 3n/4 (n divisible by 4):
     search once, read the reported position, answer its negation."""
     _check_quarter("dw1", n)
-    _check_bits(x, n)
-    branches = tuple(
-        BranchTrace((f"grover:{i}", f"x{i}={x[i-1]}"), p, 1 - int(x[i - 1]), 2)
-        for i, p in grover_outcomes(x)
-    )
-    return AlgorithmRun(x, branches)
+    return Search(n, 0, 0, 1)
 
 
-def dw2(n: int, x: str) -> AlgorithmRun:
+def _dw2_plan(n: int) -> Step:
     """Two queries separating weight 0 from n/4 (n divisible by 4):
     search once, read the reported position, answer the bit itself."""
     _check_quarter("dw2", n)
-    _check_bits(x, n)
-    branches = tuple(
-        BranchTrace((f"grover:{i}", f"x{i}={x[i-1]}"), p, int(x[i - 1]), 2)
-        for i, p in grover_outcomes(x)
-    )
-    return AlgorithmRun(x, branches)
+    return Search(n, 0, 1, 0)
 
 
 def _dw_padding(n: int, k: int, l: int) -> tuple[int, int]:
-    """Padded length and number of padded ones of dw_general's reduction:
-    zeros then ones are appended, and the padded input goes to dw1 when
-    k > 0 and to dw2 when k = 0."""
+    """Padded length and number of padded ones of the dw reduction: zeros
+    then ones are appended, reaching dw1's instance when k > 0 and dw2's
+    when k = 0."""
     if not 0 <= k < l <= n:
         raise ValueError(f"need 0 <= k < l <= n, got k={k}, l={l}, n={n}")
     if k > 0 and 3 * k < n and 3 * l >= 2 * n + k and l >= 3 * k and (l - k) % 2 == 0:
@@ -447,7 +426,7 @@ def _dw_padding(n: int, k: int, l: int) -> tuple[int, int]:
     raise UnsupportedParameters(f"no two-query padding reduction for n={n}, k={k}, l={l}")
 
 
-def dw_general(n: int, k: int, l: int, x: str) -> AlgorithmRun:
+def _dw_plan(n: int, k: int, l: int) -> Step:
     """Two-query weight discrimination k-vs-l via padding, where a reduction
     exists.
 
@@ -457,12 +436,10 @@ def dw_general(n: int, k: int, l: int, x: str) -> AlgorithmRun:
     4l - n zeros).  Raises UnsupportedParameters otherwise.
     """
     length, ones = _dw_padding(n, k, l)
-    _check_bits(x, n)
-    padded = x + "0" * (length - n - ones) + "1" * ones
-    return AlgorithmRun(x, (dw1 if k else dw2)(length, padded).branches)
+    return (_dw1_plan if k else _dw2_plan)(length)._replace(ones=ones)
 
 
-def f2(n: int, k: int, x: str) -> AlgorithmRun:
+def _f2_plan(n: int, k: int) -> Step:
     """At most four queries for the promise {0, k, k+1} with n/4 <= k < n.
 
     Two probe rounds over zero-padded copies: search on 4k bits and read the
@@ -471,46 +448,66 @@ def f2(n: int, k: int, x: str) -> AlgorithmRun:
     k+1, all zeros at weight 0).  Padded positions read as constant 0 and
     still cost a query.
     """
-    _check_f2(n, k)
-    _check_bits(x, n)
-    first_pad = x + "0" * (4 * k - n)
-    branches: list[BranchTrace] = []
-    second: tuple[tuple[tuple[int, float], ...], str] | None = None
-    for i, p in grover_outcomes(first_pad):
-        bit = first_pad[i - 1]
-        probe = (f"grover:{i}", f"x{i}={bit}")
-        if bit == "1":
-            branches.append(BranchTrace(probe, p, 1, 2))
-            continue
-        if second is None:
-            second_pad = x + "0" * (4 * (k + 1) - n)
-            second = grover_outcomes(second_pad), second_pad
-        outcomes2, second_pad = second
-        for i2, p2 in outcomes2:
-            bit2 = second_pad[i2 - 1]
-            branches.append(
-                BranchTrace(
-                    probe + (f"grover:{i2}", f"x{i2}={bit2}"), p * p2, int(bit2), 4
-                )
-            )
-    return AlgorithmRun(x, tuple(branches))
+    if not 0 < k < n or 4 * k < n:
+        raise ValueError(f"f2 needs n/4 <= k < n with k >= 1, got k={k}, n={n}")
+    return Search(4 * k, 0, 1, Search(4 * (k + 1), 0, 1, 0))
 
 
-def f4(n: int, x: str) -> AlgorithmRun:
+def _f4_plan(n: int) -> Step:
     """At most five queries for the odd-n promise {0, n, floor(n/2),
     ceil(n/2)}: read x_1, then solve the two-adjacent-weights problem on the
     rest (complemented when x_1 = 1)."""
     _check_odd("f4", n, 5)
-    _check_bits(x, n)
-    rest = x[1:]
-    if x[0] == "1":
-        rest = "".join("1" if c == "0" else "0" for c in rest)
-    return _with_prefix(x, f"x1={x[0]}", f2(n - 1, n // 2, rest))
+    rest = _f2_plan(n - 1, n // 2)
+    return ReadFirst(rest, rest, complement=True)
 
 
 # ---------------------------------------------------------------------------
-# Weight-class laws
+# The two walks of a plan: per input, and per weight class
 # ---------------------------------------------------------------------------
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _flip(x: str) -> str:
+    return x.translate(_FLIP)
+
+
+def _branches(step: Step, x: str, path: tuple[str, ...], prob: float, used: int, out: list[BranchTrace]) -> None:
+    """Append to `out` every branch of `step` on the bits x, reached along
+    `path` with probability `prob` after `used` queries."""
+    if not isinstance(step, tuple):
+        out.append(BranchTrace(path, prob, step, used))
+    elif type(step) is ReadFirst:
+        one = x[0] == "1"
+        rest = _flip(x[1:]) if one and step.complement else x[1:]
+        _branches(step.one if one else step.zero, rest, path + (f"x1={x[0]}",), prob, used + 1, out)
+    elif type(step) is Pair:
+        bits = x + "0" * (step.length - len(x))
+        for (i, j), p in xquery_outcomes(bits):
+            nxt = step.flat if (i, j) == (0, 0) else step.pair
+            here = path + (f"xq:{i},{j}",)
+            if isinstance(nxt, tuple):
+                _branches(nxt, bits[: i - 1] + bits[i : j - 1] + bits[j:], here, prob * p, used + 1, out)
+            else:
+                out.append(BranchTrace(here, prob * p, (i, j) if nxt is OUTCOME else nxt, used + 1))
+    else:
+        bits = x + "0" * (step.length - len(x) - step.ones) + "1" * step.ones
+        for i, p in grover_outcomes(bits):
+            if step.one is OUTCOME:
+                out.append(BranchTrace(path + (f"grover:{i}",), prob * p, i, used + 1))
+                continue
+            bit = bits[i - 1]
+            nxt = step.one if bit == "1" else step.zero
+            _branches(nxt, x, path + (f"grover:{i}", f"x{i}={bit}"), prob * p, used + 2, out)
+
+
+def _run(plan: Step, x: str) -> AlgorithmRun:
+    out: list[BranchTrace] = []
+    _branches(plan, x, (), 1.0, 0, out)
+    return AlgorithmRun(x, tuple(out))
+
 
 # (output, queries used) -> the mass of the branches that end so, on every
 # input of one class; zero-probability branches are left out.  Steps run in
@@ -518,75 +515,34 @@ def f4(n: int, x: str) -> AlgorithmRun:
 Law = dict[tuple[object, int], Mass]
 
 
-def _law(*branches: tuple[tuple[object, int], Mass]) -> Law:
-    return {key: mass for key, mass in branches if mass[0]}
-
-
-def _then(queries: int, law: Law) -> Law:
-    """The law of a step run after `queries` queries already spent."""
-    return {(out, used + queries): mass for (out, used), mass in law.items()}
-
-
-def _dj_law(n: int, k: int, t: int) -> Law:
-    """dj's rounds on weight t: the flat outcome ends with 0; a differing
-    pair removes one 1 and one 0, and in round k+1 ends with 1."""
-    _check_dj(n, k)
+def _law(step: Step, t: int, used: int) -> Law:
+    """The law of `step` on every input of weight t, after `used` queries,
+    in one pass down its chain.  A bare subroutine's outcomes are named in
+    its contract's terms."""
+    if not isinstance(step, tuple):
+        return {(step, used): (Fraction(1), 1)}
     law: Law = {}
-    reach, paths = Fraction(1), 1
-    for used in range(1, k + 2):
-        (flat, _), (pair, pairs) = xquery_weight_law(t, n)
-        if flat:
-            law[0, used] = reach * flat, paths
-        reach, paths = reach * pair, paths * pairs
-        if not reach:
+    reach, paths = None, 1  # the chain's mass so far; None while it is certain
+    while True:
+        if type(step) is Pair:
+            used += 1
+            (p0, c0), (p1, c1) = xquery_weight_law(t, step.length)
+            leaf, nxt, terms = step.flat, step.pair, ("flat", "differing pair")
+            t -= 1
+        else:
+            used += 1 if step.one is OUTCOME else 2
+            (p0, c0), (p1, c1) = grover1_weight_law(t + step.ones, step.length)
+            leaf, nxt, terms = step.one, step.zero, ("1-position", "0-position")
+        if p0:
+            law[terms[0] if leaf is OUTCOME else leaf, used] = (p0, c0) if reach is None else (reach * p0, paths * c0)
+        if not p1:
             return law
-        t, n = t - 1, n - 2
-    law[1, k + 1] = reach, paths
-    return law
-
-
-def _dhw_law(n: int, k: int, t: int) -> Law:
-    _check_dhw(n, k)
-    flat, pair = xquery_weight_law(t, 2 * k)
-    return _law(((0, 1), flat), ((1, 1), pair))
-
-
-def _dw1_law(n: int, t: int) -> Law:
-    _check_quarter("dw1", n)
-    on_ones, on_zeros = grover1_weight_law(t, n)
-    return _law(((0, 2), on_ones), ((1, 2), on_zeros))
-
-
-def _dw2_law(n: int, t: int) -> Law:
-    _check_quarter("dw2", n)
-    on_ones, on_zeros = grover1_weight_law(t, n)
-    return _law(((1, 2), on_ones), ((0, 2), on_zeros))
-
-
-def _dw_law(n: int, k: int, l: int, t: int) -> Law:
-    length, ones = _dw_padding(n, k, l)
-    return _dw1_law(length, t + ones) if k else _dw2_law(length, t)
-
-
-def _f2_law(n: int, k: int, t: int) -> Law:
-    """A 1-position found by the first search settles 1 after 2 queries;
-    otherwise the bit at the second search's position is the answer."""
-    _check_f2(n, k)
-    on_ones, (p0, c0) = grover1_weight_law(t, 4 * k)
-    (p1, c1), (p2, c2) = grover1_weight_law(t, 4 * (k + 1))
-    return _law(((1, 2), on_ones), ((1, 4), (p0 * p1, c0 * c1)), ((0, 4), (p0 * p2, c0 * c2)))
-
-
-def _xquery_law(m: int, t: int) -> Law:
-    """The pair test in its contract's terms."""
-    flat, pair = xquery_weight_law(t, m)
-    return _law((("flat", 1), flat), (("differing pair", 1), pair))
-
-
-def _grover1_law(n: int, t: int) -> Law:
-    """The search in its contract's terms."""
-    on_ones, on_zeros = grover1_weight_law(t, n)
-    return _law((("1-position", 1), on_ones), (("0-position", 1), on_zeros))
+        if reach is not None:
+            p1, c1 = reach * p1, paths * c1
+        if not isinstance(nxt, tuple):
+            law[terms[1] if nxt is OUTCOME else nxt, used] = p1, c1
+            return law
+        step, reach, paths = nxt, p1, c1
 
 
 # Per-class laws of one algorithm at input weight t: a list of (prefix, law),
@@ -594,37 +550,19 @@ def _grover1_law(n: int, t: int) -> Law:
 Classes = list[tuple[str, Law]]
 
 
-def _whole(law: Callable[..., Law]) -> Callable[..., Classes]:
-    """Classes of an algorithm that reads no bit before its first
-    subroutine call: the whole weight class."""
-    return lambda *args: [("", law(*args))]
-
-
-def _split(n: int, t: int, one: Callable[[int], Law], zero: Callable[[int], Law]) -> Classes:
-    """The subclasses x_1 = 1 and x_1 = 0 of weight t, whose laws `one` and
-    `zero` take the weight of x_2..x_n; reading x_1 costs a query.  A
-    subclass with no inputs is skipped."""
+def _classes(plan: Step, n: int, t: int) -> Classes:
+    """The whole weight class t, or, when the plan reads x_1 first, its
+    subclasses x_1 = 1 and x_1 = 0, each law taking the weight of what its
+    side runs on; reading x_1 costs a query.  A subclass with no inputs is
+    skipped."""
+    if type(plan) is not ReadFirst:
+        return [("", _law(plan, t, 0))]
     classes: Classes = []
     if t > 0:
-        classes.append(("1", _then(1, one(t - 1))))
+        classes.append(("1", _law(plan.one, n - t if plan.complement else t - 1, 1)))
     if t < n:
-        classes.append(("0", _then(1, zero(t))))
+        classes.append(("0", _law(plan.zero, t, 1)))
     return classes
-
-
-def _f1_classes(n: int, t: int) -> Classes:
-    _check_odd("f1", n, 3)
-    return _split(n, t, lambda r: {(1, 0): (Fraction(1), 1)}, lambda r: _dhw_law(n - 1, n // 2, r))
-
-
-def _f3_classes(n: int, t: int) -> Classes:
-    _check_odd("f3", n, 3)
-    return _split(n, t, lambda r: _dj_law(n - 1, 0, r), lambda r: _dhw_law(n - 1, (n + 1) // 2, r))
-
-
-def _f4_classes(n: int, t: int) -> Classes:
-    _check_odd("f4", n, 5)
-    return _split(n, t, lambda r: _f2_law(n - 1, n // 2, n - 1 - r), lambda r: _f2_law(n - 1, n // 2, r))
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +608,8 @@ def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
     n = params["n"]
     if n > MAX_VERIFY_N:
         raise ValueError(f"run is capped at n={MAX_VERIFY_N}, got n={n}")
-    classes = entry.classes(*args, x.count("1"))  # checks the parameters first, as the runners do
+    plan = entry.plan(*args)
+    classes = _classes(plan, n, x.count("1"))
     _check_bits(x, n)
     (law,) = [law for prefix, law in classes if x.startswith(prefix)]
     if sum(count for _, count in law.values()) > MAX_RUN_BRANCHES:
@@ -678,7 +617,7 @@ def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
             f"run is capped at {MAX_RUN_BRANCHES} branches, and {alg} may list more "
             f"on an input of weight {x.count('1')}; verify checks the whole domain instead"
         )
-    return entry.runner(*args, x)
+    return _run(plan, x)
 
 
 def _complement_input(transform: str) -> bool:
@@ -686,53 +625,11 @@ def _complement_input(transform: str) -> bool:
 
 
 def _premap_input(x: str, transform: str) -> str:
-    if _complement_input(transform):
-        return "".join("1" if c == "0" else "0" for c in x)
-    return x
+    return _flip(x) if _complement_input(transform) else x
 
 
 def _negate_output(transform: str) -> bool:
     return transform in ("complement", "reverse_complement")
-
-
-def _check_request(
-    alg: str, params: Mapping[str, int], f: SymPartialFn | None, transform: str
-) -> tuple[Algorithm, list[int], SymPartialFn | None]:
-    """The registry entry, its parameter values and, for a decision
-    algorithm, the function it is checked against.  A subroutine is checked
-    against its output contract, which takes no f and no transform."""
-    if transform not in TRANSFORMS:
-        raise ValueError(f"unknown transform {transform!r}")
-    entry, args = _lookup(alg, params)
-    n = params["n"]
-    if n > MAX_VERIFY_N:
-        raise ValueError(f"verification is capped at n={MAX_VERIFY_N}, got n={n}")
-    if entry.family is not None:
-        return entry, args, _target(alg, params, f, transform)
-    if n < 1:
-        raise ValueError(f"{alg} contract needs n >= 1, got n={n}")
-    if f is not None or transform != "identity":
-        raise ValueError(f"{alg} is checked against its output contract, which takes no f and no transform")
-    return entry, args, None
-
-
-def _target(
-    alg: str, params: Mapping[str, int], f: SymPartialFn | None, transform: str
-) -> SymPartialFn:
-    """The function a decision algorithm is checked against under
-    `transform`; a given f must agree with it wherever f is defined."""
-    expected = isomorphs(canonical_function(alg, params))[TRANSFORMS.index(transform)]
-    if f is None:
-        return expected
-    if f.n != expected.n:
-        raise ValueError(f"domain mismatch: function has n={f.n}, algorithm n={expected.n}")
-    for w in f.domain_weights:
-        if f.values[w] is not expected.values[w]:
-            raise ValueError(
-                f"domain mismatch: weight {w} is {f.values[w]} but the "
-                f"algorithm promises {expected.values[w]}"
-            )
-    return f
 
 
 # What an algorithm is checked against: its name, and the outputs allowed at
@@ -740,11 +637,27 @@ def _target(
 Contract = tuple[str, dict[int, frozenset]]
 
 
-def _contract(entry: Algorithm, args: list[int], f: SymPartialFn | None) -> Contract:
-    """f's value at each weight it defines, or a subroutine's contract."""
-    if f is None:
-        return entry.contract(*args)
-    return str(f), {w: frozenset({int(f.values[w] is ONE)}) for w in f.domain_weights}
+def _check_request(
+    alg: str, params: Mapping[str, int], transform: str
+) -> tuple[Algorithm, list[int], SymPartialFn | None, Contract]:
+    """The registry entry, its parameter values, and what it is checked
+    against: for a decision algorithm, its promise under `transform` and
+    that function's value at each weight it defines; for a subroutine, no
+    function and its output contract, which takes no transform."""
+    if transform not in TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}")
+    entry, args = _lookup(alg, params)
+    n = params["n"]
+    if n > MAX_VERIFY_N:
+        raise ValueError(f"verification is capped at n={MAX_VERIFY_N}, got n={n}")
+    if entry.family is not None:
+        f = isomorphs(entry.family(*args))[TRANSFORMS.index(transform)]
+        return entry, args, f, (str(f), {w: frozenset({int(f.values[w] is ONE)}) for w in f.domain_weights})
+    if n < 1:
+        raise ValueError(f"{alg} contract needs n >= 1, got n={n}")
+    if transform != "identity":
+        raise ValueError(f"{alg} is checked against its output contract, which takes no transform")
+    return entry, args, None, entry.contract(*args)
 
 
 def _xquery_contract(m: int) -> Contract:
@@ -766,31 +679,24 @@ def _expected(allowed: frozenset) -> str:
     return " or ".join(sorted(map(str, allowed)))
 
 
-def verify_exact(
-    alg: str,
-    params: Mapping[str, int],
-    f: SymPartialFn | None = None,
-    transform: str = "identity",
-) -> VerificationReport:
+def verify_exact(alg: str, params: Mapping[str, int], transform: str = "identity") -> VerificationReport:
     """Certify an algorithm's exactness on every promised input.
 
-    For decision algorithms the target defaults to the canonical promise
-    function; a caller-supplied f may restrict it to fewer weights but must
-    agree where defined.  ``transform`` runs the algorithm through the orbit
-    wrapper (inputs complemented and/or outputs negated) and verifies it
-    against the correspondingly transformed function.  The bare subroutines
-    xquery and grover1 are verified against their output contracts instead,
-    and refuse f and transform.
+    A decision algorithm is checked against its promise function.
+    ``transform`` runs the algorithm through the orbit wrapper (inputs
+    complemented and/or outputs negated) and verifies it against the
+    correspondingly transformed function.  The bare subroutines xquery and
+    grover1 are verified against their output contracts instead, and refuse
+    a transform.
 
-    No input is simulated: each class of inputs that share a weight (and,
-    where the algorithm reads it first, x_1) is certified by its exact law
-    of (output, queries used), whose probabilities must total exactly 1.
-    A failure names one input of its class.  Instances with n above
-    MAX_VERIFY_N are refused.
+    No input is simulated: the algorithm's plan is walked once per class of
+    inputs that share a weight (and, where the plan reads it first, x_1),
+    giving the class's exact law of (output, queries used), whose
+    probabilities must total exactly 1.  A failure names one input of its
+    class.  Instances with n above MAX_VERIFY_N are refused.
     """
-    entry, args, f = _check_request(alg, params, f, transform)
-    function, allowed = _contract(entry, args, f)
-    return _certify(function, _weight_classes(entry, args, params["n"], allowed, transform))
+    entry, args, _, (function, allowed) = _check_request(alg, params, transform)
+    return _certify(function, _weight_classes(entry.plan(*args), params["n"], allowed, transform))
 
 
 # One certified class: an input it contains, how many inputs it has, the
@@ -803,13 +709,11 @@ def _class_input(n: int, t: int, prefix: str) -> str:
     return prefix + "1" * ones + "0" * (n - len(prefix) - ones)
 
 
-def _weight_classes(
-    entry: Algorithm, args: list[int], n: int, allowed: dict[int, frozenset], transform: str
-) -> Iterator[_Class]:
+def _weight_classes(plan: Step, n: int, allowed: dict[int, frozenset], transform: str) -> Iterator[_Class]:
     negate = _negate_output(transform)
     for w, want in allowed.items():
         t = n - w if _complement_input(transform) else w  # the weight the algorithm sees
-        for prefix, law in entry.classes(*args, t):
+        for prefix, law in _classes(plan, n, t):
             x = _premap_input(_class_input(n, t, prefix), transform)
             count = math.comb(n - len(prefix), t - prefix.count("1"))
             if negate:
@@ -839,11 +743,11 @@ def simulate_domain(
     alg: str, params: Mapping[str, int], transform: str = "identity"
 ) -> VerificationReport:
     """Reference for verify_exact: run every promised input through the
-    algorithm's runner, in floats, and check every branch (a subroutine's
-    named in its contract's terms).  A failing input keeps one failure: its
-    first wrong branch and how many more there are.  Exponential in n."""
-    entry, args, f = _check_request(alg, params, None, transform)
-    function, allowed = _contract(entry, args, f)
+    per-input walk of the algorithm's plan, in floats, and check every
+    branch (a subroutine's named in its contract's terms).  A failing input
+    keeps one failure: its first wrong branch and how many more there are.
+    Exponential in n."""
+    entry, args, f, (function, allowed) = _check_request(alg, params, transform)
     n = params["n"]
     negate = _negate_output(transform)
     if f is None:
@@ -895,24 +799,38 @@ class Algorithm(NamedTuple):
     in the order of `params`."""
 
     params: tuple[str, ...]
-    runner: Callable[..., AlgorithmRun]  # (*params, x) -> every branch on x
+    plan: Callable[..., Step]  # (*params) -> the instance's plan; checks the parameters
     family: Callable[..., SymPartialFn] | None  # the promise; None for a subroutine
     budget: Callable[..., int]  # (*params) -> declared worst-case queries
-    classes: Callable[..., Classes]  # (*params, weight) -> per-class laws
     contract: Callable[..., Contract] | None = None  # a subroutine's (*params) -> output contract
+
+    def runner(self, *args: int | str) -> AlgorithmRun:
+        """(*params, x) -> every branch on x."""
+        *params, x = args
+        plan = self.plan(*params)
+        _check_bits(x, params[0])
+        return _run(plan, x)
+
+    def classes(self, *args: int) -> Classes:
+        """(*params, weight) -> per-class laws."""
+        *params, t = args
+        return _classes(self.plan(*params), params[0], t)
 
 
 # In the order `symquery families` lists them.
 ALGORITHMS: dict[str, Algorithm] = {
-    "xquery": Algorithm(("n",), xquery, None, lambda n: 1, _whole(_xquery_law), _xquery_contract),
-    "dj": Algorithm(("n", "k"), dj, family_dj, lambda n, k: k + 1, _whole(_dj_law)),
-    "dhw": Algorithm(("n", "k"), dhw, family_f1, lambda n, k: 1, _whole(_dhw_law)),
-    "f1": Algorithm(("n",), f1, lambda n: family_f1(n, n // 2), lambda n: 2, _f1_classes),
-    "f3": Algorithm(("n",), f3, lambda n: family_f3(n, (n + 1) // 2), lambda n: 2, _f3_classes),
-    "grover1": Algorithm(("n",), grover1, None, lambda n: 1, _whole(_grover1_law), _grover1_contract),
-    "dw1": Algorithm(("n",), dw1, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda n: 2, _whole(_dw1_law)),
-    "dw2": Algorithm(("n",), dw2, lambda n: family_dw(n, 0, n // 4), lambda n: 2, _whole(_dw2_law)),
-    "dw": Algorithm(("n", "k", "l"), dw_general, family_dw, lambda n, k, l: 2, _whole(_dw_law)),
-    "f2": Algorithm(("n", "k"), f2, family_f2, lambda n, k: 4, _whole(_f2_law)),
-    "f4": Algorithm(("n",), f4, family_f4, lambda n: 5, _f4_classes),
+    "xquery": Algorithm(("n",), _xquery_plan, None, lambda n: 1, _xquery_contract),
+    "dj": Algorithm(("n", "k"), _dj_plan, family_dj, lambda n, k: k + 1),
+    "dhw": Algorithm(("n", "k"), _dhw_plan, family_f1, lambda n, k: 1),
+    "f1": Algorithm(("n",), _f1_plan, lambda n: family_f1(n, n // 2), lambda n: 2),
+    "f3": Algorithm(("n",), _f3_plan, lambda n: family_f3(n, (n + 1) // 2), lambda n: 2),
+    "grover1": Algorithm(("n",), _grover1_plan, None, lambda n: 1, _grover1_contract),
+    "dw1": Algorithm(("n",), _dw1_plan, lambda n: family_dw(n, n // 4, 3 * n // 4), lambda n: 2),
+    "dw2": Algorithm(("n",), _dw2_plan, lambda n: family_dw(n, 0, n // 4), lambda n: 2),
+    "dw": Algorithm(("n", "k", "l"), _dw_plan, family_dw, lambda n, k, l: 2),
+    "f2": Algorithm(("n", "k"), _f2_plan, family_f2, lambda n, k: 4),
+    "f4": Algorithm(("n",), _f4_plan, family_f4, lambda n: 5),
 }
+
+# Each id's runner, (*params, x) -> AlgorithmRun, under its name as a function.
+xquery, dj, dhw, f1, f3, grover1, dw1, dw2, dw_general, f2, f4 = (entry.runner for entry in ALGORITHMS.values())

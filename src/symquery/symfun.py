@@ -14,6 +14,9 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 MAX_ENUM_N = 30  # 2^n input enumeration must stay at desk scale
+# Largest n a family spec may name, the size `verify` and `run` admit; it is
+# checked before the family's n + 1 values are built.
+MAX_FAMILY_N = 1000
 
 
 class FnValue(Enum):
@@ -257,6 +260,8 @@ def from_string(spec: str) -> SymPartialFn:
             args = [int(p) for p in parts]
         except ValueError:
             raise ValueError(f"non-integer parameter in {spec!r}") from None
+        if args and args[0] > MAX_FAMILY_N:
+            raise ValueError(f"family specs are capped at n={MAX_FAMILY_N}, got n={args[0]} in {spec!r}")
         return ctor(*args)
     raise ValueError(
         f"cannot parse function spec {spec!r}: expected a string over 0/1/* "

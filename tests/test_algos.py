@@ -327,16 +327,6 @@ class TestVerifyExact:
         report = algos.verify_exact("f4", {"n": 7})
         assert report.all_exact and report.worst_case_queries <= 5
 
-    def test_restricted_domain_allowed(self):
-        restricted = sq.from_string("0***1****")  # weights {0, 4} of the n=8, k=1 promise
-        report = algos.verify_exact("dj", {"n": 8, "k": 1}, f=restricted)
-        assert report.all_exact
-        assert report.inputs_checked == sq.domain_size(restricted)
-
-    def test_domain_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="domain mismatch"):
-            algos.verify_exact("dj", {"n": 8, "k": 1}, f=sq.from_string("PARITY:8"))
-
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             algos.verify_exact("nope", {"n": 4})
@@ -579,9 +569,7 @@ class TestWeightClassEngine:
 
     @pytest.mark.parametrize("alg,n", [("xquery", 6), ("grover1", 8)])
     def test_contract_refuses_f_and_transform(self, alg, n):
-        with pytest.raises(ValueError, match="takes no f and no transform"):
-            algos.verify_exact(alg, {"n": n}, f=sq.from_string(f"PARITY:{n}"))
         for t in TRANSFORMS[1:]:
             for check in (algos.verify_exact, algos.simulate_domain):
-                with pytest.raises(ValueError, match="takes no f and no transform"):
+                with pytest.raises(ValueError, match="takes no transform"):
                     check(alg, {"n": n}, transform=t)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import symquery
-from symquery import algos, family_f1, identities, polydeg
+from symquery import algos, family_f1, identities, polydeg, symfun
 from symquery.cli import main
 from symquery.symfun import ONE, UNDEFINED, ZERO
 
@@ -240,6 +240,24 @@ class TestClassicalClassifyDet:
             code, out, err = run_cli(capsys, "det", "--n", str(n), "--k", str(k))
             assert code == 2 and out == ""
             assert err.startswith("error: det is capped at")
+
+    def test_family_cap_refuses_before_building(self, capsys, monkeypatch):
+        cap = symfun.MAX_FAMILY_N
+        # at the cap the vector is built, and classical refuses it by its own cap
+        code, out, err = run_cli(capsys, "classical", "--fn", f"OR:{cap}")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: d_complexity capped at n=30")
+
+        def no_vector(n):
+            raise AssertionError("the vector was built")
+
+        params, _, about = symfun.FAMILIES["OR"]
+        monkeypatch.setitem(symfun.FAMILIES, "OR", (params, no_vector, about))
+        with pytest.raises(AssertionError, match="built"):
+            main(["classical", "--fn", f"OR:{cap}"])
+        code, out, err = run_cli(capsys, "classical", "--fn", f"OR:{cap + 1}")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: family specs are capped at n={cap}, got n={cap + 1}")
 
     def test_families_listing(self, capsys):
         code, out, _ = run_cli(capsys, "families")

@@ -12,9 +12,10 @@ rows.  Both run one column-major fraction-free pivot (Edmonds 1967, Bareiss
 dictionary (Chvátal 1983) that stores no basic column and gains columns
 without a restart.  One search decides a degree and finds the least one,
 upward from a lower bound on one elimination and one dictionary that gains
-a column per degree; its feasible witness and its last Farkas certificate
-are re-checked in integers.  A complete catalogue matcher
-identifies every function of degree <= 2 up to isomorphism.
+a column per degree, or, at eps > 0 for a function fixed by a mirror, on half
+the rows and columns; its feasible witness and last Farkas certificate are
+re-checked in integers on the function's own rows.  A complete catalogue
+matcher identifies every function of degree <= 2 up to isomorphism.
 """
 
 from __future__ import annotations
@@ -187,10 +188,13 @@ class _FeasibleBox:
 
     def add_column(self, a: list[int]) -> None:
         nf, m = self.nf, len(self.rhs)
-        col = [self.D * a[j - 2 * nf] if 2 * nf <= j < 2 * nf + m else 0 for j in self.basis]  # basic slacks: D·e_r
-        for v, slack in zip(a, self.slots[nf:]):
-            if v and slack is not None:
-                col = [x + v * y for x, y in zip(col, slack)]
+        if not self.pivots:  # the initial dictionary: T(slack_i) is e_i, or -e_i on a flipped row
+            col = [v if slack is None else -v for v, slack in zip(a, self.slots[nf:])]
+        else:
+            col = [self.D * a[j - 2 * nf] if 2 * nf <= j < 2 * nf + m else 0 for j in self.basis]  # basic slacks: D·e_r
+            for v, slack in zip(a, self.slots[nf:]):
+                if v and slack is not None:
+                    col = [x + v * y for x, y in zip(col, slack)]
         self.slots.insert(nf, col)
         self.basis = [j + (j >= nf) + (j >= 2 * nf) for j in self.basis]
         self.nf += 1
@@ -378,20 +382,76 @@ def _lower_bound(f: SymPartialFn) -> int:
     return sum(u is not v for u, v in zip(defined, defined[1:]))
 
 
+def _unfold(lam: list[int], n: int, odd: int) -> list[int]:
+    """A half λ on f's box rows: row (w, side) also lands on (n - w, side ^ odd)."""
+    full = lam + [0] * (2 * n + 2 - len(lam))
+    for i, v in enumerate(lam):
+        full[2 * (n - i // 2) + (i % 2 ^ odd)] += v
+    return full
+
+
+def _short_degree(f: SymPartialFn, eps: Fraction, lo: int) -> int | None:
+    """The least degree without the full search, or None: n if the lower
+    bound lo is n (interpolation fits); at eps > 0 and lo > 0, if f is fixed
+    by a mirror, a search on the rows w <= n/2 over fits averaged with their
+    mirror image, of no larger degree (Minsky and Papert 1969): sum_j t_j·s_j,
+    s_j(w) = C(w, j)·C(n-w, j), of degree 2j, if f(n-w) = f(w) (odd = 0), or
+    1/2 + sum_j t_j·(n-2w)·s_j, of degree 2j+1, if f(n-w) = ¬f(w) (odd = 1).
+    lo has that parity (sign changes pair up about n/2).  The last infeasible
+    λ, unfolded, and the witness (c_k = Δᵏp(0)) are checked on f's rows."""
+    n, q = f.n, eps.denominator
+    mirrors = isomorphs(f)[1::2] if eps and 0 < lo < n else []  # reverse, reverse_complement
+    if f not in mirrors:
+        return n if lo == n else None
+    odd, half, red = mirrors.index(f), range(n // 2 + 1), _reduce(f, eps, n)  # pins nothing at eps > 0
+    rhs = red.box_rhs()[: 2 * len(half)]  # (2hi - q, q - 2lo) bound 2q·(p - 1/2) if odd
+
+    def basis(j: int, w: int) -> int:  # s_j(w), times 2(n - 2w) if odd
+        return (2 * (n - 2 * w) if odd else 1) * comb(w, j) * comb(n - w, j)
+
+    box, lam = _FeasibleBox([2 * v + (-q, q)[i % 2] if odd else v for i, v in enumerate(rhs)]), None
+    for j, d in enumerate(range(odd, n + 1, 2)):
+        if d == n:  # after an infeasible run at lo < n: interpolation fits
+            break
+        box.add_column([v for w in half for v in (q * basis(j, w), -q * basis(j, w))])
+        if d < lo:
+            continue
+        solved = box.run()
+        if solved is not None:
+            t, Dt = solved
+            V = [odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)]
+            for k in range(d):  # V[k] becomes Δᵏ V(0)
+                V[k + 1 :] = [b - a for a, b in zip(V[k:], V[k + 1 :])]
+            _witness(red, 0, V, (1 + odd) * Dt)  # re-checked on f: an unsound one raises
+            break
+        lam = box.farkas()
+    else:
+        raise RuntimeError(f"phase-I simplex found no mirrored fit of {f}")
+    if lam is not None and not _is_farkas(_unfold(lam, n, odd), [red.box_column(k) for k in range(d)], red.box_rhs()):
+        raise RuntimeError(f"half simplex produced an unsound infeasibility certificate for {f} at degree {d - 1}")
+    return d
+
+
 def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
     """Least d with a feasible degree-d profile, with lp_feasible(f, eps, d):
     the search of ``degree``, then the search from d for that witness unless
-    the first one's is it (below npin, or with no pivot before its last run)."""
-    red = _reduce(f, _as_eps(eps), f.n)
-    d, result = _search(red, _lower_bound(f))
+    the full search's is it (below npin, or with no pivot before its last run)."""
+    eps, lo = _as_eps(eps), _lower_bound(f)
+    d = _short_degree(f, eps, lo)
+    if d is not None:
+        return d, lp_feasible(f, eps, d)
+    red = _reduce(f, eps, f.n)
+    d, result = _search(red, lo)
     return d, result if result is not None else _search(red, d)[1]
 
 
 def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
-    """Least d with a feasible degree-d profile, by one upward search on the
-    reduction up to n from an exact lower bound, which checks both sides of
-    its answer (see _search)."""
-    return _search(_reduce(f, _as_eps(eps), f.n), _lower_bound(f))[0]
+    """Least d with a feasible degree-d profile, from an exact lower bound: n
+    if it is n, by the half-size search if f is mirrored at eps > 0, else by
+    one search up to n; both check the two sides of their answer."""
+    eps, lo = _as_eps(eps), _lower_bound(f)
+    d = _short_degree(f, eps, lo)
+    return d if d is not None else _search(_reduce(f, eps, f.n), lo)[0]
 
 
 def qe_lower_bound(f: SymPartialFn) -> int:

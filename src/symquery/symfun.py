@@ -14,8 +14,8 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 MAX_ENUM_N = 30  # 2^n input enumeration must stay at desk scale
-# Largest n a family spec may name, the size `verify` and `run` admit; it is
-# checked before the family's n + 1 values are built.
+# Largest n a family or literal spec may name, the size `verify` and `run`
+# admit; it is checked before the n + 1 values are built.
 MAX_FAMILY_N = 1000
 
 
@@ -246,6 +246,8 @@ def from_string(spec: str) -> SymPartialFn:
     """
     s = spec.strip()
     if _LITERAL_RE.fullmatch(s):
+        if len(s) - 1 > MAX_FAMILY_N:
+            raise ValueError(f"literal specs are capped at n={MAX_FAMILY_N}, got n={len(s) - 1}")
         return SymPartialFn(len(s) - 1, tuple(FnValue(ch) for ch in s))
     if ":" in s:
         name, _, argstr = s.partition(":")

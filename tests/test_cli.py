@@ -248,7 +248,7 @@ class TestClassicalClassifyDet:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith("error: d_complexity capped at n=30")
 
-        def no_vector(n):
+        def no_vector(*args):
             raise AssertionError("the vector was built")
 
         params, _, about = symfun.FAMILIES["OR"]
@@ -258,6 +258,13 @@ class TestClassicalClassifyDet:
         code, out, err = run_cli(capsys, "classical", "--fn", f"OR:{cap + 1}")
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: family specs are capped at n={cap}, got n={cap + 1}")
+        # a literal of cap + 1 characters names n = cap, one more is refused
+        monkeypatch.setattr(symfun, "SymPartialFn", no_vector)
+        with pytest.raises(AssertionError, match="built"):
+            main(["classical", "--fn", "01" * (cap // 2) + "0"])
+        code, out, err = run_cli(capsys, "classical", "--fn", "01" * (cap // 2 + 1))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: literal specs are capped at n={cap}, got n={cap + 1}")
 
     def test_families_listing(self, capsys):
         code, out, _ = run_cli(capsys, "families")

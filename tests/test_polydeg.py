@@ -462,15 +462,15 @@ class TestDegree:
 
     @pytest.mark.parametrize("n", [1, 6, 30])
     def test_parity_solves_once(self, monkeypatch, n):
-        # the search starts at its lower bound n, and that first run is the
-        # cold solve, so least_degree keeps its witness and searches once
+        # the lower bound is n, so degree solves nothing, and least_degree's
+        # one search, the cold solve at n, gives the witness
         seen = self.count_solves(monkeypatch)
         for eps in (F(1, 8), F(1, 3)):
-            for search in (polydeg.least_degree, lambda f, eps: (sq.degree(f, eps),)):
+            for search, once in ((polydeg.least_degree, 1), (lambda f, eps: (sq.degree(f, eps),), 0)):
                 for probes in seen.values():
                     probes.clear()
                 assert search(vec(f"PARITY:{n}"), eps)[0] == n
-                assert seen == {"searches": [n], "runs": [n + 1], "reductions": [n]}
+                assert seen == {"searches": [n] * once, "runs": [n + 1] * once, "reductions": [n] * once}
 
     def test_degree_command_solves_each_degree_once(self, monkeypatch, capsys):
         from symquery.cli import main
@@ -480,13 +480,22 @@ class TestDegree:
         cases = (("DJ:8,1", "0", [], 0),  # decided below npin by the pinned interpolant
                  ("0*1*0", "0", [], 0),
                  ("*0*1*0*", "0", [1, 2], 0),  # no pivot before the feasible run: it is the cold one
-                 ("MAJ:9", "1/8", list(range(2, 10)), 1),  # d = n after an infeasible step: not solved
+                 ("MAJ:9", "1/8", [1, 2, 3, 4], 1),  # mirrored: half columns of degree 1, 3, 5, 7, then d = n
                  ("THRESHOLD:9,3", "1/4", list(range(2, 9)), 1))
         for spec, eps, runs, cold in cases:
             n, lo = vec(spec).n, sign_changes(vec(spec))
             for probes in seen.values():
                 probes.clear()
             d = sq.degree(vec(spec), F(eps))
+            if spec == "MAJ:9":
+                # the half search, no full one; f's own rows check its certificate
+                assert seen == {"searches": [], "runs": runs, "reductions": [n]}, spec
+                for probes in seen.values():
+                    probes.clear()
+                assert main(["degree", "--fn", spec, "--eps", eps]) == 0
+                # then one cold full solve at d for the witness
+                assert seen == {"searches": [d], "runs": runs + [d + 1], "reductions": [n, d]}, spec
+                continue
             # one elimination, one search, one dictionary run per degree, upward from lo
             assert seen == {"searches": [lo], "runs": runs, "reductions": [n]}, spec
             for probes in seen.values():
@@ -496,6 +505,69 @@ class TestDegree:
             npin = len(vec(spec).domain_weights) if eps == "0" else 0
             assert seen["runs"] == runs + [d + 1 - npin] * cold, spec
         capsys.readouterr()
+
+
+def mirrored_fns(max_n=14):
+    """A random half of the weights, reflected by reverse (odd = 0) or by
+    reverse_complement (odd = 1), whose middle weight at even n is undefined."""
+    flip = {"0": "1", "1": "0", "*": "*"}
+
+    def reflect(n, odd, half):
+        values = half + [flip[v] if odd else v for v in reversed(half[: (n + 1) // 2])]
+        if odd and n % 2 == 0:
+            values[n // 2] = "*"
+        return vec("".join(values))
+
+    return st.tuples(st.integers(1, max_n), st.sampled_from([0, 1])).flatmap(lambda p: st.lists(
+        st.sampled_from("01*"), min_size=p[0] // 2 + 1, max_size=p[0] // 2 + 1).map(lambda half: reflect(*p, half)))
+
+
+class TestHalfSearch:
+    """At eps > 0 a function fixed by a mirror takes the half-size search,
+    whose verdicts are certified on the function itself."""
+
+    @given(mirrored_fns(), st.sampled_from([F(1, 8), F(1, 4), F(1, 3), F(3, 7)]))
+    @settings(max_examples=150, deadline=None)
+    def test_half_search_matches_the_full_one(self, f, eps):
+        assert f in sq.isomorphs(f)[1::2]
+        lo, unfold, search = sign_changes(f), polydeg._unfold, polydeg._search
+        unfolded, searched = [], []
+        with mock.patch.object(polydeg, "_unfold", lambda *a: unfolded.append(unfold(*a)) or unfolded[-1]), \
+                mock.patch.object(polydeg, "_search", lambda *a: searched.append(a) or search(*a)):
+            d = sq.degree(f, eps)
+        assert len(searched) == (lo == 0)  # lo = n needs no search, and lo = 0 takes the full one
+        assert d == polydeg._search(polydeg._reduce(f, eps, f.n), lo)[0]
+        assert polydeg.least_degree(f, eps) == (d, sq.lp_feasible(f, eps, d))
+        # d has the parity of lo, and a half search above lo refutes d - 1 once
+        assert d % 2 == lo % 2 and len(unfolded) == (0 < lo < d)
+        for lam in unfolded:  # refutes degree d - 1 on f's own box rows
+            red = polydeg._reduce(f, eps, d - 1)
+            columns, rhs = [red.box_column(k) for k in range(d)], red.box_rhs()
+            assert polydeg._is_farkas(lam, columns, rhs)
+            for i in range(len(lam)):  # every row has q·C(w, 0) = q in column 0
+                for v in (-1, lam[i] - 1, lam[i] + 1):
+                    assert not polydeg._is_farkas(lam[:i] + [v] + lam[i + 1 :], columns, rhs), i
+
+    @pytest.mark.parametrize("spec", ["MAJ:9", "DJ:12,3"])
+    def test_bent_unfolded_certificate_is_caught(self, monkeypatch, spec):
+        f, eps, unfold = vec(spec), F(1, 8), polydeg._unfold
+        assert sq.degree(f, eps) == polydeg._search(polydeg._reduce(f, eps, f.n), sign_changes(f))[0]
+        monkeypatch.setattr(polydeg, "_unfold", lambda *a: [v + (i == 0) for i, v in enumerate(unfold(*a))])
+        with pytest.raises(RuntimeError, match="unsound infeasibility certificate"):
+            sq.degree(f, eps)
+
+    @pytest.mark.parametrize("spec", ["MAJ:9", "DJ:12,3"])
+    def test_bent_half_witness_is_caught(self, monkeypatch, spec):
+        # t_0 + 10 moves p by 10, or by 20·(n - 2w), off [0, 1] at weight 0
+        f, eps, run = vec(spec), F(1, 4), polydeg._FeasibleBox.run
+
+        def bent(box):
+            solved = run(box)
+            return solved and ([solved[0][0] + 10 * solved[1]] + solved[0][1:], solved[1])
+
+        monkeypatch.setattr(polydeg._FeasibleBox, "run", bent)
+        with pytest.raises(RuntimeError, match="unsound witness"):
+            sq.degree(f, eps)
 
 
 class TestQeLowerBound:

@@ -10,10 +10,10 @@ rows of the others carried along, and a Phase-I simplex decides the box
 rows.  Both run one column-major fraction-free pivot (Edmonds 1967, Bareiss
 1968) on integers over one common denominator; the simplex keeps a
 dictionary (Chvátal 1983) that stores no basic column and gains columns
-without a restart.  One search decides a degree and finds the least one,
-upward from a lower bound on one elimination and one dictionary that gains
-a column per degree, or, at eps > 0 for a function fixed by a mirror, on half
-the rows and columns; its feasible witness and last Farkas certificate are
+without a restart.  One scan finds the least degree: a dictionary gains a
+column per degree, upward from a lower bound, on the box rows of one
+elimination or, at eps > 0 for a function fixed by a mirror, on half the
+rows and columns; its feasible witness and last Farkas certificate are
 re-checked in integers on the function's own rows.  A complete catalogue
 matcher identifies every function of degree <= 2 up to isomorphism.
 """
@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .symfun import (
     ONE,
@@ -316,18 +316,43 @@ def _witness(red: _Reduction, npiv: int, t: list[int], Dt: int) -> FeasibilityRe
     return FeasibilityResult(False, None)
 
 
+def _certify(red: _Reduction, d: int, lam: list[int] | None) -> None:
+    """Raise RuntimeError unless lam, if given, is a Farkas certificate on
+    red's box rows over the columns of degree < d: no fit of degree d - 1."""
+    if lam is not None and not _is_farkas(lam, [red.box_column(k) for k in range(d - red.npin)], red.box_rhs()):
+        raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {red.f} at degree {d - 1}")
+
+
+def _scan(rhs: list[int], columns: Iterable[tuple[int, list[int]]], lo: int, n: int) -> tuple[
+        int, tuple[list[int], int] | None, list[int] | None]:
+    """One dictionary for rows·t <= rhs gains the (degree, column) pairs in
+    ascending degree and runs from degree lo to the first feasible one.
+    Returns the degree it stopped at with that run's (t, Dt), or with None
+    at n after an infeasible run (interpolation fits there) or one past the
+    last pair; and the last infeasible run's Farkas λ or None."""
+    box, lam = _FeasibleBox(rhs), None
+    for d, a in columns:
+        if d == n and lam is not None:
+            return d, None, lam
+        box.add_column(a)
+        if d >= lo:
+            solved = box.run()
+            if solved is not None:
+                return d, solved, lam
+            lam = box.farkas()
+    return d + 1, None, lam
+
+
 def _search(red: _Reduction, lo: int) -> tuple[int, FeasibilityResult | None]:
     """The least feasible degree d in [lo, top] of red, or top + 1 if none,
-    with the result at d if it is the cold solve's (None otherwise).  For d
-    < npin a degree-d fit of the pinned values is their interpolant of
+    with the result at d (None where d = n follows an infeasible run).  For
+    d < npin a degree-d fit of the pinned values is their interpolant of
     degree < npin, which is unique, so it exists iff b[d+1:npin] = 0 (a
     nonzero b past top leaves no fit), and one check decides [max(lo, d0),
-    npin-1], d0 the last nonzero b[i].  Then one dictionary gains the box
-    column of each degree, running from lo up to the first feasible one; a
-    run with no pivot before it is the cold solve.  d = n, where
-    interpolation fits, needs no run after an infeasible one.  The witness
-    is re-checked, and so is the last infeasible run's Farkas certificate,
-    which covers every lower degree as feasibility is monotone in d.
+    npin-1], d0 the last nonzero b[i].  Then _scan takes the box column of
+    each degree from npin to top; its witness is re-checked, and so is its
+    Farkas certificate, which covers every lower degree as feasibility is
+    monotone in d.
     """
     npin, top = red.npin, red.top
     d = max([lo] + [i for i in range(npin) if red.b[i]])
@@ -335,25 +360,14 @@ def _search(red: _Reduction, lo: int) -> tuple[int, FeasibilityResult | None]:
         result = _witness(red, d + 1, [], 1)
         if result.feasible:
             return d, result
-    box, lam, result = _FeasibleBox(red.box_rhs()), None, None
-    for d in range(npin, top + 1):
-        if d == red.f.n and lam is not None:
-            break
-        box.add_column(red.box_column(d - npin))
-        if d < lo:
-            continue
-        cold, solved = not box.pivots, box.run()
-        if solved is not None:
-            result = _witness(red, npin, *solved)
-            break
-        lam = box.farkas()
-    else:
-        if top == red.f.n:
-            raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
-        d, cold, result = top + 1, True, FeasibilityResult(False, None)
-    if lam is not None and not _is_farkas(lam, [red.box_column(k) for k in range(d - npin)], red.box_rhs()):
-        raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {red.f} at degree {d - 1}")
-    return d, result if cold else None
+    if npin > top:  # no free column, and no interpolant of degree <= top fits
+        return top + 1, FeasibilityResult(False, None)
+    d, solved, lam = _scan(red.box_rhs(), ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, red.f.n)
+    if d > red.f.n:
+        raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
+    result = _witness(red, npin, *solved) if solved else None
+    _certify(red, d, lam)
+    return d, FeasibilityResult(False, None) if d > top else result
 
 
 def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult:
@@ -390,68 +404,50 @@ def _unfold(lam: list[int], n: int, odd: int) -> list[int]:
     return full
 
 
-def _short_degree(f: SymPartialFn, eps: Fraction, lo: int) -> int | None:
-    """The least degree without the full search, or None: n if the lower
-    bound lo is n (interpolation fits); at eps > 0 and lo > 0, if f is fixed
-    by a mirror, a search on the rows w <= n/2 over fits averaged with their
-    mirror image, of no larger degree (Minsky and Papert 1969): sum_j t_j·s_j,
-    s_j(w) = C(w, j)·C(n-w, j), of degree 2j, if f(n-w) = f(w) (odd = 0), or
-    1/2 + sum_j t_j·(n-2w)·s_j, of degree 2j+1, if f(n-w) = ¬f(w) (odd = 1).
-    lo has that parity (sign changes pair up about n/2).  The last infeasible
-    λ, unfolded, and the witness (c_k = Δᵏp(0)) are checked on f's rows."""
-    n, q = f.n, eps.denominator
-    mirrors = isomorphs(f)[1::2] if eps and 0 < lo < n else []  # reverse, reverse_complement
-    if f not in mirrors:
-        return n if lo == n else None
-    odd, half, red = mirrors.index(f), range(n // 2 + 1), _reduce(f, eps, n)  # pins nothing at eps > 0
+def _half_search(red: _Reduction, lo: int, odd: int) -> int:
+    """The least degree of red.f, fixed by a mirror, at eps > 0 and 0 < lo <
+    n: _scan on the rows w <= n/2 over fits averaged with their mirror image,
+    of no larger degree (Minsky and Papert 1969): sum_j t_j·s_j, s_j(w) =
+    C(w, j)·C(n-w, j), of degree 2j, if f(n-w) = f(w) (odd = 0), or 1/2 +
+    sum_j t_j·(n-2w)·s_j, of degree 2j+1, if f(n-w) = ¬f(w) (odd = 1).  lo
+    has that parity (sign changes pair up about n/2).  The witness (c_k =
+    Δᵏp(0)) and the last infeasible λ, unfolded, are checked on f's rows."""
+    n, q, half = red.f.n, red.eps.denominator, range(red.f.n // 2 + 1)
     rhs = red.box_rhs()[: 2 * len(half)]  # (2hi - q, q - 2lo) bound 2q·(p - 1/2) if odd
 
     def basis(j: int, w: int) -> int:  # s_j(w), times 2(n - 2w) if odd
         return (2 * (n - 2 * w) if odd else 1) * comb(w, j) * comb(n - w, j)
 
-    box, lam = _FeasibleBox([2 * v + (-q, q)[i % 2] if odd else v for i, v in enumerate(rhs)]), None
-    for j, d in enumerate(range(odd, n + 1, 2)):
-        if d == n:  # after an infeasible run at lo < n: interpolation fits
-            break
-        box.add_column([v for w in half for v in (q * basis(j, w), -q * basis(j, w))])
-        if d < lo:
-            continue
-        solved = box.run()
-        if solved is not None:
-            t, Dt = solved
-            V = [odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)]
-            for k in range(d):  # V[k] becomes Δᵏ V(0)
-                V[k + 1 :] = [b - a for a, b in zip(V[k:], V[k + 1 :])]
-            _witness(red, 0, V, (1 + odd) * Dt)  # re-checked on f: an unsound one raises
-            break
-        lam = box.farkas()
-    else:
-        raise RuntimeError(f"phase-I simplex found no mirrored fit of {f}")
-    if lam is not None and not _is_farkas(_unfold(lam, n, odd), [red.box_column(k) for k in range(d)], red.box_rhs()):
-        raise RuntimeError(f"half simplex produced an unsound infeasibility certificate for {f} at degree {d - 1}")
+    columns = ((d, [v for w in half for v in (q * basis(j, w), -q * basis(j, w))])
+               for j, d in enumerate(range(odd, n + 1, 2)))
+    d, solved, lam = _scan([2 * v + (-q, q)[i % 2] if odd else v for i, v in enumerate(rhs)], columns, lo, n)
+    if solved is not None:
+        t, Dt = solved
+        V = [odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)]
+        for k in range(d):  # V[k] becomes Δᵏ V(0)
+            V[k + 1 :] = [b - a for a, b in zip(V[k:], V[k + 1 :])]
+        _witness(red, 0, V, (1 + odd) * Dt)  # re-checked on f: an unsound one raises
+    _certify(red, d, None if lam is None else _unfold(lam, n, odd))
     return d
 
 
 def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
-    """Least d with a feasible degree-d profile, with lp_feasible(f, eps, d):
-    the search of ``degree``, then the search from d for that witness unless
-    the full search's is it (below npin, or with no pivot before its last run)."""
-    eps, lo = _as_eps(eps), _lower_bound(f)
-    d = _short_degree(f, eps, lo)
-    if d is not None:
-        return d, lp_feasible(f, eps, d)
-    red = _reduce(f, eps, f.n)
-    d, result = _search(red, lo)
-    return d, result if result is not None else _search(red, d)[1]
+    """Least d with a feasible degree-d profile, with lp_feasible(f, eps, d),
+    whose one cold run gives the canonical witness."""
+    d = degree(f, eps)
+    return d, lp_feasible(f, eps, d)
 
 
 def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
-    """Least d with a feasible degree-d profile, from an exact lower bound: n
-    if it is n, by the half-size search if f is mirrored at eps > 0, else by
-    one search up to n; both check the two sides of their answer."""
+    """Least d with a feasible degree-d profile, from an exact lower bound
+    lo: n if lo is n (interpolation fits), else on one reduction up to n, by
+    the half search if f is fixed by a mirror at eps > 0, or by the search
+    from lo; both check the two sides of their answer."""
     eps, lo = _as_eps(eps), _lower_bound(f)
-    d = _short_degree(f, eps, lo)
-    return d if d is not None else _search(_reduce(f, eps, f.n), lo)[0]
+    if lo == f.n:
+        return lo
+    red, mirrors = _reduce(f, eps, f.n), (isomorphs(f)[1::2] if eps and lo else [])  # reverse, reverse_complement
+    return _half_search(red, lo, mirrors.index(f)) if f in mirrors else _search(red, lo)[0]
 
 
 def qe_lower_bound(f: SymPartialFn) -> int:

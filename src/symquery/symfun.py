@@ -126,50 +126,43 @@ def domain_size(f: SymPartialFn) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _promise(n: int, zeros: list[int], ones: list[int]) -> SymPartialFn:
+    """0 at the weights zeros, 1 at the weights ones, undefined elsewhere."""
+    vals = [UNDEFINED] * (n + 1)
+    for value, weights in ((ZERO, zeros), (ONE, ones)):
+        for w in weights:
+            vals[w] = value
+    return SymPartialFn(n, tuple(vals))
+
+
 def family_dj(n: int, k: int) -> SymPartialFn:
     """Balanced-vs-extreme promise: 1 at weight n/2, 0 at weights <= k or >= n-k."""
     if n < 2 or n % 2:
         raise ValueError(f"DJ needs even n >= 2, got n={n}")
     if not 0 <= k < n // 2:
         raise ValueError(f"DJ needs 0 <= k < n/2, got k={k} with n={n}")
-    vals = [UNDEFINED] * (n + 1)
-    for w in range(k + 1):
-        vals[w] = ZERO
-        vals[n - w] = ZERO
-    vals[n // 2] = ONE
-    return SymPartialFn(n, tuple(vals))
+    return _promise(n, [*range(k + 1), *range(n - k, n + 1)], [n // 2])
 
 
 def family_f1(n: int, k: int) -> SymPartialFn:
     """0 at weight 0, 1 at weight k."""
     if not 0 < k <= n:
         raise ValueError(f"F1 needs 0 < k <= n, got k={k} with n={n}")
-    vals = [UNDEFINED] * (n + 1)
-    vals[0] = ZERO
-    vals[k] = ONE
-    return SymPartialFn(n, tuple(vals))
+    return _promise(n, [0], [k])
 
 
 def family_f2(n: int, k: int) -> SymPartialFn:
     """0 at weight 0, 1 at weights k and k+1."""
     if not 0 < k < n:
         raise ValueError(f"F2 needs 0 < k < n, got k={k} with n={n}")
-    vals = [UNDEFINED] * (n + 1)
-    vals[0] = ZERO
-    vals[k] = ONE
-    vals[k + 1] = ONE
-    return SymPartialFn(n, tuple(vals))
+    return _promise(n, [0], [k, k + 1])
 
 
 def family_f3(n: int, l: int) -> SymPartialFn:
     """0 at weights 0 and n, 1 at weight l."""
     if not 0 < l < n:
         raise ValueError(f"F3 needs 0 < l < n, got l={l} with n={n}")
-    vals = [UNDEFINED] * (n + 1)
-    vals[0] = ZERO
-    vals[n] = ZERO
-    vals[l] = ONE
-    return SymPartialFn(n, tuple(vals))
+    return _promise(n, [0, n], [l])
 
 
 def family_f4(n: int) -> SymPartialFn:
@@ -179,22 +172,14 @@ def family_f4(n: int) -> SymPartialFn:
     """
     if n <= 1:
         raise ValueError(f"F4 needs n > 1, got n={n}")
-    vals = [UNDEFINED] * (n + 1)
-    vals[0] = ZERO
-    vals[n] = ZERO
-    vals[n // 2] = ONE
-    vals[(n + 1) // 2] = ONE
-    return SymPartialFn(n, tuple(vals))
+    return _promise(n, [0, n], [n // 2, (n + 1) // 2])
 
 
 def family_dw(n: int, k: int, l: int) -> SymPartialFn:
     """Two-weight discrimination: 0 at weight k, 1 at weight l."""
     if not 0 <= k < l <= n:
         raise ValueError(f"DW needs 0 <= k < l <= n, got k={k}, l={l} with n={n}")
-    vals = [UNDEFINED] * (n + 1)
-    vals[k] = ZERO
-    vals[l] = ONE
-    return SymPartialFn(n, tuple(vals))
+    return _promise(n, [k], [l])
 
 
 def family_named(name: str, n: int, k: int | None = None) -> SymPartialFn:

@@ -356,6 +356,21 @@ def sign_changes(f):
     return sum(u is not v for u, v in zip(defined, defined[1:]))
 
 
+def mirrored_fns(max_n=14):
+    """A random half of the weights, reflected by reverse (odd = 0) or by
+    reverse_complement (odd = 1), whose middle weight at even n is undefined."""
+    flip = {"0": "1", "1": "0", "*": "*"}
+
+    def reflect(n, odd, half):
+        values = half + [flip[v] if odd else v for v in reversed(half[: (n + 1) // 2])]
+        if odd and n % 2 == 0:
+            values[n // 2] = "*"
+        return vec("".join(values))
+
+    return st.tuples(st.integers(1, max_n), st.sampled_from([0, 1])).flatmap(lambda p: st.lists(
+        st.sampled_from("01*"), min_size=p[0] // 2 + 1, max_size=p[0] // 2 + 1).map(lambda half: reflect(*p, half)))
+
+
 class TestDegree:
     def test_single_top_weight_is_degree_one(self):
         assert sq.degree(vec("F1:4,4"), 0) == 1
@@ -476,50 +491,42 @@ class TestDegree:
         from symquery.cli import main
 
         seen = self.count_solves(monkeypatch)
-        # (spec, eps, column counts of the first search's runs, second searches of least_degree)
-        cases = (("DJ:8,1", "0", [], 0),  # decided below npin by the pinned interpolant
-                 ("0*1*0", "0", [], 0),
-                 ("*0*1*0*", "0", [1, 2], 0),  # no pivot before the feasible run: it is the cold one
-                 ("MAJ:9", "1/8", [1, 2, 3, 4], 1),  # mirrored: half columns of degree 1, 3, 5, 7, then d = n
-                 ("THRESHOLD:9,3", "1/4", list(range(2, 9)), 1))
-        for spec, eps, runs, cold in cases:
-            n, lo = vec(spec).n, sign_changes(vec(spec))
+        # (spec, eps, column counts of degree's runs)
+        cases = (("DJ:8,1", "0", []),  # decided below npin by the pinned interpolant
+                 ("0*1*0", "0", []),
+                 ("*0*1*0*", "0", [1, 2]),
+                 ("MAJ:9", "1/8", [1, 2, 3, 4]),  # mirrored: half columns of degree 1, 3, 5, 7, then d = n
+                 ("THRESHOLD:9,3", "1/4", list(range(2, 9))))
+        for spec, eps, runs in cases:
+            f = vec(spec)
+            n, lo, npin = f.n, sign_changes(f), len(f.domain_weights) if eps == "0" else 0
             for probes in seen.values():
                 probes.clear()
-            d = sq.degree(vec(spec), F(eps))
-            if spec == "MAJ:9":
-                # the half search, no full one; f's own rows check its certificate
-                assert seen == {"searches": [], "runs": runs, "reductions": [n]}, spec
-                for probes in seen.values():
-                    probes.clear()
-                assert main(["degree", "--fn", spec, "--eps", eps]) == 0
-                # then one cold full solve at d for the witness
-                assert seen == {"searches": [d], "runs": runs + [d + 1], "reductions": [n, d]}, spec
-                continue
-            # one elimination, one search, one dictionary run per degree, upward from lo
-            assert seen == {"searches": [lo], "runs": runs, "reductions": [n]}, spec
+            d = sq.degree(f, F(eps))
+            # one elimination, one dictionary run per degree, upward from lo, in
+            # one search, or in the half search for MAJ:9, which is not _search
+            searches = [] if spec == "MAJ:9" else [lo]
+            assert seen == {"searches": searches, "runs": runs, "reductions": [n]}, spec
             for probes in seen.values():
                 probes.clear()
             assert main(["degree", "--fn", spec, "--eps", eps]) == 0
-            assert seen["reductions"] == [n] and seen["searches"] == [lo] + [d] * cold, spec
-            npin = len(vec(spec).domain_weights) if eps == "0" else 0
-            assert seen["runs"] == runs + [d + 1 - npin] * cold, spec
+            # then lp_feasible at d: a reduction up to d and one cold run, none below npin
+            assert seen == {"searches": searches + [d], "runs": runs + [d + 1 - npin] * (d >= npin),
+                            "reductions": [n, d]}, spec
         capsys.readouterr()
 
-
-def mirrored_fns(max_n=14):
-    """A random half of the weights, reflected by reverse (odd = 0) or by
-    reverse_complement (odd = 1), whose middle weight at even n is undefined."""
-    flip = {"0": "1", "1": "0", "*": "*"}
-
-    def reflect(n, odd, half):
-        values = half + [flip[v] if odd else v for v in reversed(half[: (n + 1) // 2])]
-        if odd and n % 2 == 0:
-            values[n // 2] = "*"
-        return vec("".join(values))
-
-    return st.tuples(st.integers(1, max_n), st.sampled_from([0, 1])).flatmap(lambda p: st.lists(
-        st.sampled_from("01*"), min_size=p[0] // 2 + 1, max_size=p[0] // 2 + 1).map(lambda half: reflect(*p, half)))
+    @given(st.one_of(sym_fns(max_n=10), mirrored_fns(max_n=12)), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_dictionary_per_search(self, f, eps):
+        # degree builds at most one dictionary, none when lo = n, and
+        # least_degree at most one more, lp_feasible's
+        built, init = [], polydeg._FeasibleBox.__init__
+        with mock.patch.object(polydeg._FeasibleBox, "__init__", lambda box, rhs: built.append(rhs) or init(box, rhs)):
+            d = sq.degree(f, eps)
+            assert len(built) <= (sign_changes(f) < f.n)
+            built.clear()
+            assert polydeg.least_degree(f, eps)[0] == d
+            assert len(built) <= 2
 
 
 class TestHalfSearch:

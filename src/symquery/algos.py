@@ -23,10 +23,11 @@ of (output, queries used) in Fractions, with the number of branches behind
 each pair: the plan reads explicit bits and calls the subroutines, so the
 law depends only on the weight of the input and, where the plan reads x_1
 first, on x_1.  ``verify_exact`` certifies the whole domain from these laws,
-once per class, in time polynomial in n; ``run`` reads the same law's branch
-count to refuse an input before listing its branches.  ``simulate_domain``
-is the exponential reference that replays every promised input through the
-per-input walk, and tests check that the two walks agree.  The bare
+once per class, in time polynomial in n.  ``run`` is the only per-input
+walk: it reads the same law's branch count to refuse an input before
+listing its branches, and the positional names (``dj(n, k, x)``, ...) and
+``simulate_domain``, the exponential reference that replays every promised
+input, all go through it; tests check that the two walks agree.  The bare
 subroutines are checked against output contracts that name the outcomes
 allowed at each weight, as a decision algorithm's promise names its answer.
 The dense circuits (``xquery_state``, ``grover1_state``, on ``qsim`` and
@@ -38,10 +39,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .symfun import (
+    MAX_ENUM_N,
     ONE,
     TRANSFORMS,
     SymPartialFn,
@@ -503,12 +505,6 @@ def _branches(step: Step, x: str, path: tuple[str, ...], prob: float, used: int,
             _branches(nxt, x, path + (f"grover:{i}", f"x{i}={bit}"), prob * p, used + 2, out)
 
 
-def _run(plan: Step, x: str) -> AlgorithmRun:
-    out: list[BranchTrace] = []
-    _branches(plan, x, (), 1.0, 0, out)
-    return AlgorithmRun(x, tuple(out))
-
-
 # (output, queries used) -> the mass of the branches that end so, on every
 # input of one class; zero-probability branches are left out.  Steps run in
 # sequence multiply both their probabilities and their branch counts.
@@ -609,27 +605,16 @@ def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
     if n > MAX_VERIFY_N:
         raise ValueError(f"run is capped at n={MAX_VERIFY_N}, got n={n}")
     plan = entry.plan(*args)
-    classes = _classes(plan, n, x.count("1"))
     _check_bits(x, n)
-    (law,) = [law for prefix, law in classes if x.startswith(prefix)]
+    (law,) = [law for prefix, law in _classes(plan, n, x.count("1")) if x.startswith(prefix)]
     if sum(count for _, count in law.values()) > MAX_RUN_BRANCHES:
         raise ValueError(
             f"run is capped at {MAX_RUN_BRANCHES} branches, and {alg} may list more "
             f"on an input of weight {x.count('1')}; verify checks the whole domain instead"
         )
-    return _run(plan, x)
-
-
-def _complement_input(transform: str) -> bool:
-    return transform in ("reverse", "reverse_complement")
-
-
-def _premap_input(x: str, transform: str) -> str:
-    return _flip(x) if _complement_input(transform) else x
-
-
-def _negate_output(transform: str) -> bool:
-    return transform in ("complement", "reverse_complement")
+    out: list[BranchTrace] = []
+    _branches(plan, x, (), 1.0, 0, out)
+    return AlgorithmRun(x, tuple(out))
 
 
 # What an algorithm is checked against: its name, and the outputs allowed at
@@ -710,15 +695,15 @@ def _class_input(n: int, t: int, prefix: str) -> str:
 
 
 def _weight_classes(plan: Step, n: int, allowed: dict[int, frozenset], transform: str) -> Iterator[_Class]:
-    negate = _negate_output(transform)
+    flip, negate = transform in TRANSFORMS[1::2], transform in TRANSFORMS[2:]
     for w, want in allowed.items():
-        t = n - w if _complement_input(transform) else w  # the weight the algorithm sees
+        t = n - w if flip else w  # the weight the algorithm sees
         for prefix, law in _classes(plan, n, t):
-            x = _premap_input(_class_input(n, t, prefix), transform)
+            x = _class_input(n, t, prefix)
             count = math.comb(n - len(prefix), t - prefix.count("1"))
             if negate:
                 law = {(1 - out, used): mass for (out, used), mass in law.items()}
-            yield x, count, law, want
+            yield _flip(x) if flip else x, count, law, want
 
 
 def _certify(function: str, classes: Iterable[_Class]) -> VerificationReport:
@@ -742,14 +727,16 @@ def _certify(function: str, classes: Iterable[_Class]) -> VerificationReport:
 def simulate_domain(
     alg: str, params: Mapping[str, int], transform: str = "identity"
 ) -> VerificationReport:
-    """Reference for verify_exact: run every promised input through the
-    per-input walk of the algorithm's plan, in floats, and check every
-    branch (a subroutine's named in its contract's terms).  A failing input
-    keeps one failure: its first wrong branch and how many more there are.
-    Exponential in n."""
-    entry, args, f, (function, allowed) = _check_request(alg, params, transform)
+    """Reference for verify_exact: replay every promised input through
+    ``run``, in floats, and check every branch (a subroutine's named in its
+    contract's terms).  A failing input keeps one failure: its first wrong
+    branch and how many more there are.  Exponential in n: refuses n above
+    MAX_ENUM_N, and an input ``run`` refuses."""
+    _, _, f, (function, allowed) = _check_request(alg, params, transform)
     n = params["n"]
-    negate = _negate_output(transform)
+    if n > MAX_ENUM_N:
+        raise ValueError(f"input enumeration capped at n={MAX_ENUM_N}, got n={n}")
+    flip, negate = transform in TRANSFORMS[1::2], transform in TRANSFORMS[2:]
     if f is None:
         inputs = (x for t in allowed for x in _weight_inputs(n, t))
     else:
@@ -760,7 +747,7 @@ def simulate_domain(
     for x in inputs:
         want = allowed[x.count("1")]
         first, wrong = "", 0
-        for br in entry.runner(*args, _premap_input(x, transform)).branches:
+        for br in run(alg, params, _flip(x) if flip else x).branches:
             if f is None:
                 out = _contract_term(x, br.output)
             else:
@@ -795,26 +782,14 @@ def _contract_term(x: str, out: int | tuple[int, int]) -> str:
 
 
 class Algorithm(NamedTuple):
-    """One algorithm id.  Every callable takes the parameters positionally,
-    in the order of `params`."""
+    """One algorithm id.  Every callable takes the parameter values alone,
+    positionally, in the order of `params`; ``run`` runs it on an input."""
 
     params: tuple[str, ...]
     plan: Callable[..., Step]  # (*params) -> the instance's plan; checks the parameters
     family: Callable[..., SymPartialFn] | None  # the promise; None for a subroutine
     budget: Callable[..., int]  # (*params) -> declared worst-case queries
     contract: Callable[..., Contract] | None = None  # a subroutine's (*params) -> output contract
-
-    def runner(self, *args: int | str) -> AlgorithmRun:
-        """(*params, x) -> every branch on x."""
-        *params, x = args
-        plan = self.plan(*params)
-        _check_bits(x, params[0])
-        return _run(plan, x)
-
-    def classes(self, *args: int) -> Classes:
-        """(*params, weight) -> per-class laws."""
-        *params, t = args
-        return _classes(self.plan(*params), params[0], t)
 
 
 # In the order `symquery families` lists them.
@@ -832,5 +807,13 @@ ALGORITHMS: dict[str, Algorithm] = {
     "f4": Algorithm(("n",), _f4_plan, family_f4, lambda n: 5),
 }
 
-# Each id's runner, (*params, x) -> AlgorithmRun, under its name as a function.
-xquery, dj, dhw, f1, f3, grover1, dw1, dw2, dw_general, f2, f4 = (entry.runner for entry in ALGORITHMS.values())
+# Each id as a function, (*params, x) -> run(id, params, x), under run's caps.
+def _positional(alg: str, *args: int | str) -> AlgorithmRun:
+    *values, x = args
+    names = ALGORITHMS[alg].params
+    if len(values) != len(names):
+        raise TypeError(f"{alg} takes {', '.join(names)} and an input, got {len(args)} arguments")
+    return run(alg, dict(zip(names, values)), x)
+
+
+xquery, dj, dhw, f1, f3, grover1, dw1, dw2, dw_general, f2, f4 = (partial(_positional, alg) for alg in ALGORITHMS)

@@ -81,7 +81,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     in_promise = None
     expected = None
     if entry.family is not None:
-        value = algos.canonical_function(alg, params).values[args.input.count("1")]
+        value = entry.family(*params.values()).values[args.input.count("1")]
         in_promise = value.defined
         expected = int(value.value) if value.defined else None
 

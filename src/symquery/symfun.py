@@ -69,7 +69,9 @@ class SymPartialFn(NamedTuple("SymPartialFn", [("n", int), ("values", tuple[FnVa
 
 
 # The four functions equal to f up to input/output negation (variable
-# permutations are already quotiented out by the weight-vector form).
+# permutations are already quotiented out by the weight-vector form).  The
+# index is a bit code: bit 0 reverses the weight vector, which complements
+# the input, and bit 1 negates the output.
 TRANSFORMS = ("identity", "reverse", "complement", "reverse_complement")
 
 

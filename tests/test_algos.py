@@ -427,9 +427,35 @@ class TestRunInvariants:
             algos.AlgorithmRun("01", (half,))
 
 
+def unreachable(*args):
+    raise AssertionError("reached past the caps")
+
+
+class TestCapsBeforeWork:
+    def test_positional_names_share_run_caps(self, monkeypatch):
+        monkeypatch.setattr(algos, "_branches", unreachable)
+        with pytest.raises(ValueError, match=f"capped at {algos.MAX_RUN_BRANCHES} branches"):
+            algos.dj(14, 6, "1" * 7 + "0" * 7)
+        with pytest.raises(ValueError, match=f"capped at n={algos.MAX_VERIFY_N}"):
+            algos.grover1(1001, "0" * 1001)
+
+    def test_positional_names_check_their_arity(self):
+        with pytest.raises(TypeError):
+            algos.dj(8, "10000000")
+        with pytest.raises(TypeError):
+            algos.f4(7, 1, "1000111")
+
+    @pytest.mark.parametrize("alg,params", [("xquery", {"n": 31}), ("grover1", {"n": 32}), ("dw1", {"n": 32})])
+    def test_simulate_domain_refuses_before_enumerating(self, monkeypatch, alg, params):
+        monkeypatch.setattr(algos, "_weight_inputs", unreachable)
+        monkeypatch.setattr(algos, "domain_inputs", unreachable)
+        with pytest.raises(ValueError, match="enumeration capped at n=30"):
+            algos.simulate_domain(alg, params)
+
+
 def counted(alg, args, x):
     """The branch count of the class law x is in."""
-    classes = algos.ALGORITHMS[alg].classes(*args, x.count("1"))
+    classes = algos._classes(algos.ALGORITHMS[alg].plan(*args), args[0], x.count("1"))
     (law,) = [law for prefix, law in classes if x.startswith(prefix)]
     return sum(count for _, count in law.values())
 
@@ -439,7 +465,7 @@ DECISION_ALGORITHMS = sorted(alg for alg, entry in algos.ALGORITHMS.items() if e
 
 def valid_instances(alg, n_max):
     """Every parameter set of a decision algorithm with n <= n_max, as the
-    family constructor and the runner accept them."""
+    family constructor and run accept them."""
     for n in range(1, n_max + 1):
         if alg in ("f1", "f3", "dw1", "dw2", "f4"):
             candidates = [{"n": n}]
@@ -452,7 +478,7 @@ def valid_instances(alg, n_max):
         for params in candidates:
             try:
                 algos.canonical_function(alg, params)
-                algos.ALGORITHMS[alg].runner(*params.values(), "0" * n)
+                algos.run(alg, params, "0" * n)
             except ValueError:  # includes UnsupportedParameters
                 continue
             yield params
@@ -477,12 +503,12 @@ class TestWeightClassEngine:
     def test_class_laws_match_simulated_branches(self, alg):
         info = algos.ALGORITHMS[alg]
         for params in valid_instances(alg, 8):
-            args = list(params.values())
+            plan = info.plan(*params.values())
             for x in sq.domain_inputs(algos.canonical_function(alg, params)):
-                classes = info.classes(*args, x.count("1"))
+                classes = algos._classes(plan, params["n"], x.count("1"))
                 (law,) = [law for prefix, law in classes if x.startswith(prefix)]
                 simulated: dict = {}
-                for b in info.runner(*args, x).branches:
+                for b in algos.run(alg, params, x).branches:
                     key = (b.output, b.queries_used)
                     p, count = simulated.get(key, (0.0, 0))
                     simulated[key] = (p + b.probability, count + 1)

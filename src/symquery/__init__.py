@@ -1,7 +1,8 @@
 """Exact quantum query algorithms for symmetric promise problems.
 
 Submodules: ``symfun`` (weight-vector functions and families), ``polydeg``
-(exact-rational degree certification), ``algos`` (query algorithms, branch
+(exact-rational degree certification), ``catalogue`` (the degree <= 2
+families, re-exported by ``polydeg``), ``algos`` (query algorithms, branch
 enumeration from exact subroutine laws, exactness verification),
 ``classical`` (deterministic query complexity), ``identities`` (binomial
 determinant identity), ``cli`` (command line).  ``qsim``, the dense

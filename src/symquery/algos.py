@@ -584,18 +584,6 @@ def _lookup(alg: str, params: Mapping[str, int]) -> tuple[Algorithm, list[int]]:
     return entry, [params[p] for p in entry.params]
 
 
-def query_budget(alg: str, params: Mapping[str, int]) -> int:
-    """Declared worst-case query count for an algorithm instance."""
-    entry, args = _lookup(alg, params)
-    return entry.budget(*args)
-
-
-def canonical_function(alg: str, params: Mapping[str, int]) -> SymPartialFn:
-    """The promise function a decision algorithm computes."""
-    entry, args = _lookup(alg, params)
-    return entry.family(*args)
-
-
 def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
     """Every branch of one execution on x.  Refuses n above MAX_VERIFY_N,
     and an input whose class law (the one verify_exact certifies) counts

@@ -4,40 +4,33 @@ A weight profile of degree d is stored in the binomial basis: on inputs of
 weight w it evaluates to sum_k c_k * C(w, k) with rational coefficients
 c_0..c_d.  Whether some degree-d profile fits a function within error eps is
 a linear feasibility question, decided exactly on one path for every eps:
-with eps = p/q the weight bounds are integers over q, the weights they pin
-(the defined ones, at eps = 0) are eliminated by Gauss–Jordan with the box
-rows of the others carried along, and a Phase-I simplex decides the box
+with eps = p/q the weight bounds are integers over q.  Below the count of
+the weights they pin (the defined ones, at eps = 0) the one candidate is the
+pinned values' interpolant (Newton's divided differences), checked once;
+at or above it the pinned block is eliminated by Gauss–Jordan, once per
+function, its pivots replayed on each column a search asks for, with the
+box rows of the others carried along, and a Phase-I simplex decides the box
 rows.  Both run one column-major fraction-free pivot (Edmonds 1967, Bareiss
 1968) on integers over one common denominator; the simplex keeps a
 dictionary (Chvátal 1983) that stores no basic column and gains columns
-without a restart.  One scan finds the least degree: a dictionary gains a
-column per degree, upward from a lower bound, on the box rows of one
-elimination or, at eps > 0 for a function fixed by a mirror, on half the
-rows and columns; its feasible witness and last Farkas certificate are
-re-checked in integers on the function's own rows.  A complete catalogue
-matcher identifies every function of degree <= 2 up to isomorphism.
+without a restart.  One scan finds the least degree, upward from a lower
+bound, on the box rows of that reduction or, at eps > 0 for a function
+fixed by a mirror, on half the rows and columns; its witness and last
+Farkas certificate are re-checked in integers on the function's rows, and
+an LP over a size cap is refused before it is built.  classify_deg2, the
+catalogue of every function of degree <= 2, is re-exported from catalogue.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property, lru_cache
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from .symfun import (
-    ONE,
-    TRANSFORMS,
-    UNDEFINED,
-    ZERO,
-    SymPartialFn,
-    family_f1,
-    family_f2,
-    family_f3,
-    family_f4,
-    isomorphs,
-)
+from .catalogue import FamilyKind, FamilyTag, classify_deg2  # noqa: F401 (polydeg.classify_deg2 is public)
+from .symfun import ONE, UNDEFINED, ZERO, SymPartialFn, isomorphs
 
 RationalLike = Fraction | int | str
 
@@ -68,28 +61,6 @@ class FeasibilityResult(NamedTuple):
 
     feasible: bool
     witness: PolyV | None
-
-
-class FamilyKind(Enum):
-    CONSTANT_OR_EMPTY = "constant-or-empty"
-    DEG1_F1NN = "deg1-f1nn"
-    F1 = "F1"
-    F2 = "F2"
-    F3 = "F3"
-    F4 = "F4"
-
-
-class FamilyTag(NamedTuple):
-    """Catalogue match: which low-degree family, with which parameter, under
-    which orbit transform."""
-
-    kind: FamilyKind
-    param: int | None
-    transform: str
-
-    def __str__(self) -> str:
-        param = "" if self.param is None else f"({self.param})"
-        return f"{self.kind.value}{param} via {self.transform}"
 
 
 def eval_poly_at_weight(q: PolyV, w: int) -> Fraction:
@@ -126,24 +97,17 @@ def check_representation(q: PolyV, f: SymPartialFn, eps: RationalLike) -> bool:
         v = diffs[0]
         if v < 0 or v > L:
             return False
-        if b is ZERO and r * v > p * L:
-            return False
-        if b is ONE and r * v < (r - p) * L:
+        if (b is ZERO and r * v > p * L) or (b is ONE and r * v < (r - p) * L):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Phase-I simplex over an integer dictionary
-# ---------------------------------------------------------------------------
 
 
 def _pivot(cols: list[list[int]], col: list[int], r: int, D: int) -> int:
     """Fraction-free pivot on p = col[r] > 0 of the columns cols over D: p
     is the new D, and row i != r of column a becomes (p·a[i] - a[r]·col[i])
     // D, exact as every entry is a minor.  p is positive for both callers:
-    the simplex's ratio test picks a positive entry, and _reduce's pivots
-    are ratios of leading minors of C(w, k) over ascending weights, each a
+    the simplex's ratio test picks a positive entry, and the pinned block's
+    pivots are ratios of leading minors of C(w, k) over ascending weights, each a
     Vandermonde determinant over prod k!.  col, now D·e_r, is the caller's
     to drop.  Returns p."""
     p = col[r]
@@ -255,63 +219,119 @@ def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool
             and all(sum(map(mul, lam, a)) == 0 for a in columns) and sum(map(mul, lam, rhs)) < 0)
 
 
-class _Reduction(NamedTuple):
-    """f within eps, its npin pinned weights eliminated up to degree top
-    (see _reduce): rows are the pinned weights, then q times the box
-    weights' rows (bounds in boxes); cols holds the free columns npin..top
-    and b the rhs, over D."""
+# A search refuses with ValueError, before it builds them, an LP of more than
+# MAX_LP_SIZE box weights × free columns × 64-bit words of the reduced rows'
+# denominator D, and a pinned block of more than MAX_BLOCK_SIZE pinned
+# weights² × weights.  On a 2-core x86 VM, MAJ:42 at eps = 1/8 (43 × 43)
+# takes 5.3 s, and a block of 298 pinned weights at n = 300 3.4 s.
+MAX_LP_SIZE = 2000
+MAX_BLOCK_SIZE = 32_000_000
 
-    f: SymPartialFn
-    eps: Fraction
-    top: int
-    npin: int
-    boxes: list[tuple[int, int]]
-    cols: list[list[int]]
-    b: list[int]
-    D: int
 
-    def box_rhs(self) -> list[int]:
-        """D·lo <= col·t - b <= D·hi per box, as col·t <= D·hi + b, -col·t <= -b - D·lo."""
-        b, D = self.b, self.D
+class _Reduction:
+    """f within eps = p/q: each weight bounds q times the profile value a·c =
+    sum_k c_k C(w, k) to integers [lo, hi]; the npin with lo = hi (defined,
+    at eps = 0) are pinned, the others boxes.  Below npin a fit is the pinned
+    values' interpolant (fit).  At or above it Gauss–Jordan on the pinned
+    a·c = lo over c_0..c_(npin-1), with the simplex's pivot, runs once
+    (pinned), carrying the box rows along as non-pivot rows with b = 0, and
+    each free column is reduced when first asked for (column) by replaying
+    its pivots: every column, b and D are those of one eager elimination.
+    The pinned weights ascend, so the leading minors of their rows C(w, k)
+    are positive (see _pivot): column c pivots on row c.  Pinned row i reads
+    D·c_i + sum over free k of column(k)[i]·c_(npin+k) = b[i]; by the Schur
+    complement box row a holds D·a_k - sum_i a_i·column(k)[i] and, in b,
+    -sum_i a_i·b[i], so q·D·(a·c) = sum_k column(k)[row]·c_(npin+k) - b[row]."""
+
+    def __init__(self, f: SymPartialFn, eps: Fraction) -> None:
+        p, q = eps.numerator, eps.denominator
+        bound_of = {ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}
+        bounds = [bound_of[v] for v in f.values]
+        self.f, self.eps, self.cols = f, eps, []
+        self.pins = [(w, lo) for w, (lo, hi) in enumerate(bounds) if lo == hi]  # only at p = 0, so q = 1
+        self.boxed = [w for w, (lo, hi) in enumerate(bounds) if lo != hi]
+        self.boxes, self.npin = [bounds[w] for w in self.boxed], len(self.pins)
+
+    def _raw(self, k: int) -> list[int]:  # c_k's column: C(w, k) on the pinned rows, q·C(w, k) on the box rows
+        return [comb(w, k) for w, _ in self.pins] + [self.eps.denominator * comb(w, k) for w in self.boxed]
+
+    @cached_property
+    def fit(self) -> tuple[int, list[int] | None, int]:
+        """(deg, V, L): the pinned values' interpolant p has degree deg (-1 if
+        p = 0) and, if it stays in [0, 1] at every box weight (one evaluation
+        each), binomial coefficients c_k = Δᵏp(0) = V[k] / L, else V is None.
+        Newton's divided differences over the pinned weights (Stoer and
+        Bulirsch, §2.1), each level integers over one denominator E; the j-th
+        Newton term has degree j, so deg is the last nonzero one's index."""
+        ws, level, E = [w for w, _ in self.pins], [v for _, v in self.pins], 1
+        newton = [(v, 1) for v in level[:1]]  # Newton's coefficients, each over its level's E
+        for j in range(1, self.npin):
+            gaps = [ws[i + j] - ws[i] for i in range(len(level) - 1)]
+            G = lcm(*gaps)
+            level = [(b - a) * (G // g) for a, b, g in zip(level, level[1:], gaps)]
+            h = gcd(E * G, *level)
+            level, E = [v // h for v in level] if h > 1 else level, E * G // h
+            newton.append((level[0], E))
+        deg = max((j for j, (a, _) in enumerate(newton) if a), default=-1)
+        L = lcm(*(e for _, e in newton[: deg + 1]))
+        A = [a * (L // e) for a, e in newton[: deg + 1]]
+
+        def value(x: int) -> int:  # L·p(x), by Horner on the Newton form
+            P = 0
+            for j in range(deg, -1, -1):
+                P = P * (x - ws[j]) + A[j]
+            return P
+
+        if not all(0 <= value(w) <= L for w in self.boxed):
+            return deg, None, L
+        return deg, _differences([value(x) for x in range(deg + 1)]), L
+
+    @cached_property
+    def pinned(self) -> tuple[list[list[int]], list[int], int]:  # (pivot columns, b, D)
+        cols, b, D = [self._raw(k) for k in range(self.npin)], [lo for _, lo in self.pins] + [0] * len(self.boxed), 1
+        for c in range(self.npin):
+            D = _pivot(cols[c + 1 :] + [b], cols[c], c, D)
+        return cols, b, D
+
+    def column(self, k: int) -> list[int]:  # of c_(npin+k), reduced
+        while len(self.cols) <= k:
+            a, D = self._raw(self.npin + len(self.cols)), 1
+            for c, col in enumerate(self.pinned[0]):
+                D = _pivot([a], col, c, D)
+            self.cols.append(a)
+        return self.cols[k]
+
+    def box_rhs(self) -> list[int]:  # D·lo <= col·t - b <= D·hi: col·t <= D·hi + b, -col·t <= -b - D·lo
+        _, b, D = self.pinned
         return [v for i, (lo, hi) in enumerate(self.boxes, self.npin) for v in (D * hi + b[i], -b[i] - D * lo)]
 
     def box_column(self, k: int) -> list[int]:  # of c_(npin+k) in the box rows
-        col = self.cols[k]
+        col = self.column(k)
         return [v for i in range(self.npin, len(col)) for v in (col[i], -col[i])]
 
 
-def _reduce(f: SymPartialFn, eps: Fraction, top: int) -> _Reduction:
-    """Gauss–Jordan on the pinned equalities a·c = lo over c_0..c_top, with
-    the simplex's pivot, carrying the box rows along as non-pivot rows with
-    b = 0.  The pinned weights are distinct and ascending, so the leading
-    minors of their rows C(w, k) are positive (see _pivot): column c pivots
-    on row c, and the free columns c >= npin take no later pivot.  Reduced
-    pinned row i reads D·c_i + sum over free k of cols[k][i]·c_k = b[i].  By
-    the Schur complement a carried box row of a holds D·a_k - sum_i
-    a_i·cols[k][i] and, in b, -sum_i a_i·b[i], so q·D·(a·c) = sum over free
-    k of cols[k][row]·c_k - b[row]."""
-    p, q = eps.numerator, eps.denominator
-    bound_of = {ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}
-    bounds = [bound_of[v] for v in f.values]
-    pinned = [w for w, (lo, hi) in enumerate(bounds) if lo == hi]  # only at p = 0, so q = 1
-    boxed = [w for w, (lo, hi) in enumerate(bounds) if lo != hi]
-    cols = [[comb(w, k) for w in pinned] + [q * comb(w, k) for w in boxed] for k in range(top + 1)]
-    b, D = [bounds[w][0] for w in pinned] + [0] * len(boxed), 1
-    for c in range(min(top + 1, len(pinned))):
-        D = _pivot(cols[c + 1 :] + [b], cols[c], c, D)
-    return _Reduction(f, eps, top, len(pinned), [bounds[w] for w in boxed], cols[len(pinned) :], b, D)
+@lru_cache(maxsize=4)
+def _reduce(f: SymPartialFn, eps: Fraction) -> _Reduction:
+    """The one reduction of (f, eps), shared by degree and the lp_feasible
+    call after it; it grows as their searches ask for columns, with the same
+    integers whichever asks first."""
+    return _Reduction(f, eps)
 
 
-def _witness(red: _Reduction, npiv: int, t: list[int], Dt: int) -> FeasibilityResult:
-    """The profile with free coefficients t / Dt and the npiv pivot ones read
-    off the reduced rows, re-checked: without free ones it is the unique fit
-    and may leave a box; an unsound simplex witness raises RuntimeError."""
-    b, D, free = red.b, red.D, red.cols[: len(t)]
-    coeffs = [Fraction(b[i] * Dt - sum(col[i] * v for col, v in zip(free, t)), D * Dt) for i in range(npiv)]
-    witness = PolyV(tuple(coeffs + [Fraction(v, Dt) for v in t]))
+def _differences(V: list[int]) -> list[int]:
+    """Δᵏ V(0) for each k, from the values V(0), V(1), ..., in place."""
+    for k in range(len(V) - 1):
+        V[k + 1 :] = [b - a for a, b in zip(V[k:], V[k + 1 :])]
+    return V
+
+
+def _witness(red: _Reduction, coeffs: list[Fraction], simplex: bool) -> FeasibilityResult:
+    """The profile with these coefficients, re-checked: an interpolant may
+    leave a box; an unsound simplex witness raises RuntimeError."""
+    witness = PolyV(tuple(coeffs))
     if check_representation(witness, red.f, red.eps):
         return FeasibilityResult(True, witness)
-    if t:
+    if simplex:
         raise RuntimeError(f"simplex produced an unsound witness for {red.f}")
     return FeasibilityResult(False, None)
 
@@ -321,6 +341,17 @@ def _certify(red: _Reduction, d: int, lam: list[int] | None) -> None:
     red's box rows over the columns of degree < d: no fit of degree d - 1."""
     if lam is not None and not _is_farkas(lam, [red.box_column(k) for k in range(d - red.npin)], red.box_rhs()):
         raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {red.f} at degree {d - 1}")
+
+
+def _check_size(red: _Reduction, boxes: int, columns: int) -> None:  # see MAX_LP_SIZE
+    npin, n = red.npin, red.f.n
+    if npin * npin * (n + 1) > MAX_BLOCK_SIZE:
+        raise ValueError(f"refused: eliminating {npin} pinned weights at n = {n} exceeds "
+                         f"polydeg.MAX_BLOCK_SIZE = {MAX_BLOCK_SIZE}")
+    words = 1 + red.pinned[2].bit_length() // 64
+    if boxes * columns * words > MAX_LP_SIZE:
+        size = f"{boxes} box weights × {columns} free columns" + (f" × {words} words of D" if words > 1 else "")
+        raise ValueError(f"refused: the degree LP on {size} exceeds polydeg.MAX_LP_SIZE = {MAX_LP_SIZE}")
 
 
 def _scan(rhs: list[int], columns: Iterable[tuple[int, list[int]]], lo: int, n: int) -> tuple[
@@ -343,29 +374,34 @@ def _scan(rhs: list[int], columns: Iterable[tuple[int, list[int]]], lo: int, n: 
     return d + 1, None, lam
 
 
-def _search(red: _Reduction, lo: int) -> tuple[int, FeasibilityResult | None]:
+def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult | None]:
     """The least feasible degree d in [lo, top] of red, or top + 1 if none,
     with the result at d (None where d = n follows an infeasible run).  For
-    d < npin a degree-d fit of the pinned values is their interpolant of
-    degree < npin, which is unique, so it exists iff b[d+1:npin] = 0 (a
-    nonzero b past top leaves no fit), and one check decides [max(lo, d0),
-    npin-1], d0 the last nonzero b[i].  Then _scan takes the box column of
-    each degree from npin to top; its witness is re-checked, and so is its
-    Farkas certificate, which covers every lower degree as feasibility is
-    monotone in d.
-    """
-    npin, top = red.npin, red.top
-    d = max([lo] + [i for i in range(npin) if red.b[i]])
-    if d < min(npin, top + 1):
-        result = _witness(red, d + 1, [], 1)
-        if result.feasible:
-            return d, result
-    if npin > top:  # no free column, and no interpolant of degree <= top fits
-        return top + 1, FeasibilityResult(False, None)
-    d, solved, lam = _scan(red.box_rhs(), ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, red.f.n)
-    if d > red.f.n:
+    d < npin a fit is the pinned values' interpolant, unique, of degree deg:
+    one check decides [max(lo, deg), npin-1].  Then _scan, within
+    _check_size, takes the box column of each degree from npin to top; its
+    witness and Farkas certificate (for every lower degree, as feasibility
+    is monotone in d) are re-checked."""
+    npin, n = red.npin, red.f.n
+    if lo < npin:
+        deg, V, L = red.fit
+        d = max(lo, deg)
+        if d <= top and V is not None:
+            result = _witness(red, [Fraction(v, L) for v in V] + [Fraction(0)] * (d - deg), False)
+            if result.feasible:
+                return d, result
+        if npin > top:  # no free column, and no interpolant of degree <= top fits
+            return top + 1, FeasibilityResult(False, None)
+    _check_size(red, len(red.boxes), top + 1 - npin)
+    d, solved, lam = _scan(red.box_rhs(), ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, n)
+    if d > n:
         raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
-    result = _witness(red, npin, *solved) if solved else None
+    result = None
+    if solved:
+        (t, Dt), (_, b, D) = solved, red.pinned
+        free = [red.column(k) for k in range(len(t))]
+        coeffs = [Fraction(b[i] * Dt - sum(col[i] * v for col, v in zip(free, t)), D * Dt) for i in range(npin)]
+        result = _witness(red, coeffs + [Fraction(v, Dt) for v in t], True)
     _certify(red, d, lam)
     return d, FeasibilityResult(False, None) if d > top else result
 
@@ -373,19 +409,19 @@ def _search(red: _Reduction, lo: int) -> tuple[int, FeasibilityResult | None]:
 def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult:
     """Decide, exactly, whether some degree-<=d profile fits f within eps.
 
-    With eps = p/q, each weight w bounds q times the profile value a·c =
-    sum_k c_k C(w,k) to integers [lo, hi]: [0, p] where f is 0, [q-p, q]
-    where f is 1 and [0, q] where f is undefined.  Weights with lo = hi (the
-    defined ones, at eps = 0 only) are eliminated up to d by _reduce, which
-    carries the box rows of the others along, all scaled by one factor q·D,
-    so the simplex decides as on the rational system (see _FeasibleBox).
-    This is the search from d on that reduction: one cold run, whose
-    witness or Farkas certificate is re-checked; an unsound one raises.
+    With eps = p/q, each weight bounds q times the profile value to integers
+    [0, p] where f is 0, [q-p, q] where f is 1 and [0, q] where f is
+    undefined; the box rows are all scaled by one factor q·D, so the simplex
+    decides as on the rational system (see _Reduction, _FeasibleBox).  This
+    is the search from d to d on the shared reduction of (f, eps): one check
+    of the pinned values' interpolant, or one cold run whose witness or
+    Farkas certificate is re-checked; an unsound one raises, and an LP over
+    MAX_LP_SIZE is refused with ValueError before it is built.
     """
     eps = _as_eps(eps)
     if not 0 <= d <= f.n:
         raise ValueError(f"degree bound must satisfy 0 <= d <= n={f.n}, got {d}")
-    return _search(_reduce(f, eps, d), d)[1]
+    return _search(_reduce(f, eps), d, d)[1]
 
 
 def _lower_bound(f: SymPartialFn) -> int:
@@ -413,6 +449,7 @@ def _half_search(red: _Reduction, lo: int, odd: int) -> int:
     has that parity (sign changes pair up about n/2).  The witness (c_k =
     Δᵏp(0)) and the last infeasible λ, unfolded, are checked on f's rows."""
     n, q, half = red.f.n, red.eps.denominator, range(red.f.n // 2 + 1)
+    _check_size(red, n + 1, n + 1)  # sized as the full search: the half one is no cheaper per entry
     rhs = red.box_rhs()[: 2 * len(half)]  # (2hi - q, q - 2lo) bound 2q·(p - 1/2) if odd
 
     def basis(j: int, w: int) -> int:  # s_j(w), times 2(n - 2w) if odd
@@ -423,78 +460,34 @@ def _half_search(red: _Reduction, lo: int, odd: int) -> int:
     d, solved, lam = _scan([2 * v + (-q, q)[i % 2] if odd else v for i, v in enumerate(rhs)], columns, lo, n)
     if solved is not None:
         t, Dt = solved
-        V = [odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)]
-        for k in range(d):  # V[k] becomes Δᵏ V(0)
-            V[k + 1 :] = [b - a for a, b in zip(V[k:], V[k + 1 :])]
-        _witness(red, 0, V, (1 + odd) * Dt)  # re-checked on f: an unsound one raises
+        V = _differences([odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)])
+        _witness(red, [Fraction(v, (1 + odd) * Dt) for v in V], True)  # re-checked on f: an unsound one raises
     _certify(red, d, None if lam is None else _unfold(lam, n, odd))
     return d
 
 
 def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
     """Least d with a feasible degree-d profile, with lp_feasible(f, eps, d),
-    whose one cold run gives the canonical witness."""
+    whose one check or cold run gives the canonical witness on the
+    reduction degree left in _reduce's cache."""
     d = degree(f, eps)
     return d, lp_feasible(f, eps, d)
 
 
 def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
     """Least d with a feasible degree-d profile, from an exact lower bound
-    lo: n if lo is n (interpolation fits), else on one reduction up to n, by
-    the half search if f is fixed by a mirror at eps > 0, or by the search
-    from lo; both check the two sides of their answer."""
+    lo: n if lo is n (interpolation fits), else on the shared reduction of
+    (f, eps), by the half search if f is fixed by a mirror at eps > 0, or by
+    the search from lo to n; both check the two sides of their answer, and
+    refuse with ValueError, before any LP, one above MAX_LP_SIZE."""
     eps, lo = _as_eps(eps), _lower_bound(f)
     if lo == f.n:
         return lo
-    red, mirrors = _reduce(f, eps, f.n), (isomorphs(f)[1::2] if eps and lo else [])  # reverse, reverse_complement
-    return _half_search(red, lo, mirrors.index(f)) if f in mirrors else _search(red, lo)[0]
+    red, mirrors = _reduce(f, eps), (isomorphs(f)[1::2] if eps and lo else [])  # reverse, reverse_complement
+    return _half_search(red, lo, mirrors.index(f)) if f in mirrors else _search(red, lo, f.n)[0]
 
 
 def qe_lower_bound(f: SymPartialFn) -> int:
     """Query lower bound ceil(degree(f, 0) / 2) from the profile-degree of the
     acceptance probability of any exact algorithm."""
     return (degree(f, 0) + 1) // 2
-
-
-def classify_deg2(f: SymPartialFn) -> FamilyTag | None:
-    """Match f against the complete catalogue of degree <= 2 promise families.
-
-    Returns CONSTANT_OR_EMPTY when the defined values admit a constant fit
-    (degree 0), DEG1_F1NN for the unique degree-1 orbit, a family tag with
-    parameter for the degree-2 catalogue, and None otherwise.  The parameter
-    ranges are k in [floor(n/2), n-1] for F1/F2 and l in
-    [floor(n/2), ceil(n/2)] for F3; for even n the F4 vector equals
-    F3(n/2) and is reported as F3.
-    """
-    if f.n <= 1:
-        raise ValueError(f"classification needs n > 1, got n={f.n}")
-    n = f.n
-    present = {v for v in f.values if v is not UNDEFINED}
-    if len(present) <= 1:
-        return FamilyTag(FamilyKind.CONSTANT_OR_EMPTY, None, TRANSFORMS[0])
-    orbit = isomorphs(f)
-
-    def match(target: SymPartialFn) -> str | None:
-        for t, g in zip(TRANSFORMS, orbit):
-            if g == target:
-                return t
-        return None
-
-    t = match(family_f1(n, n))
-    if t is not None:
-        return FamilyTag(FamilyKind.DEG1_F1NN, None, t)
-
-    candidates: list[tuple[FamilyKind, int | None, SymPartialFn]] = []
-    for k in range(n // 2, n):
-        candidates.append((FamilyKind.F1, k, family_f1(n, k)))
-    for k in range(n // 2, n):
-        candidates.append((FamilyKind.F2, k, family_f2(n, k)))
-    for l in range(n // 2, (n + 1) // 2 + 1):
-        candidates.append((FamilyKind.F3, l, family_f3(n, l)))
-    if n % 2:
-        candidates.append((FamilyKind.F4, None, family_f4(n)))
-    for kind, param, target in candidates:
-        t = match(target)
-        if t is not None:
-            return FamilyTag(kind, param, t)
-    return None

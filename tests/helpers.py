@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 
-from symquery import PolyV, SymPartialFn, from_string, polydeg
-from symquery.polydeg import FeasibilityResult
-from symquery.symfun import FnValue
+from symquery import PolyV, SymPartialFn, algos, check_representation, from_string, polydeg
+from symquery.polydeg import FamilyKind, FamilyTag, FeasibilityResult
+from symquery.symfun import TRANSFORMS, FnValue, family_f1, family_f2, family_f3, family_f4, isomorphs
 
 
 def fn_strings(min_n: int = 1, max_n: int = 8):
@@ -210,3 +211,68 @@ def binary_search_least_degree(f: SymPartialFn, eps) -> tuple[int, FeasibilityRe
         else:
             lo = d + 1
     return lo, best
+
+
+def registered(alg: str, params: dict, field: str):
+    """ALGORITHMS[alg].<field> (family or budget) at params, passed in the
+    entry's parameter order; a missing parameter raises ValueError."""
+    entry = algos.ALGORITHMS[alg]
+    missing = [p for p in entry.params if p not in params]
+    if missing:
+        raise ValueError(f"{alg} needs parameters {entry.params}, missing {missing}")
+    return getattr(entry, field)(*(params[p] for p in entry.params))
+
+
+class EagerReduction(NamedTuple):
+    npin: int
+    cols: list[list[int]]  # the free columns npin..top
+    b: list[int]
+    D: int
+
+
+def eager_reduce(f: SymPartialFn, eps, top: int) -> EagerReduction:
+    """Reference for polydeg._Reduction: Gauss–Jordan on the pinned
+    equalities over every column c_0..c_top at once, the box rows carried
+    along, as the degree search ran it before it eliminated the pinned block
+    once and replayed its pivots on each column it asked for."""
+    eps = Fraction(eps)
+    p, q = eps.numerator, eps.denominator
+    bound_of = {FnValue.ZERO: (0, p), FnValue.ONE: (q - p, q), FnValue.UNDEFINED: (0, q)}
+    bounds = [bound_of[v] for v in f.values]
+    pinned = [w for w, (lo, hi) in enumerate(bounds) if lo == hi]
+    boxed = [w for w, (lo, hi) in enumerate(bounds) if lo != hi]
+    cols = [[comb(w, k) for w in pinned] + [q * comb(w, k) for w in boxed] for k in range(top + 1)]
+    b, D = [bounds[w][0] for w in pinned] + [0] * len(boxed), 1
+    for c in range(min(top + 1, len(pinned))):
+        D = polydeg._pivot(cols[c + 1 :] + [b], cols[c], c, D)
+    return EagerReduction(len(pinned), cols[len(pinned) :], b, D)
+
+
+def eager_fit(f: SymPartialFn, d: int) -> FeasibilityResult:
+    """Reference for the eps = 0 verdict at d below the pinned count, read off
+    the eager reduction up to n as the search read it: a degree-d fit of the
+    pinned values exists iff b[d+1:npin] = 0; it is c_i = b[i] / D, checked."""
+    red = eager_reduce(f, 0, f.n)
+    if any(red.b[d + 1 : red.npin]):
+        return FeasibilityResult(False, None)
+    witness = PolyV(tuple(Fraction(red.b[i], red.D) for i in range(d + 1)))
+    return FeasibilityResult(True, witness) if check_representation(witness, f, 0) else FeasibilityResult(False, None)
+
+
+def candidate_classify(f: SymPartialFn) -> FamilyTag | None:
+    """Reference for polydeg.classify_deg2: every catalogue member at f's n,
+    built and compared with each orbit member, first member then first
+    transform."""
+    n, orbit = f.n, isomorphs(f)
+    if len({v for v in f.values if v is not FnValue.UNDEFINED}) <= 1:
+        return FamilyTag(FamilyKind.CONSTANT_OR_EMPTY, None, TRANSFORMS[0])
+    candidates = [(FamilyKind.DEG1_F1NN, None, family_f1(n, n))]
+    candidates += [(FamilyKind.F1, k, family_f1(n, k)) for k in range(n // 2, n)]
+    candidates += [(FamilyKind.F2, k, family_f2(n, k)) for k in range(n // 2, n)]
+    candidates += [(FamilyKind.F3, l, family_f3(n, l)) for l in range(n // 2, (n + 1) // 2 + 1)]
+    candidates += [(FamilyKind.F4, None, family_f4(n))] * (n % 2)
+    for kind, param, target in candidates:
+        for t, g in zip(TRANSFORMS, orbit):
+            if g == target:
+                return FamilyTag(kind, param, t)
+    return None

@@ -11,6 +11,8 @@ import symquery as sq
 from symquery import algos, qsim
 from symquery.symfun import TRANSFORMS, complement_fn
 
+from helpers import registered
+
 
 def outputs(run):
     return run.outputs
@@ -350,7 +352,7 @@ class TestVerifyExact:
         for alg, params in cases:
             report = algos.verify_exact(alg, params)
             assert report.all_exact, alg
-            assert report.worst_case_queries <= algos.query_budget(alg, params), alg
+            assert report.worst_case_queries <= registered(alg, params, "budget"), alg
 
     @pytest.mark.parametrize(
         "alg,params",
@@ -383,7 +385,7 @@ class TestVerifyExact:
             ("f2", {"n": 8, "k": 2}),
             ("f4", {"n": 5}),
         ]:
-            f = algos.canonical_function(alg, params)
+            f = registered(alg, params, "family")
             report = algos.verify_exact(alg, params)
             assert sq.qe_lower_bound(f) <= report.worst_case_queries
 
@@ -477,7 +479,7 @@ def valid_instances(alg, n_max):
             candidates = [{"n": n, "k": k} for k in range(n + 1)]
         for params in candidates:
             try:
-                algos.canonical_function(alg, params)
+                registered(alg, params, "family")
                 algos.run(alg, params, "0" * n)
             except ValueError:  # includes UnsupportedParameters
                 continue
@@ -504,7 +506,7 @@ class TestWeightClassEngine:
         info = algos.ALGORITHMS[alg]
         for params in valid_instances(alg, 8):
             plan = info.plan(*params.values())
-            for x in sq.domain_inputs(algos.canonical_function(alg, params)):
+            for x in sq.domain_inputs(registered(alg, params, "family")):
                 classes = algos._classes(plan, params["n"], x.count("1"))
                 (law,) = [law for prefix, law in classes if x.startswith(prefix)]
                 simulated: dict = {}
@@ -577,8 +579,8 @@ class TestWeightClassEngine:
     def test_large_instances_exact(self, alg, params):
         report = algos.verify_exact(alg, params)
         assert report.all_exact
-        assert report.inputs_checked == sq.domain_size(algos.canonical_function(alg, params))
-        assert report.worst_case_queries == algos.query_budget(alg, params)
+        assert report.inputs_checked == sq.domain_size(registered(alg, params, "family"))
+        assert report.worst_case_queries == registered(alg, params, "budget")
 
     def test_size_cap(self):
         cap = algos.MAX_VERIFY_N

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import symquery as sq
 
-from helpers import set_rule_d_complexity, sym_fns, tree_search_depth
+from helpers import registered, set_rule_d_complexity, sym_fns, tree_search_depth
 
 vec = sq.from_string
 
@@ -100,6 +100,6 @@ class TestProperties:
             ("f2", {"n": 8, "k": 2}),
             ("f4", {"n": 7}),
         ]:
-            f = algos.canonical_function(alg, params)
+            f = registered(alg, params, "family")
             report = algos.verify_exact(alg, params)
             assert report.worst_case_queries <= sq.d_complexity(f), alg

@@ -2,9 +2,11 @@
 catalogue classification."""
 
 import hashlib
+import itertools
 import operator
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from unittest import mock
 
@@ -16,7 +18,8 @@ import symquery as sq
 from symquery import polydeg
 from symquery.polydeg import FamilyKind, PolyV
 
-from helpers import binary_search_least_degree, full_tableau_feasible_box, interpolation_profile, sym_fns
+from helpers import (binary_search_least_degree, candidate_classify, eager_fit, eager_reduce, full_tableau_feasible_box,
+                     interpolation_profile, sym_fns)
 
 vec = sq.from_string
 F = Fraction
@@ -271,9 +274,10 @@ class TestFeasibleBox:
 
 class TestEliminate:
     """The one reducer of a degree search: at eps = 0 it eliminates the
-    defined (pinned) weights once, up to degree top, and carries the
-    undefined (box) weights along; its state is the degree-d system for
-    every d <= top."""
+    defined (pinned) weights once and carries the undefined (box) weights
+    along, reducing each free column when a search first asks for it; its
+    state is the degree-d system for every d, the same integers as the eager
+    elimination of every column (helpers.eager_reduce)."""
 
     @staticmethod
     def pivot_columns(rows):
@@ -295,34 +299,80 @@ class TestEliminate:
         pinned = [w for w, v in enumerate(f.values) if v is not sq.FnValue.UNDEFINED]
         value = {sq.FnValue.ZERO: 0, sq.FnValue.ONE: 1}
         top = data.draw(st.integers(0, f.n), label="top")
-        red = polydeg._reduce(f, F(0), top)
-        P = red.npin
-        assert P == len(pinned) and len(red.cols) == top + 1 - min(top + 1, P) and red.D > 0
+        red = polydeg._Reduction(f, F(0))
+        P, cols = red.npin, [red.column(k) for k in range(top + 1 - len(pinned))]
+        _, b, D = red.pinned
+        assert P == len(pinned) and len(red.cols) == top + 1 - min(top + 1, P) and D > 0
         for d in range(top + 1):
             aug = [[comb(w, k) for k in range(d + 1)] + [value[f.values[w]]] for w in pinned]
             # the pinned weights are distinct, so the pivots are a prefix
             npiv = min(d + 1, P)
             assert self.pivot_columns([row[:-1] for row in aug]) == list(range(npiv))
             # a degree-d solution reads c_0..c_d off the reduced rows, the rest zero
-            if any(red.b[npiv:P]):
+            if any(b[npiv:P]):
                 assert self.pivot_columns(aug)[-1] == d + 1  # inconsistent
                 continue
-            free = red.cols[: d + 1 - npiv]
+            free = cols[: d + 1 - npiv]
             c = [F(data.draw(st.integers(-5, 5))) for _ in free]
-            c = [(red.b[i] - sum(col[i] * x for col, x in zip(free, c))) / F(red.D) for i in range(npiv)] + c
+            c = [(b[i] - sum(col[i] * x for col, x in zip(free, c))) / F(D) for i in range(npiv)] + c
             assert all(sum(a * x for a, x in zip(row, c)) == row[-1] for row in aug)
 
     @given(sym_fns(max_n=12))
     @settings(max_examples=100, deadline=None)
     def test_carried_box_rows_are_the_schur_complement(self, f):
         boxed = [w for w, v in enumerate(f.values) if v is sq.FnValue.UNDEFINED]
-        red = polydeg._reduce(f, F(0), f.n)
-        P = red.npin
+        red = polydeg._Reduction(f, F(0))
+        P, (_, b, D) = red.npin, red.pinned
         for j, w in enumerate(boxed, P):
             a = [comb(w, k) for k in range(f.n + 1)]
-            for fc, col in enumerate(red.cols, P):
-                assert col[j] == red.D * a[fc] - sum(a[i] * col[i] for i in range(P))
-            assert red.b[j] == -sum(a[i] * red.b[i] for i in range(P))
+            for fc in range(P, f.n + 1):
+                col = red.column(fc - P)
+                assert col[j] == D * a[fc] - sum(a[i] * col[i] for i in range(P))
+            assert b[j] == -sum(a[i] * b[i] for i in range(P))
+
+    @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_columns_are_the_eager_ones(self, f, eps, data):
+        # every column asked for, in any order, and b and D are the eager
+        # elimination's integers, so Bland's path cannot move
+        red = polydeg._Reduction(f, eps)
+        top = data.draw(st.integers(min(red.npin, f.n), f.n), label="top")
+        want = eager_reduce(f, eps, top)
+        order = data.draw(st.permutations(range(top + 1 - red.npin)), label="order")
+        assert {k: red.column(k) for k in order} == dict(enumerate(want.cols))
+        assert red.npin == want.npin and red.pinned[1:] == (want.b, want.D)
+        assert [red.box_column(k) for k in range(len(want.cols))] == [
+            [v for x in col[red.npin :] for v in (x, -x)] for col in want.cols]
+
+    @staticmethod
+    def assert_fit_is_the_eager_one(f, every_degree):
+        # below the pinned count the interpolant decides: the same degree and
+        # witness bytes as the eager reduction's reduced rows, no elimination
+        npin, lo = len(f.domain_weights), sign_changes(f)
+        want = eager_reduce(f, 0, f.n)
+        d = max([lo] + [i for i in range(npin) if want.b[i]])
+        ref = eager_fit(f, d) if d < npin else sq.FeasibilityResult(False, None)
+        red = polydeg._Reduction(f, F(0))
+        assert red.fit[0] == max((i for i in range(npin) if want.b[i]), default=-1)
+        if ref.feasible:
+            assert sq.degree(f, 0) == d
+            got = sq.lp_feasible(f, 0, d)
+            assert tuple(map(str, got.witness.coeffs)) == tuple(map(str, ref.witness.coeffs))
+            assert "pinned" not in vars(polydeg._reduce(f, F(0)))  # no Gauss–Jordan below npin
+        else:
+            assert sq.degree(f, 0) >= npin
+        for e in range(npin) if every_degree else ():
+            assert sq.lp_feasible(f, 0, e) == eager_fit(f, e), e
+
+    @given(sym_fns(min_n=2, max_n=14))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_matches_the_eager_reduction(self, f):
+        self.assert_fit_is_the_eager_one(f, every_degree=True)
+
+    def test_fit_matches_the_eager_reduction_on_dj(self):
+        for n in range(2, 41, 2):
+            for k in range(n // 2):
+                self.assert_fit_is_the_eager_one(sq.family_dj(n, k), every_degree=False)
 
     @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
     @settings(max_examples=60, deadline=None)
@@ -334,6 +384,7 @@ class TestEliminate:
             seen.append(col[r])
             return pivot(cols, col, r, D)
 
+        polydeg._reduce.cache_clear()
         with mock.patch.object(polydeg, "_pivot", recorded):
             polydeg.least_degree(f, eps)
         assert all(p > 0 for p in seen)
@@ -341,11 +392,11 @@ class TestEliminate:
     @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
     @settings(max_examples=40, deadline=None)
     def test_shared_state_solves_as_lp_feasible(self, f, eps):
-        # the search from d on the reduction up to n stops at d exactly when
+        # the search from d up to n on one reduction stops at d exactly when
         # lp_feasible finds degree d feasible, and then with its result, cold
-        red = polydeg._reduce(f, eps, f.n)
+        red = polydeg._Reduction(f, eps)
         for d in range(f.n + 1):
-            want, (got, result) = sq.lp_feasible(f, eps, d), polydeg._search(red, d)
+            want, (got, result) = sq.lp_feasible(f, eps, d), polydeg._search(red, d, f.n)
             assert got >= d and (got == d) == want.feasible, d
             if want.feasible:
                 assert result == want, d
@@ -385,6 +436,14 @@ class TestDegree:
         for n in (14, 16):
             for k in range(n // 2):
                 assert sq.degree(sq.family_dj(n, k), 0) == 2 * k + 2, (n, k)
+
+    @pytest.mark.parametrize("n,k", [(200, 20), (400, 40), (1000, 100)])
+    def test_large_balanced_family_by_interpolation(self, n, k):
+        # below the pinned count: no elimination, no LP, the witness checked
+        polydeg._reduce.cache_clear()
+        d, result = polydeg.least_degree(sq.family_dj(n, k), 0)
+        assert d == 2 * k + 2 and result.feasible and sq.check_representation(result.witness, sq.family_dj(n, k), 0)
+        assert "pinned" not in vars(polydeg._reduce(sq.family_dj(n, k), F(0)))
 
     def test_constant_is_degree_zero(self):
         assert sq.degree(vec("00*0"), 0) == 0
@@ -466,31 +525,40 @@ class TestDegree:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record the start of every search, the column count of every
-        dictionary run and the top of every reduction."""
-        seen = {"searches": [], "runs": [], "reductions": []}
-        search, run, reduce = polydeg._search, polydeg._FeasibleBox.run, polydeg._reduce
-        monkeypatch.setattr(polydeg, "_search", lambda red, lo: seen["searches"].append(lo) or search(red, lo))
+        """Record the (start, top) of every search, the column count of every
+        dictionary run and the pinned count of every pinned-block
+        elimination; clear() empties the records and _reduce's cache."""
+        seen = {"searches": [], "runs": [], "eliminations": []}
+        search, run, pinned = polydeg._search, polydeg._FeasibleBox.run, polydeg._Reduction.pinned.func
+        monkeypatch.setattr(polydeg, "_search", lambda red, lo, top: seen["searches"].append((lo, top))
+                            or search(red, lo, top))
         monkeypatch.setattr(polydeg._FeasibleBox, "run", lambda box: seen["runs"].append(box.nf) or run(box))
-        monkeypatch.setattr(polydeg, "_reduce", lambda f, eps, top: seen["reductions"].append(top) or reduce(f, eps, top))
-        return seen
+        counted = cached_property(lambda red: seen["eliminations"].append(red.npin) or pinned(red))
+        counted.__set_name__(polydeg._Reduction, "pinned")
+        monkeypatch.setattr(polydeg._Reduction, "pinned", counted)
+
+        def clear():
+            polydeg._reduce.cache_clear()
+            for probes in seen.values():
+                probes.clear()
+
+        return seen, clear
 
     @pytest.mark.parametrize("n", [1, 6, 30])
     def test_parity_solves_once(self, monkeypatch, n):
         # the lower bound is n, so degree solves nothing, and least_degree's
         # one search, the cold solve at n, gives the witness
-        seen = self.count_solves(monkeypatch)
+        seen, clear = self.count_solves(monkeypatch)
         for eps in (F(1, 8), F(1, 3)):
             for search, once in ((polydeg.least_degree, 1), (lambda f, eps: (sq.degree(f, eps),), 0)):
-                for probes in seen.values():
-                    probes.clear()
+                clear()
                 assert search(vec(f"PARITY:{n}"), eps)[0] == n
-                assert seen == {"searches": [n] * once, "runs": [n + 1] * once, "reductions": [n] * once}
+                assert seen == {"searches": [(n, n)] * once, "runs": [n + 1] * once, "eliminations": [0] * once}
 
     def test_degree_command_solves_each_degree_once(self, monkeypatch, capsys):
         from symquery.cli import main
 
-        seen = self.count_solves(monkeypatch)
+        seen, clear = self.count_solves(monkeypatch)
         # (spec, eps, column counts of degree's runs)
         cases = (("DJ:8,1", "0", []),  # decided below npin by the pinned interpolant
                  ("0*1*0", "0", []),
@@ -500,19 +568,20 @@ class TestDegree:
         for spec, eps, runs in cases:
             f = vec(spec)
             n, lo, npin = f.n, sign_changes(f), len(f.domain_weights) if eps == "0" else 0
-            for probes in seen.values():
-                probes.clear()
+            clear()
             d = sq.degree(f, F(eps))
-            # one elimination, one dictionary run per degree, upward from lo, in
-            # one search, or in the half search for MAJ:9, which is not _search
-            searches = [] if spec == "MAJ:9" else [lo]
-            assert seen == {"searches": searches, "runs": runs, "reductions": [n]}, spec
-            for probes in seen.values():
-                probes.clear()
+            # one dictionary run per degree, upward from lo, in one search up to
+            # n, or in the half search for MAJ:9, which is not _search; the
+            # pinned block is eliminated once, and not at all below npin
+            searches = [] if spec == "MAJ:9" else [(lo, n)]
+            eliminations = [npin] * (d >= npin)
+            assert seen == {"searches": searches, "runs": runs, "eliminations": eliminations}, spec
+            clear()
             assert main(["degree", "--fn", spec, "--eps", eps]) == 0
-            # then lp_feasible at d: a reduction up to d and one cold run, none below npin
-            assert seen == {"searches": searches + [d], "runs": runs + [d + 1 - npin] * (d >= npin),
-                            "reductions": [n, d]}, spec
+            # then lp_feasible at d, on degree's reduction: one cold run, none
+            # below npin, and no second elimination
+            assert seen == {"searches": searches + [(d, d)], "runs": runs + [d + 1 - npin] * (d >= npin),
+                            "eliminations": eliminations}, spec
         capsys.readouterr()
 
     @given(st.one_of(sym_fns(max_n=10), mirrored_fns(max_n=12)), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
@@ -529,6 +598,86 @@ class TestDegree:
             assert len(built) <= 2
 
 
+class TestSizeGuard:
+    """A search refuses, with ValueError and before it builds them, an LP of
+    more than MAX_LP_SIZE box weights × free columns × words of D, and a
+    pinned block of more than MAX_BLOCK_SIZE pinned weights² × weights."""
+
+    class Built(Exception):
+        """Raised in place of the first LP run or pivot: nothing is solved."""
+
+    @classmethod
+    def unsolved(cls, monkeypatch, *names):
+        def built(*args):
+            raise cls.Built
+
+        for name in names:
+            monkeypatch.setattr(polydeg, name, built)
+
+    @staticmethod
+    def lp_size(f, eps, columns):
+        npin = len(f.domain_weights) if eps == 0 else 0
+        words = 1 + eager_reduce(f, eps, f.n).D.bit_length() // 64
+        return (f.n + 1 - npin) * columns * words
+
+    @pytest.mark.parametrize("spec,eps,d", [("MAJ:41", F(1, 8), 39), ("THRESHOLD:9,3", F(1, 4), 6),
+                                            ("*0*1*0*", F(0), 4), ("0*****1*1", F(0), 6)])
+    def test_lp_cap_boundary(self, monkeypatch, spec, eps, d):
+        # degree's search (the half one sized as the full one) takes columns
+        # up to n, lp_feasible's up to d; admitted at the cap, refused below it
+        f = vec(spec)
+        npin = len(f.domain_weights) if eps == 0 else 0
+        self.unsolved(monkeypatch, "_scan")
+        for call, columns in ((lambda: sq.degree(f, eps), f.n + 1 - npin), (lambda: sq.lp_feasible(f, eps, d), d + 1 - npin)):
+            size = self.lp_size(f, eps, columns)
+            monkeypatch.setattr(polydeg, "MAX_LP_SIZE", size)
+            with pytest.raises(self.Built):
+                call()
+            monkeypatch.setattr(polydeg, "MAX_LP_SIZE", size - 1)
+            with pytest.raises(ValueError, match="MAX_LP_SIZE"):
+                call()
+
+    def test_block_cap_boundary(self, monkeypatch):
+        f = vec("0*****1*1")
+        block = len(f.domain_weights) ** 2 * (f.n + 1)
+        self.unsolved(monkeypatch, "_pivot")
+        monkeypatch.setattr(polydeg, "MAX_BLOCK_SIZE", block)
+        polydeg._reduce.cache_clear()
+        with pytest.raises(self.Built):
+            sq.degree(f, 0)
+        monkeypatch.setattr(polydeg, "MAX_BLOCK_SIZE", block - 1)
+        polydeg._reduce.cache_clear()
+        with pytest.raises(ValueError, match="MAX_BLOCK_SIZE"):
+            sq.degree(f, 0)
+
+    def test_measured_cap(self, monkeypatch):
+        # MAJ:41 at 1/8 is admitted and MAJ:80 refused; DJ:1000,100 at eps = 0
+        # needs no LP, and an n = 400 vector whose pinned interpolant leaves a
+        # box would eliminate a block of 398 pinned weights, refused
+        self.unsolved(monkeypatch, "_scan", "_pivot")
+        polydeg._reduce.cache_clear()
+        with pytest.raises(self.Built):
+            sq.degree(vec("MAJ:41"), F(1, 8))
+        with pytest.raises(self.Built):
+            sq.lp_feasible(vec("MAJ:41"), F(1, 8), 39)
+        with pytest.raises(ValueError, match="81 box weights × 81 free columns"):
+            sq.degree(vec("MAJ:80"), F(1, 8))
+        assert polydeg.least_degree(vec("DJ:1000,100"), 0)[0] == 202
+        rng = random.Random(400)
+        values = [rng.choice("01") for _ in range(401)]
+        for w in (150, 200, 250):
+            values[w] = "*"
+        with pytest.raises(ValueError, match="eliminating 398 pinned weights"):
+            sq.degree(vec("".join(values)), 0)
+
+    def test_cli_refuses_with_one_error_line(self, capsys):
+        from symquery.cli import main
+
+        assert main(["degree", "--fn", "MAJ:80", "--eps", "1/8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: refused: the degree LP")
+
+
 class TestHalfSearch:
     """At eps > 0 a function fixed by a mirror takes the half-size search,
     whose verdicts are certified on the function itself."""
@@ -543,12 +692,12 @@ class TestHalfSearch:
                 mock.patch.object(polydeg, "_search", lambda *a: searched.append(a) or search(*a)):
             d = sq.degree(f, eps)
         assert len(searched) == (lo == 0)  # lo = n needs no search, and lo = 0 takes the full one
-        assert d == polydeg._search(polydeg._reduce(f, eps, f.n), lo)[0]
+        assert d == polydeg._search(polydeg._Reduction(f, eps), lo, f.n)[0]
         assert polydeg.least_degree(f, eps) == (d, sq.lp_feasible(f, eps, d))
         # d has the parity of lo, and a half search above lo refutes d - 1 once
         assert d % 2 == lo % 2 and len(unfolded) == (0 < lo < d)
         for lam in unfolded:  # refutes degree d - 1 on f's own box rows
-            red = polydeg._reduce(f, eps, d - 1)
+            red = polydeg._Reduction(f, eps)
             columns, rhs = [red.box_column(k) for k in range(d)], red.box_rhs()
             assert polydeg._is_farkas(lam, columns, rhs)
             for i in range(len(lam)):  # every row has q·C(w, 0) = q in column 0
@@ -558,7 +707,7 @@ class TestHalfSearch:
     @pytest.mark.parametrize("spec", ["MAJ:9", "DJ:12,3"])
     def test_bent_unfolded_certificate_is_caught(self, monkeypatch, spec):
         f, eps, unfold = vec(spec), F(1, 8), polydeg._unfold
-        assert sq.degree(f, eps) == polydeg._search(polydeg._reduce(f, eps, f.n), sign_changes(f))[0]
+        assert sq.degree(f, eps) == polydeg._search(polydeg._Reduction(f, eps), sign_changes(f), f.n)[0]
         monkeypatch.setattr(polydeg, "_unfold", lambda *a: [v + (i == 0) for i, v in enumerate(unfold(*a))])
         with pytest.raises(RuntimeError, match="unsound infeasibility certificate"):
             sq.degree(f, eps)
@@ -630,3 +779,26 @@ class TestClassifyDeg2:
     def test_even_middle_reported_as_interior_weight(self):
         tag = sq.classify_deg2(sq.family_f4(6))
         assert tag.kind is FamilyKind.F3 and tag.param == 3
+
+    def test_every_vector_matches_the_candidate_reference(self):
+        # the same tag as building every catalogue member: first member in
+        # catalogue order, then first transform
+        for n in range(2, 8):
+            for values in itertools.product("01*", repeat=n + 1):
+                f = vec("".join(values))
+                assert sq.classify_deg2(f) == candidate_classify(f), f
+
+    def test_catalogue_members_at_large_n(self):
+        for n in (29, 30, 60, 61):
+            members = [sq.family_f1(n, k) for k in range(1, n + 1)] + [sq.family_f2(n, k) for k in range(1, n)]
+            members += [sq.family_f3(n, l) for l in range(1, n)] + [sq.family_f4(n)]
+            for g in (h for member in members for h in sq.isomorphs(member)):
+                assert sq.classify_deg2(g) == candidate_classify(g), g
+
+    @given(st.integers(2, 60).flatmap(lambda n: st.tuples(
+        st.just(n), st.dictionaries(st.integers(0, n), st.sampled_from("01"), max_size=6))))
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_vectors_match_the_candidate_reference(self, case):
+        n, defined = case
+        f = vec("".join(defined.get(w, "*") for w in range(n + 1)))
+        assert sq.classify_deg2(f) == candidate_classify(f)

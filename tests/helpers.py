@@ -61,7 +61,7 @@ def _pivot_rows(rows: list[list[int]], r: int, c: int, D: int, sign: int = 1) ->
 
 
 def full_tableau_feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
-    """Reference for polydeg._feasible_box: the same Phase-I simplex, Bland's
+    """Reference for polydeg._FeasibleBox: the same Phase-I simplex, Bland's
     rule over the virtual columns y⁺, y⁻, slacks, artificials in that order,
     on a row-major tableau that stores every y⁺ and slack column, basic or
     not (each y⁻ is read as -y⁺ through a sign; artificials never re-enter).
@@ -221,6 +221,43 @@ def registered(alg: str, params: dict, field: str):
     if missing:
         raise ValueError(f"{alg} needs parameters {entry.params}, missing {missing}")
     return getattr(entry, field)(*(params[p] for p in entry.params))
+
+
+def pairwise_xquery_law(x: str) -> list[tuple[tuple[int, int], Fraction]]:
+    """Reference for algos.xquery_exact_distribution, derived per pair:
+    P(0,0) = ((m - 2t)/m)^2 at weight t; each differing pair carries 4/m^2."""
+    m = len(x)
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    t = x.count("1")
+    out: list[tuple[tuple[int, int], Fraction]] = []
+    p_flat = Fraction((m - 2 * t) ** 2, m * m)
+    if p_flat:
+        out.append(((0, 0), p_flat))
+    p_pair = Fraction(4, m * m)
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            if x[i - 1] != x[j - 1]:
+                out.append(((i, j), p_pair))
+    return out
+
+
+def indexwise_grover1_law(x: str) -> list[tuple[int, Fraction]]:
+    """Reference for algos.grover1_exact_distribution, derived per index:
+    the amplitude on index i is (2s/n - (-1)^{x_i}) / sqrt(n), s = n - 2|x|."""
+    n = len(x)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    t = x.count("1")
+    mean2 = Fraction(2 * (n - 2 * t), n)
+    out: list[tuple[int, Fraction]] = []
+    for i in range(1, n + 1):
+        sign = -1 if x[i - 1] == "1" else 1
+        amp = mean2 - sign
+        p = amp * amp / n
+        if p:
+            out.append((i, p))
+    return out
 
 
 class EagerReduction(NamedTuple):

@@ -9,9 +9,9 @@ import hypothesis.strategies as st
 
 import symquery as sq
 from symquery import algos, qsim
-from symquery.symfun import TRANSFORMS, complement_fn
+from symquery.symfun import MAX_FAMILY_N, TRANSFORMS, complement_fn
 
-from helpers import registered
+from helpers import indexwise_grover1_law, pairwise_xquery_law, registered
 
 
 def outputs(run):
@@ -81,6 +81,32 @@ class TestGrover1:
                 exact = {o: float(p) for o, p in algos.grover1_exact_distribution(x)}
                 assert set(sim) == set(exact)
                 assert all(abs(sim[o] - exact[o]) < 1e-9 for o in sim)
+
+
+def assert_same_laws(x):
+    """Same list, same order, same Fractions as the per-pair and per-index
+    derivations the per-input laws replaced."""
+    for law, reference in ((algos.xquery_exact_distribution, pairwise_xquery_law),
+                           (algos.grover1_exact_distribution, indexwise_grover1_law)):
+        got = law(x)
+        assert got == reference(x) and all(type(p) is F for _, p in got), (law.__name__, x)
+
+
+class TestPerInputLaws:
+    def test_share_out_the_weight_laws_on_every_short_input(self):
+        for m in range(1, 13):
+            for bits in itertools.product("01", repeat=m):
+                assert_same_laws("".join(bits))
+
+    @given(st.text("01", min_size=13, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_share_out_the_weight_laws_on_random_inputs(self, x):
+        assert_same_laws(x)
+
+    def test_refuse_the_empty_input(self):
+        for law in (algos.xquery_exact_distribution, algos.grover1_exact_distribution):
+            with pytest.raises(ValueError, match=">= 1"):
+                law("")
 
 
 class TestDj:
@@ -337,6 +363,10 @@ class TestVerifyExact:
         with pytest.raises(ValueError):
             algos.verify_exact("dj", {"n": 8})
 
+    def test_unknown_transform(self):
+        with pytest.raises(ValueError, match="unknown transform 'bogus'"):
+            algos.verify_exact("dj", {"n": 8, "k": 1}, transform="bogus")
+
     def test_budgets_conform(self):
         cases = [
             ("dj", {"n": 6, "k": 2}),
@@ -438,7 +468,7 @@ class TestCapsBeforeWork:
         monkeypatch.setattr(algos, "_branches", unreachable)
         with pytest.raises(ValueError, match=f"capped at {algos.MAX_RUN_BRANCHES} branches"):
             algos.dj(14, 6, "1" * 7 + "0" * 7)
-        with pytest.raises(ValueError, match=f"capped at n={algos.MAX_VERIFY_N}"):
+        with pytest.raises(ValueError, match=f"capped at n={MAX_FAMILY_N}"):
             algos.grover1(1001, "0" * 1001)
 
     def test_positional_names_check_their_arity(self):
@@ -583,7 +613,7 @@ class TestWeightClassEngine:
         assert report.worst_case_queries == registered(alg, params, "budget")
 
     def test_size_cap(self):
-        cap = algos.MAX_VERIFY_N
+        cap = MAX_FAMILY_N
         assert algos.verify_exact("dw1", {"n": cap}).all_exact
         with pytest.raises(ValueError, match="capped"):
             algos.verify_exact("dw1", {"n": cap + 1})

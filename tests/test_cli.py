@@ -83,7 +83,7 @@ class TestRun:
             ("--alg", "f2", "--n", "400", "--k", "100", "--input", "0" * 400),
             # x_1 = 1 leaves weight 201 = k + 1 for f2 on 400 bits: 120,600 branches
             ("--alg", "f4", "--n", "401", "--input", "1" * 200 + "0" * 201),
-            ("--alg", "grover1", "--n", str(algos.MAX_VERIFY_N + 1), "--input", "0" * (algos.MAX_VERIFY_N + 1)),
+            ("--alg", "grover1", "--n", str(symfun.MAX_FAMILY_N + 1), "--input", "0" * (symfun.MAX_FAMILY_N + 1)),
         ],
     )
     def test_refused_before_any_branch(self, capsys, monkeypatch, argv):
@@ -180,7 +180,7 @@ class TestVerify:
             ("--alg", "xquery", "--n", "0"),
             ("--alg", "grover1", "--n", "-4"),
             ("--alg", "grover1", "--n", "0"),
-            ("--alg", "f4", "--n", str(algos.MAX_VERIFY_N + 1)),
+            ("--alg", "f4", "--n", str(symfun.MAX_FAMILY_N + 1)),
             ("--alg", "dj", "--n", "2400", "--k", "1100"),
         ],
     )
@@ -189,6 +189,10 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in out + err
+
+    def test_grover1_contract_needs_a_multiple_of_four(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--alg", "grover1", "--n", "6")
+        assert (code, out, err) == (2, "", "error: grover1 contract needs n divisible by 4, got n=6\n")
 
     def test_inexact_exit_one(self, capsys, monkeypatch):
         info = algos.ALGORITHMS["f1"]

@@ -199,6 +199,22 @@ class TestLpFeasible:
         with pytest.raises(RuntimeError, match="unsound infeasibility certificate"):
             sq.lp_feasible(f, eps, 6)
 
+    def test_bent_interpolant_is_caught(self, monkeypatch):
+        # below the pinned count a feasible verdict stands only on an
+        # interpolant that passes check_representation
+        f, fit = vec("0*1*0"), polydeg._Reduction.fit.func
+        assert sq.degree(f, 0) == 2
+
+        def bent(red):
+            deg, V, L = fit(red)
+            return deg, [V[0] + L] + V[1:], L  # p + 1, off every pinned value
+
+        monkeypatch.setattr(polydeg._Reduction, "fit", property(bent))
+        polydeg._reduce.cache_clear()
+        for decide in (lambda: sq.degree(f, 0), lambda: sq.lp_feasible(f, 0, 2)):
+            with pytest.raises(RuntimeError, match="unsound witness"):
+                decide()
+
 
 class TestFeasibleBox:
     """The dictionary simplex against the full tableau it stands for: the same

@@ -117,6 +117,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             sq.family_named("EXACT", 4, 5)
 
+    def test_named_rejects_a_stray_k_and_an_unknown_name(self):
+        with pytest.raises(ValueError, match="OR takes no k parameter"):
+            sq.family_named("OR", 4, 2)
+        with pytest.raises(ValueError, match="unknown named family 'FOO'"):
+            sq.family_named("FOO", 4)
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             sq.family_f1(5, 0)

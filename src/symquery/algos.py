@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -245,7 +246,8 @@ def xquery_exact_distribution(x: str) -> list[tuple[tuple[int, int], Fraction]]:
     (flat, _), (mass, pairs) = xquery_weight_law(x.count("1"), m)
     share = mass and mass / pairs  # no pair differs when pairs = 0
     out: list[tuple[tuple[int, int], Fraction]] = [((0, 0), flat)] if flat else []
-    return out + [((i, j), share) for i in range(1, m + 1) for j in range(i + 1, m + 1) if x[i - 1] != x[j - 1]]
+    other = {bit: [j for j, b in enumerate(x, 1) if b != bit] for bit in "01"}  # opposite-bit positions
+    return out + [((i, j), share) for i, bit in enumerate(x, 1) for j in other[bit][bisect(other[bit], i):]]
 
 
 def grover1_exact_distribution(x: str) -> list[tuple[int, Fraction]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .symfun import ONE, TRANSFORMS, UNDEFINED, ZERO, SymPartialFn
+from .symfun import ONE, TRANSFORMS, ZERO, SymPartialFn
 
 
 class FamilyKind(Enum):
@@ -51,10 +51,10 @@ def classify_deg2(f: SymPartialFn) -> FamilyTag | None:
     """
     if f.n <= 1:
         raise ValueError(f"classification needs n > 1, got n={f.n}")
-    n, flip, found = f.n, {ZERO: "1", ONE: "0"}, []
-    defined = [(w, v) for w, v in enumerate(f.values) if v is not UNDEFINED]
-    if len({v for _, v in defined}) <= 1:
+    if not f.value_changes:
         return FamilyTag(FamilyKind.CONSTANT_OR_EMPTY, None, TRANSFORMS[0])
+    n, flip, found = f.n, {ZERO: "1", ONE: "0"}, []
+    defined = [(w, f.values[w]) for w in f.domain_weights]
     if len(defined) > 4:
         return None
     for t, transform in enumerate(TRANSFORMS):  # bit 0 reverses the vector, bit 1 negates the output

@@ -420,14 +420,6 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
     return _search(_reduce(f, eps), d, d)[1]
 
 
-def _lower_bound(f: SymPartialFn) -> int:
-    """The count of adjacent defined weights (undefined ones skipped) with
-    different values: if q fits f within eps < 1/2, q - 1/2 changes sign
-    strictly between such a pair, so it has that many roots."""
-    defined = [v for v in f.values if v is not UNDEFINED]
-    return sum(u is not v for u, v in zip(defined, defined[1:]))
-
-
 def _unfold(lam: list[int], n: int, odd: int) -> list[int]:
     """A half λ on f's box rows: row (w, side) also lands on (n - w, side ^ odd)."""
     full = lam + [0] * (2 * n + 2 - len(lam))
@@ -476,7 +468,9 @@ def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
     (f, eps), by the half search if f is fixed by a mirror at eps > 0, or by
     the search from lo to n; both check the two sides of their answer, and
     refuse with ValueError, before any LP, one above MAX_LP_SIZE."""
-    eps, lo = _as_eps(eps), _lower_bound(f)
+    # if q fits f within eps < 1/2, q - 1/2 changes sign strictly between
+    # each value change, so it has that many roots
+    eps, lo = _as_eps(eps), len(f.value_changes)
     if lo == f.n:
         return lo
     red, mirrors = _reduce(f, eps), (isomorphs(f)[1::2] if eps and lo else [])  # reverse, reverse_complement

@@ -13,7 +13,7 @@ import re
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-MAX_ENUM_N = 30  # 2^n input enumeration must stay at desk scale
+MAX_ENUM_N = 30  # input enumeration lists 2^n strings, so it stays at desk scale
 # Largest n a family or literal spec may name, the size `verify` and `run`
 # admit; it is checked before the n + 1 values are built.  verify's slowest
 # instance, dj at k = n/2 - 1, takes about 4 s at n = 1000 on a 2-core x86 VM.
@@ -67,6 +67,13 @@ class SymPartialFn(NamedTuple("SymPartialFn", [("n", int), ("values", tuple[FnVa
     def domain_weights(self) -> tuple[int, ...]:
         """Weights where the function is defined."""
         return tuple(w for w, v in enumerate(self.values) if v.defined)
+
+    @property
+    def value_changes(self) -> tuple[tuple[int, int], ...]:
+        """Adjacent defined weights u < v (undefined ones skipped) where the
+        value differs."""
+        ws = self.domain_weights
+        return tuple((u, v) for u, v in zip(ws, ws[1:]) if self.values[u] is not self.values[v])
 
 
 # The four functions equal to f up to input/output negation (variable

@@ -144,9 +144,9 @@ def pivoting_bareiss_det(matrix: list[list[int]]) -> int:
 
 
 def set_rule_d_complexity(f: SymPartialFn) -> int:
-    """Reference for classical.d_complexity: the same minimax over count
-    pairs, deciding "one value left in [a, n-b]" from the set of values of
-    the domain weights in that range."""
+    """Reference for classical.d_complexity: the minimax over count pairs
+    whose value its closed form reads off, deciding "one value left in
+    [a, n-b]" from the set of values of the domain weights in that range."""
     n = f.n
     memo: dict[tuple[int, int], int] = {}
 

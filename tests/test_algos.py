@@ -103,6 +103,10 @@ class TestPerInputLaws:
     def test_share_out_the_weight_laws_on_random_inputs(self, x):
         assert_same_laws(x)
 
+    @pytest.mark.parametrize("x", ["0" * 400 + "1" + "0" * 599, "0110" * 250], ids=["light", "balanced"])
+    def test_pair_listing_at_m_1000(self, x):
+        assert_same_laws(x)
+
     def test_refuse_the_empty_input(self):
         for law in (algos.xquery_exact_distribution, algos.grover1_exact_distribution):
             with pytest.raises(ValueError, match=">= 1"):

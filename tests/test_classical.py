@@ -34,9 +34,22 @@ class TestReferenceValues:
                 assert sq.d_complexity(sq.family_dj(n, k)) == n // 2 + k + 1
 
     def test_cap(self):
-        f = sq.SymPartialFn(31, tuple([sq.FnValue.ZERO] * 32))
-        with pytest.raises(ValueError):
-            sq.d_complexity(f)
+        # the input-enumeration cap n = 30 does not bound d_complexity
+        for f in (sq.SymPartialFn(31, tuple([sq.FnValue.ZERO] * 32)), vec("F3:31,15"), vec("MAJ:31")):
+            assert sq.d_complexity(f) == set_rule_d_complexity(f), str(f)
+
+    @pytest.mark.parametrize("k", [0, 1, 100, 499])
+    def test_balanced_promise_at_the_family_cap(self, k):
+        assert sq.d_complexity(vec(f"DJ:1000,{k}")) == 500 + k + 1
+
+    def test_total_function_at_the_family_cap(self):
+        assert sq.d_complexity(vec("OR:1000")) == 1000
+
+    def test_beyond_the_family_cap(self):
+        # the library builds vectors past symfun.MAX_FAMILY_N
+        assert sq.d_complexity(sq.family_dj(5000, 7)) == 2500 + 7 + 1
+        assert sq.d_complexity(sq.family_f3(5000, 1234)) == 5000 + 1 - 1234
+        assert sq.d_complexity(sq.family_named("MAJ", 5000)) == 5000
 
 
 class TestAgainstTreeSearchOracle:
@@ -64,9 +77,15 @@ class TestAgainstTreeSearchOracle:
 
 
 class TestAgainstSetRule:
+    def test_every_vector_up_to_n7(self):
+        for n in range(1, 8):
+            for vals in itertools.product("01*", repeat=n + 1):
+                f = vec("".join(vals))
+                assert sq.d_complexity(f) == set_rule_d_complexity(f), str(f)
+
     @given(sym_fns(max_n=16))
     @settings(max_examples=200, deadline=None)
-    def test_prefix_counts_match_the_set_rule(self, f):
+    def test_closed_form_matches_the_set_rule(self, f):
         assert sq.d_complexity(f) == set_rule_d_complexity(f)
 
 

@@ -539,6 +539,19 @@ class TestDegree:
         d, result = polydeg.least_degree(f, eps)
         assert d == want and result == sq.lp_feasible(f, eps, d)
 
+    def test_search_starts_at_the_value_change_count(self, monkeypatch):
+        seen, clear = self.count_solves(monkeypatch)
+        rng = random.Random(22)
+        for _ in range(150):
+            f = vec("".join(rng.choice("01*") for _ in range(rng.randint(2, 9))))
+            lo = len(f.value_changes)
+            assert lo == sign_changes(f)
+            for eps in (F(0), F(1, 8)):
+                clear()
+                assert sq.degree(f, eps) >= lo
+                mirrored = eps and lo and f in sq.isomorphs(f)[1::2]  # then the half search runs instead
+                assert seen["searches"] == ([] if lo == f.n or mirrored else [(lo, f.n)]), (str(f), eps)
+
     @staticmethod
     def count_solves(monkeypatch):
         """Record the (start, top) of every search, the column count of every

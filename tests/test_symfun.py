@@ -258,6 +258,27 @@ class TestIsomorphs:
         assert orbit[3] == reverse_fn(complement_fn(f))
 
 
+class TestValueChanges:
+    def test_examples(self):
+        assert vec("0*1*0").value_changes == ((0, 2), (2, 4))
+        assert vec("DJ:8,1").value_changes == ((1, 4), (4, 7))
+        assert vec("PARITY:3").value_changes == ((0, 1), (1, 2), (2, 3))
+        assert vec("11*1").value_changes == vec("***").value_changes == ()
+
+    @given(sym_fns(max_n=10))
+    @settings(max_examples=100)
+    def test_adjacent_defined_weights_with_different_values(self, f):
+        defined = [(w, v) for w, v in enumerate(f.values) if v is not UNDEFINED]
+        assert f.value_changes == tuple((u, w) for (u, a), (w, b) in zip(defined, defined[1:]) if a != b)
+
+    @given(sym_fns(max_n=10))
+    @settings(max_examples=100)
+    def test_isomorphs_mirror_or_keep_the_pairs(self, f):
+        mirrored = tuple(sorted((f.n - v, f.n - u) for u, v in f.value_changes))
+        for t, g in zip(TRANSFORMS, sq.isomorphs(f)):
+            assert g.value_changes == (mirrored if "reverse" in t else f.value_changes), t
+
+
 class TestDomain:
     def test_value_at_weight(self):
         assert sq.value_at_weight(sq.family_dj(4, 0), 2) is ONE

@@ -32,7 +32,6 @@ from .polydeg import (
     qe_lower_bound,
 )
 from .symfun import (
-    FnValue,
     SymPartialFn,
     domain_inputs,
     domain_size,
@@ -55,7 +54,6 @@ __all__ = [
     "FamilyKind",
     "FamilyTag",
     "FeasibilityResult",
-    "FnValue",
     "PolyV",
     "SymPartialFn",
     "UnsupportedParameters",

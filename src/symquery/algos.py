@@ -46,9 +46,9 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .symfun import (
+    FLIP,
     MAX_ENUM_N,
     MAX_FAMILY_N,
-    ONE,
     TRANSFORMS,
     SymPartialFn,
     domain_inputs,
@@ -452,11 +452,8 @@ def _f4_plan(n: int) -> Step:
 # ---------------------------------------------------------------------------
 
 
-_FLIP = str.maketrans("01", "10")
-
-
 def _flip(x: str) -> str:
-    return x.translate(_FLIP)
+    return x.translate(FLIP)
 
 
 def _branches(step: Step, x: str, path: tuple[str, ...], prob: float, used: int, out: list[BranchTrace]) -> None:
@@ -605,7 +602,7 @@ def _check_request(
         raise ValueError(f"verification is capped at n={MAX_FAMILY_N}, got n={n}")
     if entry.family is not None:
         f = isomorphs(entry.family(*args))[TRANSFORMS.index(transform)]
-        return entry, args, f, (str(f), {w: frozenset({int(f.values[w] is ONE)}) for w in f.domain_weights})
+        return entry, args, f, (str(f), {w: frozenset({int(f.values[w])}) for w in f.domain_weights})
     if n < 1:
         raise ValueError(f"{alg} contract needs n >= 1, got n={n}")
     if transform != "identity":

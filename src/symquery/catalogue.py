@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .symfun import ONE, TRANSFORMS, ZERO, SymPartialFn
+from .symfun import TRANSFORMS, SymPartialFn, isomorphs
 
 
 class FamilyKind(Enum):
@@ -53,12 +53,11 @@ def classify_deg2(f: SymPartialFn) -> FamilyTag | None:
         raise ValueError(f"classification needs n > 1, got n={f.n}")
     if not f.value_changes:
         return FamilyTag(FamilyKind.CONSTANT_OR_EMPTY, None, TRANSFORMS[0])
-    n, flip, found = f.n, {ZERO: "1", ONE: "0"}, []
-    defined = [(w, f.values[w]) for w in f.domain_weights]
-    if len(defined) > 4:
+    if len(f.domain_weights) > 4:
         return None
-    for t, transform in enumerate(TRANSFORMS):  # bit 0 reverses the vector, bit 1 negates the output
-        ws, values = zip(*sorted((n - w if t & 1 else w, flip[v] if t & 2 else v.value) for w, v in defined))
+    n, found = f.n, []
+    for t, (transform, g) in enumerate(zip(TRANSFORMS, isomorphs(f))):
+        ws, values = g.domain_weights, g.values.replace("*", "")
         k = ws[1]
         catalogue = ((FamilyKind.DEG1_F1NN, None, (0, n), "01", True),  # (kind, param, weights, values, in range)
                      (FamilyKind.F1, k, (0, k), "01", n // 2 <= k < n),
@@ -66,5 +65,5 @@ def classify_deg2(f: SymPartialFn) -> FamilyTag | None:
                      (FamilyKind.F3, k, (0, k, n), "010", n // 2 <= k <= (n + 1) // 2),
                      (FamilyKind.F4, None, (0, n // 2, n // 2 + 1, n), "0110", n % 2 == 1))
         found += [(i, param or 0, t, FamilyTag(kind, param, transform)) for i, (kind, param, weights, shape, ok)
-                  in enumerate(catalogue) if ok and ws == weights and "".join(values) == shape]
+                  in enumerate(catalogue) if ok and ws == weights and values == shape]
     return min(found)[3] if found else None

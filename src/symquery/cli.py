@@ -82,8 +82,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     expected = None
     if entry.family is not None:
         value = entry.family(*params.values()).values[args.input.count("1")]
-        in_promise = value.defined
-        expected = int(value.value) if value.defined else None
+        in_promise = value != "*"
+        expected = int(value) if in_promise else None
 
     payload = {
         "command": "run",

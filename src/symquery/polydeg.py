@@ -30,7 +30,7 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from .catalogue import FamilyKind, FamilyTag, classify_deg2  # noqa: F401 (polydeg.classify_deg2 is public)
-from .symfun import ONE, UNDEFINED, ZERO, SymPartialFn, isomorphs
+from .symfun import SymPartialFn, isomorphs
 
 RationalLike = Fraction | int | str
 
@@ -97,7 +97,7 @@ def check_representation(q: PolyV, f: SymPartialFn, eps: RationalLike) -> bool:
         v = diffs[0]
         if v < 0 or v > L:
             return False
-        if (b is ZERO and r * v > p * L) or (b is ONE and r * v < (r - p) * L):
+        if (b == "0" and r * v > p * L) or (b == "1" and r * v < (r - p) * L):
             return False
     return True
 
@@ -245,7 +245,7 @@ class _Reduction:
 
     def __init__(self, f: SymPartialFn, eps: Fraction) -> None:
         p, q = eps.numerator, eps.denominator
-        bound_of = {ZERO: (0, p), ONE: (q - p, q), UNDEFINED: (0, q)}
+        bound_of = {"0": (0, p), "1": (q - p, q), "*": (0, q)}
         bounds = [bound_of[v] for v in f.values]
         self.f, self.eps, self.cols = f, eps, []
         self.pins = [(w, lo) for w, (lo, hi) in enumerate(bounds) if lo == hi]  # only at p = 0, so q = 1

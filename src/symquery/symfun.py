@@ -1,8 +1,9 @@
-"""Symmetric partial Boolean functions stored as weight-indexed value vectors.
+"""Symmetric partial Boolean functions stored as weight-indexed value strings.
 
 A function on n-bit strings that only depends on the Hamming weight |x| is
-represented by the length-(n+1) vector of its values at weights 0..n, each
-entry being 0, 1, or ``*`` (undefined, i.e. outside the promise).
+represented by the length-(n+1) string of its values at weights 0..n, each
+character being 0, 1, or ``*`` (undefined, i.e. outside the promise): the
+word the paper writes and every command prints.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from enum import Enum
 from typing import Iterator, NamedTuple
 
 MAX_ENUM_N = 30  # input enumeration lists 2^n strings, so it stays at desk scale
@@ -19,61 +19,45 @@ MAX_ENUM_N = 30  # input enumeration lists 2^n strings, so it stays at desk scal
 # instance, dj at k = n/2 - 1, takes about 4 s at n = 1000 on a 2-core x86 VM.
 MAX_FAMILY_N = 1000
 
-
-class FnValue(Enum):
-    """Value at one Hamming weight: defined 0/1, or undefined (prints as *)."""
-
-    ZERO = "0"
-    ONE = "1"
-    UNDEFINED = "*"
-
-    def __str__(self) -> str:
-        return self.value
-
-    @property
-    def defined(self) -> bool:
-        return self is not FnValue.UNDEFINED
+# Swaps 0 and 1 and passes * through: it negates input bits and output values alike.
+FLIP = str.maketrans("01", "10")
 
 
-ZERO = FnValue.ZERO
-ONE = FnValue.ONE
-UNDEFINED = FnValue.UNDEFINED
-
-
-class SymPartialFn(NamedTuple("SymPartialFn", [("n", int), ("values", tuple[FnValue, ...])])):
+class SymPartialFn(NamedTuple("SymPartialFn", [("n", int), ("values", str)])):
     """A weight-promise problem on n-bit inputs.
 
-    ``values[w]`` is the required output on inputs of weight w; entries equal
-    to UNDEFINED mark weights outside the promise.  Instances are immutable
-    and safe to share.
+    ``values`` is the string over ``0/1/*`` that ``str(f)`` prints:
+    ``values[w]`` is the required output on inputs of weight w, and ``*``
+    marks weights outside the promise.  Instances are immutable and safe to
+    share.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __new__(cls, n: int, values: tuple[FnValue, ...]) -> SymPartialFn:
+    def __new__(cls, n: int, values: str) -> SymPartialFn:
         if n < 1:
             raise ValueError(f"input length must be >= 1, got n={n}")
+        if not isinstance(values, str) or values.strip("01*"):
+            raise ValueError("values must be a string over 0/1/*")
         if len(values) != n + 1:
             raise ValueError(f"need {n + 1} weight entries for n={n}, got {len(values)}")
-        if not all(isinstance(v, FnValue) for v in values):
-            raise ValueError("vector entries must be FnValue")
         return super().__new__(cls, n, values)
 
     def __str__(self) -> str:
-        return "".join(str(v) for v in self.values)
+        return self.values
 
     @property
     def domain_weights(self) -> tuple[int, ...]:
         """Weights where the function is defined."""
-        return tuple(w for w, v in enumerate(self.values) if v.defined)
+        return tuple(w for w, v in enumerate(self.values) if v != "*")
 
     @property
     def value_changes(self) -> tuple[tuple[int, int], ...]:
         """Adjacent defined weights u < v (undefined ones skipped) where the
         value differs."""
         ws = self.domain_weights
-        return tuple((u, v) for u, v in zip(ws, ws[1:]) if self.values[u] is not self.values[v])
+        return tuple((u, v) for u, v in zip(ws, ws[1:]) if self.values[u] != self.values[v])
 
 
 # The four functions equal to f up to input/output negation (variable
@@ -88,19 +72,16 @@ def reverse_fn(f: SymPartialFn) -> SymPartialFn:
     return SymPartialFn(f.n, f.values[::-1])
 
 
-_FLIP = {ZERO: ONE, ONE: ZERO, UNDEFINED: UNDEFINED}
-
-
 def complement_fn(f: SymPartialFn) -> SymPartialFn:
     """Negate the output, leaving undefined weights undefined."""
-    return SymPartialFn(f.n, tuple(_FLIP[v] for v in f.values))
+    return SymPartialFn(f.n, f.values.translate(FLIP))
 
 
 def isomorphs(f: SymPartialFn) -> list[SymPartialFn]:
     """The orbit [f, reverse, complement, reverse of complement], in the
     order of ``TRANSFORMS`` (duplicates possible for symmetric vectors)."""
-    rc = reverse_fn(complement_fn(f))
-    return [f, reverse_fn(f), complement_fn(f), rc]
+    c = complement_fn(f)
+    return [f, reverse_fn(f), c, reverse_fn(c)]
 
 
 def is_isomorphic(f: SymPartialFn, g: SymPartialFn) -> bool:
@@ -110,7 +91,7 @@ def is_isomorphic(f: SymPartialFn, g: SymPartialFn) -> bool:
     return g in isomorphs(f)
 
 
-def value_at_weight(f: SymPartialFn, w: int) -> FnValue:
+def value_at_weight(f: SymPartialFn, w: int) -> str:
     if not 0 <= w <= f.n:
         raise ValueError(f"weight {w} out of range 0..{f.n}")
     return f.values[w]
@@ -138,11 +119,11 @@ def domain_size(f: SymPartialFn) -> int:
 
 def _promise(n: int, zeros: list[int], ones: list[int]) -> SymPartialFn:
     """0 at the weights zeros, 1 at the weights ones, undefined elsewhere."""
-    vals = [UNDEFINED] * (n + 1)
-    for value, weights in ((ZERO, zeros), (ONE, ones)):
+    vals = ["*"] * (n + 1)
+    for value, weights in (("0", zeros), ("1", ones)):
         for w in weights:
             vals[w] = value
-    return SymPartialFn(n, tuple(vals))
+    return SymPartialFn(n, "".join(vals))
 
 
 def family_dj(n: int, k: int) -> SymPartialFn:
@@ -213,7 +194,7 @@ def family_named(name: str, n: int, k: int | None = None) -> SymPartialFn:
     if name not in table:
         raise ValueError(f"unknown named family {name!r}")
     pred = table[name]
-    return SymPartialFn(n, tuple(ONE if pred(w) else ZERO for w in range(n + 1)))
+    return SymPartialFn(n, "".join("1" if pred(w) else "0" for w in range(n + 1)))
 
 
 _LITERAL_RE = re.compile(r"[01*]{2,}")
@@ -243,7 +224,7 @@ def from_string(spec: str) -> SymPartialFn:
     if _LITERAL_RE.fullmatch(s):
         if len(s) - 1 > MAX_FAMILY_N:
             raise ValueError(f"literal specs are capped at n={MAX_FAMILY_N}, got n={len(s) - 1}")
-        return SymPartialFn(len(s) - 1, tuple(FnValue(ch) for ch in s))
+        return SymPartialFn(len(s) - 1, s)
     if ":" in s:
         name, _, argstr = s.partition(":")
         name = name.strip().upper()

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from symquery import PolyV, SymPartialFn, algos, check_representation, from_string, polydeg
 from symquery.polydeg import FamilyKind, FamilyTag, FeasibilityResult
-from symquery.symfun import TRANSFORMS, FnValue, family_f1, family_f2, family_f3, family_f4, isomorphs
+from symquery.symfun import TRANSFORMS, family_f1, family_f2, family_f3, family_f4, isomorphs
 
 
 def fn_strings(min_n: int = 1, max_n: int = 8):
@@ -35,7 +35,7 @@ def interpolation_profile(f: SymPartialFn) -> PolyV:
     target at every weight, hence lies in [0, 1] everywhere.
     """
     targets = [
-        Fraction(1) if v is FnValue.ONE else Fraction(0) for v in f.values
+        Fraction(1) if v == "1" else Fraction(0) for v in f.values
     ]
     coeffs: list[Fraction] = []
     for w in range(f.n + 1):
@@ -200,8 +200,8 @@ def binary_search_least_degree(f: SymPartialFn, eps) -> tuple[int, FeasibilityRe
     lp_feasible call on its own reduction; returns the least d with the
     result of its probe."""
     eps = Fraction(eps)
-    defined = [v for v in f.values if v is not FnValue.UNDEFINED]
-    lo, hi = sum(u is not v for u, v in zip(defined, defined[1:])), f.n
+    defined = [v for v in f.values if v != "*"]
+    lo, hi = sum(u != v for u, v in zip(defined, defined[1:])), f.n
     best = None
     while lo <= hi:
         d = (lo + hi) // 2
@@ -274,7 +274,7 @@ def eager_reduce(f: SymPartialFn, eps, top: int) -> EagerReduction:
     once and replayed its pivots on each column it asked for."""
     eps = Fraction(eps)
     p, q = eps.numerator, eps.denominator
-    bound_of = {FnValue.ZERO: (0, p), FnValue.ONE: (q - p, q), FnValue.UNDEFINED: (0, q)}
+    bound_of = {"0": (0, p), "1": (q - p, q), "*": (0, q)}
     bounds = [bound_of[v] for v in f.values]
     pinned = [w for w, (lo, hi) in enumerate(bounds) if lo == hi]
     boxed = [w for w, (lo, hi) in enumerate(bounds) if lo != hi]
@@ -301,7 +301,7 @@ def candidate_classify(f: SymPartialFn) -> FamilyTag | None:
     built and compared with each orbit member, first member then first
     transform."""
     n, orbit = f.n, isomorphs(f)
-    if len({v for v in f.values if v is not FnValue.UNDEFINED}) <= 1:
+    if len({v for v in f.values if v != "*"}) <= 1:
         return FamilyTag(FamilyKind.CONSTANT_OR_EMPTY, None, TRANSFORMS[0])
     candidates = [(FamilyKind.DEG1_F1NN, None, family_f1(n, n))]
     candidates += [(FamilyKind.F1, k, family_f1(n, k)) for k in range(n // 2, n)]

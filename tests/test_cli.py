@@ -17,7 +17,6 @@ from hypothesis import given, settings
 import symquery
 from symquery import algos, family_f1, identities, polydeg, symfun
 from symquery.cli import main
-from symquery.symfun import ONE, UNDEFINED, ZERO
 
 
 def run_cli(capsys, *argv):
@@ -394,7 +393,7 @@ class TestRecords:
     convert on construction."""
 
     RECORDS = [
-        (symquery.SymPartialFn(2, (ZERO, UNDEFINED, ONE)), "n"),
+        (symquery.SymPartialFn(2, "0*1"), "n"),
         (polydeg.PolyV((1, 2)), "coeffs"),
         (polydeg.FeasibilityResult(True, polydeg.PolyV((0,))), "feasible"),
         (polydeg.FamilyTag(polydeg.FamilyKind.F1, 2, "identity"), "kind"),
@@ -422,16 +421,16 @@ class TestRecords:
     @pytest.mark.parametrize(
         "n, values, message",
         [
-            (0, (ZERO,), "input length must be >= 1, got n=0"),
-            (2, (ZERO, ONE), "need 3 weight entries for n=2, got 2"),
-            (1, (ZERO, "1"), "vector entries must be FnValue"),
+            (0, "0", "input length must be >= 1, got n=0"),
+            (2, "01", "need 3 weight entries for n=2, got 2"),
+            (1, ("0", "1"), "values must be a string over 0/1/*"),
         ],
     )
     def test_symfn_validation_messages(self, n, values, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             symquery.SymPartialFn(n, values)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            symquery.SymPartialFn(2, (ZERO, UNDEFINED, ONE))._replace(n=n, values=values)
+            symquery.SymPartialFn(2, "0*1")._replace(n=n, values=values)
 
     def test_algorithm_run_checks_probabilities(self):
         with pytest.raises(ValueError, match="branch probabilities sum to 0.5, not 1"):

@@ -1,23 +1,23 @@
 """Function vectors: parsing, families, isomorphism orbit, domain enumeration."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import symquery as sq
+from symquery import algos
 from symquery.symfun import (
     FAMILIES,
-    ONE,
+    FLIP,
     TRANSFORMS,
-    UNDEFINED,
-    ZERO,
     complement_fn,
     reverse_fn,
 )
 
-from helpers import sym_fns
+from helpers import fn_strings, sym_fns
 
 vec = sq.from_string
 
@@ -77,6 +77,39 @@ class TestParsing:
     def test_round_trip_via_literal(self, spec):
         f = vec(spec)
         assert vec(str(f)) == f
+
+
+class TestRepresentation:
+    """A function is its 0/1/* string: printed, reversed and complemented as
+    that string."""
+
+    @given(fn_strings(max_n=12))
+    @settings(max_examples=100)
+    def test_values_are_the_literal(self, s):
+        f = vec(s)
+        assert str(f) == s and str(f) is f.values
+        assert reverse_fn(f).values == s[::-1]
+        assert complement_fn(f).values == s.translate(FLIP)
+
+    @given(st.text("01", min_size=2, max_size=13))
+    @settings(max_examples=60)
+    def test_input_flip_is_the_vector_complement(self, x):
+        assert algos._flip(x) == complement_fn(vec(x)).values
+
+    @pytest.mark.parametrize(
+        "n, values, message",
+        [
+            (1, ("0", "1"), "values must be a string over 0/1/*"),
+            (1, "02", "values must be a string over 0/1/*"),
+            (1, "0 ", "values must be a string over 0/1/*"),
+            (2, "01", "need 3 weight entries for n=2, got 2"),
+        ],
+    )
+    def test_constructor_and_replace_reject(self, n, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sq.SymPartialFn(n, values)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vec("0*1")._replace(n=n, values=values)
 
 
 class TestFamilies:
@@ -141,43 +174,43 @@ class TestFamilies:
                 f = sq.family_dj(n, k)
                 for w in range(n + 1):
                     if w == n // 2:
-                        assert f.values[w] is ONE
+                        assert f.values[w] == "1"
                     elif w <= k or w >= n - k:
-                        assert f.values[w] is ZERO
+                        assert f.values[w] == "0"
                     else:
-                        assert f.values[w] is UNDEFINED
+                        assert f.values[w] == "*"
         for n in range(2, 10):
             for k in range(1, n):
                 f = sq.family_f2(n, k)
                 for w in range(n + 1):
                     expected = (
-                        ZERO if w == 0 else ONE if w in (k, k + 1) else UNDEFINED
+                        "0" if w == 0 else "1" if w in (k, k + 1) else "*"
                     )
-                    assert f.values[w] is expected
+                    assert f.values[w] == expected
 
     def test_remaining_family_case_splits(self):
         for n in range(2, 9):
             for k in range(1, n + 1):
                 f = sq.family_f1(n, k)
                 for w in range(n + 1):
-                    expected = ZERO if w == 0 else ONE if w == k else UNDEFINED
-                    assert f.values[w] is expected
+                    expected = "0" if w == 0 else "1" if w == k else "*"
+                    assert f.values[w] == expected
             for l in range(1, n):
                 f = sq.family_f3(n, l)
                 for w in range(n + 1):
-                    expected = ZERO if w in (0, n) else ONE if w == l else UNDEFINED
-                    assert f.values[w] is expected
+                    expected = "0" if w in (0, n) else "1" if w == l else "*"
+                    assert f.values[w] == expected
             f = sq.family_f4(n)
             middle = {n // 2, (n + 1) // 2}
             for w in range(n + 1):
-                expected = ONE if w in middle else ZERO if w in (0, n) else UNDEFINED
-                assert f.values[w] is expected
+                expected = "1" if w in middle else "0" if w in (0, n) else "*"
+                assert f.values[w] == expected
             for k in range(n):
                 for l in range(k + 1, n + 1):
                     f = sq.family_dw(n, k, l)
                     for w in range(n + 1):
-                        expected = ZERO if w == k else ONE if w == l else UNDEFINED
-                        assert f.values[w] is expected
+                        expected = "0" if w == k else "1" if w == l else "*"
+                        assert f.values[w] == expected
 
     def test_named_family_case_splits(self):
         for n in range(1, 9):
@@ -190,17 +223,17 @@ class TestFamilies:
             for name, pred in cases.items():
                 f = sq.family_named(name, n)
                 for w in range(n + 1):
-                    assert f.values[w] is (ONE if pred(w) else ZERO), (name, n, w)
+                    assert f.values[w] == ("1" if pred(w) else "0"), (name, n, w)
             for k in range(n + 1):
                 exact = sq.family_named("EXACT", n, k)
                 threshold = sq.family_named("THRESHOLD", n, k)
                 for w in range(n + 1):
-                    assert exact.values[w] is (ONE if w == k else ZERO)
-                    assert threshold.values[w] is (ONE if w >= k else ZERO)
+                    assert exact.values[w] == ("1" if w == k else "0")
+                    assert threshold.values[w] == ("1" if w >= k else "0")
 
     def test_vector_length_invariant(self):
         with pytest.raises(ValueError):
-            sq.SymPartialFn(3, (ZERO, ONE))
+            sq.SymPartialFn(3, "01")
 
 
 class TestIsomorphs:
@@ -268,7 +301,7 @@ class TestValueChanges:
     @given(sym_fns(max_n=10))
     @settings(max_examples=100)
     def test_adjacent_defined_weights_with_different_values(self, f):
-        defined = [(w, v) for w, v in enumerate(f.values) if v is not UNDEFINED]
+        defined = [(w, v) for w, v in enumerate(f.values) if v != "*"]
         assert f.value_changes == tuple((u, w) for (u, a), (w, b) in zip(defined, defined[1:]) if a != b)
 
     @given(sym_fns(max_n=10))
@@ -281,7 +314,7 @@ class TestValueChanges:
 
 class TestDomain:
     def test_value_at_weight(self):
-        assert sq.value_at_weight(sq.family_dj(4, 0), 2) is ONE
+        assert sq.value_at_weight(sq.family_dj(4, 0), 2) == "1"
         with pytest.raises(ValueError):
             sq.value_at_weight(sq.family_dj(4, 0), 5)
 
@@ -294,7 +327,7 @@ class TestDomain:
         assert list(sq.domain_inputs(vec("***"))) == []
 
     def test_enumeration_cap(self):
-        big = sq.SymPartialFn(31, tuple([ZERO] * 32))
+        big = sq.SymPartialFn(31, "0" * 32)
         with pytest.raises(ValueError):
             next(sq.domain_inputs(big))
 

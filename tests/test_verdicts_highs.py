@@ -14,7 +14,6 @@ from math import comb
 from scipy.optimize import linprog
 
 from symquery import degree, from_string, lp_feasible
-from symquery.symfun import FnValue
 
 EPSILONS = (Fraction(0), Fraction(1, 8), Fraction(1, 4))
 CASES = 200
@@ -27,7 +26,7 @@ def largest_violation(f, eps: Fraction, d: int) -> float:
     e = float(eps)
     a_ub, b_ub = [], []
     for w, v in enumerate(f.values):
-        lo, hi = {FnValue.ZERO: (0.0, e), FnValue.ONE: (1.0 - e, 1.0)}.get(v, (0.0, 1.0))
+        lo, hi = {"0": (0.0, e), "1": (1.0 - e, 1.0)}.get(v, (0.0, 1.0))
         row = [comb(w, k) for k in range(d + 1)]
         a_ub += [row + [-1], [-x for x in row] + [-1]]  # q(w) - s <= hi, -q(w) - s <= -lo
         b_ub += [hi, -lo]

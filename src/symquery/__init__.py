@@ -7,7 +7,8 @@ enumeration from exact subroutine laws, exactness verification),
 ``classical`` (deterministic query complexity), ``identities`` (binomial
 determinant identity), ``cli`` (command line).  ``qsim``, the dense
 state-vector simulator of the phase-oracle model, is the reference the tests
-check the subroutine laws against; it needs numpy and is not imported here.
+check the subroutine laws against; it is not imported here, and it loads
+numpy only when one of its functions is called.
 """
 
 from .algos import (

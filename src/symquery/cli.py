@@ -47,7 +47,10 @@ def _collect_params(args: argparse.Namespace) -> tuple[algos.Algorithm, dict[str
 
 def _cmd_degree(args: argparse.Namespace) -> int:
     f = symfun.from_string(args.fn)
-    eps = Fraction(args.eps)
+    try:
+        eps = Fraction(args.eps)
+    except ZeroDivisionError:
+        raise ValueError(f"--eps {args.eps!r} has a zero denominator") from None
     d, result = polydeg.least_degree(f, eps)
     witness = result.witness
     lower = (d + 1) // 2

@@ -4,13 +4,15 @@ States live on basis pairs (i, j) with i in 0..n selecting the oracle index
 (i = 0 is never phased) and j in 0..m-1 a workspace label.  A query flips the
 sign of every (i, j) amplitude with x_i = 1; unitaries are supplied as dense
 matrices over the flattened basis and checked for column orthonormality.
+
+Importing the module loads nothing beyond the standard library: each function
+imports numpy when called, so a program that imports ``qsim`` but makes no
+dense call (the benchmark client, an install without numpy) never loads it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
 
 UNITARY_TOL = 1e-9  # max |U†U - I| entry accepted by apply_map
 NORM_TOL = 1e-9  # allowed state normalization drift
@@ -19,7 +21,7 @@ PRUNE_TOL = 1e-12  # measurement outcomes below this are dropped
 OutcomeDistribution = list[tuple[tuple[int, int], float]]
 
 
-class QState(NamedTuple("QState", [("n", int), ("m", int), ("amplitudes", np.ndarray)])):
+class QState(NamedTuple("QState", [("n", int), ("m", int), ("amplitudes", "np.ndarray")])):
     """Normalized amplitudes over pairs (i, j), flattened as i*m + j.
 
     The amplitude array is copied on construction and marked read-only, so
@@ -30,6 +32,8 @@ class QState(NamedTuple("QState", [("n", int), ("m", int), ("amplitudes", np.nda
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
     def __new__(cls, n: int, m: int, amplitudes: np.ndarray) -> QState:
+        import numpy as np
+
         amp = np.array(amplitudes, dtype=complex, copy=True)
         dim = (n + 1) * m
         if amp.shape != (dim,):
@@ -54,12 +58,16 @@ class QState(NamedTuple("QState", [("n", int), ("m", int), ("amplitudes", np.nda
 
 
 def basis_state(n: int, m: int, i: int = 0, j: int = 0) -> QState:
+    import numpy as np
+
     amp = np.zeros((n + 1) * m, dtype=complex)
     amp[i * m + j] = 1.0
     return QState(n, m, amp)
 
 
 def _bit_signs(x: str, n: int) -> np.ndarray:
+    import numpy as np
+
     if len(x) != n:
         raise ValueError(f"input length {len(x)} does not match n={n}")
     signs = np.ones(n + 1)
@@ -80,6 +88,8 @@ def apply_oracle(state: QState, x: str) -> QState:
 
 def unitary_deviation(u: np.ndarray) -> float:
     """Largest entry of |U†U - I|."""
+    import numpy as np
+
     d = u.shape[0]
     return float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
 
@@ -90,6 +100,8 @@ def apply_map(state: QState, u: np.ndarray, *, assume_unitary: bool = False) -> 
     Rejects maps whose columns fail orthonormality beyond UNITARY_TOL, unless
     the caller vouches for a matrix already validated at construction time.
     """
+    import numpy as np
+
     u = np.asarray(u, dtype=complex)
     if u.shape != (state.dim, state.dim):
         raise ValueError(f"map shape {u.shape} does not match dimension {state.dim}")
@@ -103,6 +115,8 @@ def apply_map(state: QState, u: np.ndarray, *, assume_unitary: bool = False) -> 
 def measure(state: QState) -> OutcomeDistribution:
     """Born-rule distribution over basis pairs, in index order, with
     outcomes below PRUNE_TOL dropped."""
+    import numpy as np
+
     probs = np.abs(state.amplitudes) ** 2
     out: OutcomeDistribution = []
     m = state.m
@@ -120,6 +134,8 @@ def measure(state: QState) -> OutcomeDistribution:
 def householder_map(dim: int, source: int, target: np.ndarray) -> np.ndarray:
     """Real orthogonal reflection sending basis column ``source`` to the real
     unit vector ``target`` (identity when they already coincide)."""
+    import numpy as np
+
     target = np.asarray(target, dtype=float)
     if target.shape != (dim,):
         raise ValueError("target vector has wrong dimension")
@@ -141,6 +157,8 @@ def complete_unitary(dim: int, columns: dict[int, np.ndarray]) -> np.ndarray:
     orthogonal complement, taken from the SVD of the residual projector, so
     the completion is deterministic.
     """
+    import numpy as np
+
     u = np.zeros((dim, dim), dtype=complex)
     fixed = sorted(columns)
     v = np.column_stack([np.asarray(columns[c], dtype=complex) for c in fixed])

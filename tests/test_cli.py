@@ -48,6 +48,11 @@ class TestDegree:
         code, out, _ = run_cli(capsys, "degree", "--fn", "DJ:8,1", "--eps", "1/4")
         assert code == 0
 
+    def test_zero_denominator_eps(self, capsys):
+        code, out, err = run_cli(capsys, "degree", "--fn", "01", "--eps", "1/0")
+        assert code == 2 and out == ""
+        assert err == "error: --eps '1/0' has a zero denominator\n"
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--fn", "XYZ")
         assert code != 0
@@ -356,6 +361,40 @@ assert "json" in sys.modules
 print("ok")
 """
 
+# The layers the benchmark client imports, and one call of each request kind
+# it sends in process: none of them may load numpy; a dense call then does.
+LAZY_NUMPY_CHILD = """
+import sys
+from fractions import Fraction
+import symquery
+from symquery import algos, classical, identities, polydeg, qsim, symfun
+assert "numpy" not in sys.modules
+f = symfun.from_string("DJ:8,1")
+for eps in (0, Fraction(1, 8)):
+    d = polydeg.degree(f, eps)
+    assert polydeg.lp_feasible(f, eps, d).feasible
+assert polydeg.classify_deg2(symfun.from_string("0*1*0")) is not None
+assert classical.d_complexity(f) == 6
+assert identities.check_identity(6, 1)
+assert algos.verify_exact("dj", {"n": 8, "k": 1}).all_exact
+assert "numpy" not in sys.modules
+state = qsim.basis_state(2, 1)
+assert "numpy" in sys.modules
+assert state.amplitude(0, 0) == 1 and qsim.measure(state) == [((0, 0), 1.0)]
+print("ok")
+"""
+
+# Without numpy the dense module still imports; only a dense call fails.
+BLOCKED_NUMPY_CHILD = """
+import sys
+sys.modules["numpy"] = None
+import symquery.qsim, symquery.algos
+try:
+    symquery.qsim.basis_state(1, 1)
+except ImportError:
+    print("ok")
+"""
+
 SRC = str(Path(symquery.__file__).resolve().parents[1])
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
@@ -371,6 +410,12 @@ def run_child(script: str) -> None:
 class TestStartup:
     def test_every_command_runs_without_numpy(self):
         run_child(NO_NUMPY_CHILD)
+
+    def test_numpy_loads_at_the_first_dense_call(self):
+        run_child(LAZY_NUMPY_CHILD)
+
+    def test_dense_module_imports_without_numpy(self):
+        run_child(BLOCKED_NUMPY_CHILD)
 
     def test_import_loads_neither_dataclasses_nor_json(self):
         run_child(IMPORT_GRAPH_CHILD)

@@ -7,25 +7,26 @@ a linear feasibility question, decided exactly on one path for every eps:
 with eps = p/q the weight bounds are integers over q.  Below the count of
 the weights they pin (the defined ones, at eps = 0) the one candidate is the
 pinned values' interpolant (Newton's divided differences), checked once;
-at or above it the pinned block is eliminated by Gauss–Jordan, once per
-function, its pivots replayed on each column a search asks for, with the
-box rows of the others carried along, and a Phase-I simplex decides the box
-rows.  Both run one column-major fraction-free pivot (Edmonds 1967, Bareiss
-1968) on integers over one common denominator; the simplex keeps a
-dictionary (Chvátal 1983) that stores no basic column and gains columns
-without a restart.  One scan finds the least degree, upward from a lower
-bound, on the box rows of that reduction or, at eps > 0 for a function
-fixed by a mirror, on half the rows and columns; its witness and last
-Farkas certificate are re-checked in integers on the function's rows, and
-an LP over a size cap is refused before it is built.  classify_deg2, the
-catalogue of every function of degree <= 2, is re-exported from catalogue.
+at or above it the pinned equalities are solved in closed form, by Cramer's
+rule over their Vandermonde determinant (integer Lagrange weights, one table
+per function), which leaves the box rows of the others, each column built
+when a search asks for it, and a Phase-I simplex decides the box rows with
+a column-major fraction-free pivot (Edmonds 1967, Bareiss 1968) on integers
+over one common denominator; it keeps a dictionary (Chvátal 1983) that
+stores no basic column and gains columns without a restart.  One scan
+finds the least degree, upward from a lower bound, on those box rows or,
+at eps > 0 for a function fixed by a mirror, on half the rows and columns;
+its witness and last Farkas certificate are re-checked in integers on the
+function's rows, and an LP over a size cap is refused before it is built.
+classify_deg2, the catalogue of every function of degree <= 2, is
+re-exported from catalogue.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -105,11 +106,9 @@ def check_representation(q: PolyV, f: SymPartialFn, eps: RationalLike) -> bool:
 def _pivot(cols: list[list[int]], col: list[int], r: int, D: int) -> int:
     """Fraction-free pivot on p = col[r] > 0 of the columns cols over D: p
     is the new D, and row i != r of column a becomes (p·a[i] - a[r]·col[i])
-    // D, exact as every entry is a minor.  p is positive for both callers:
-    the simplex's ratio test picks a positive entry, and the pinned block's
-    pivots are ratios of leading minors of C(w, k) over ascending weights, each a
-    Vandermonde determinant over prod k!.  col, now D·e_r, is the caller's
-    to drop.  Returns p."""
+    // D, exact as every entry is a minor.  The simplex, its one caller,
+    pivots on a positive entry, picked by its ratio test.  col, now D·e_r,
+    is the caller's to drop.  Returns p."""
     p = col[r]
     for a in cols:
         b = a[r]
@@ -223,25 +222,22 @@ def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool
 # MAX_LP_SIZE box weights × free columns × 64-bit words of the reduced rows'
 # denominator D, and a pinned block of more than MAX_BLOCK_SIZE pinned
 # weights² × weights.  On a 2-core x86 VM, MAJ:42 at eps = 1/8 (43 × 43)
-# takes 5.3 s, and a block of 298 pinned weights at n = 300 3.4 s.
+# takes 5.3 s, and a block of 298 pinned weights at n = 300 0.06 s in process.
 MAX_LP_SIZE = 2000
 MAX_BLOCK_SIZE = 32_000_000
 
 
 class _Reduction:
     """f within eps = p/q: each weight bounds q times the profile value a·c =
-    sum_k c_k C(w, k) to integers [lo, hi]; the npin with lo = hi (defined,
-    at eps = 0) are pinned, the others boxes.  Below npin a fit is the pinned
-    values' interpolant (fit).  At or above it Gauss–Jordan on the pinned
-    a·c = lo over c_0..c_(npin-1), with the simplex's pivot, runs once
-    (pinned), carrying the box rows along as non-pivot rows with b = 0, and
-    each free column is reduced when first asked for (column) by replaying
-    its pivots: every column, b and D are those of one eager elimination.
-    The pinned weights ascend, so the leading minors of their rows C(w, k)
-    are positive (see _pivot): column c pivots on row c.  Pinned row i reads
-    D·c_i + sum over free k of column(k)[i]·c_(npin+k) = b[i]; by the Schur
-    complement box row a holds D·a_k - sum_i a_i·column(k)[i] and, in b,
-    -sum_i a_i·b[i], so q·D·(a·c) = sum_k column(k)[row]·c_(npin+k) - b[row]."""
+    sum_k c_k C(w, k) to integers [lo, hi]; the npin w_i with lo = hi = v_i
+    (defined, at eps = 0, so q = 1) are pinned, the others boxes.  Below
+    npin a fit is the pinned values' interpolant (fit).  At or above it the
+    free c_N fix the others, and q·D·(a·c) = sum_N column(N)[x]·c_N + q·b(x)
+    at a box weight x, D = det C(w_i, j), i, j < npin: by Cramer's rule the
+    Λ[x][i] = D·ℓ_i(x) (lagrange, one table per (f, eps); ℓ_i the pins'
+    Lagrange basis) are integers, column N is q·(D·C(x, N) - sum_i
+    Λ[x][i]·C(w_i, N)), built when a search first asks, and b(x) = sum_i
+    Λ[x][i]·v_i."""
 
     def __init__(self, f: SymPartialFn, eps: Fraction) -> None:
         p, q = eps.numerator, eps.denominator
@@ -251,9 +247,6 @@ class _Reduction:
         self.pins = [(w, lo) for w, (lo, hi) in enumerate(bounds) if lo == hi]  # only at p = 0, so q = 1
         self.boxed = [w for w, (lo, hi) in enumerate(bounds) if lo != hi]
         self.boxes, self.npin = [bounds[w] for w in self.boxed], len(self.pins)
-
-    def _raw(self, k: int) -> list[int]:  # c_k's column: C(w, k) on the pinned rows, q·C(w, k) on the box rows
-        return [comb(w, k) for w, _ in self.pins] + [self.eps.denominator * comb(w, k) for w in self.boxed]
 
     @cached_property
     def fit(self) -> tuple[int, list[int] | None, int]:
@@ -287,27 +280,40 @@ class _Reduction:
         return deg, _differences([value(x) for x in range(deg + 1)]), L
 
     @cached_property
-    def pinned(self) -> tuple[list[list[int]], list[int], int]:  # (pivot columns, b, D)
-        cols, b, D = [self._raw(k) for k in range(self.npin)], [lo for _, lo in self.pins] + [0] * len(self.boxed), 1
-        for c in range(self.npin):
-            D = _pivot(cols[c + 1 :] + [b], cols[c], c, D)
-        return cols, b, D
+    def D(self) -> int:
+        """det C(w_i, j), i, j < npin: Vandermonde over prod j!, by leading minors."""
+        D, ws = 1, [w for w, _ in self.pins]
+        for j, v in enumerate(ws):
+            D = D * prod(v - u for u in ws[:j]) // factorial(j)
+        return D
 
-    def column(self, k: int) -> list[int]:  # of c_(npin+k), reduced
+    @cached_property
+    def lagrange(self) -> list[list[int]]:
+        """Λ[x][i] = D·ω(x) / ((x - w_i)·ω'(w_i)) at each box weight x, ω(x)
+        = prod_i (x - w_i): an exact division, the quotient an integer."""
+        ws = [w for w, _ in self.pins]
+        slopes = [prod(w - u for u in ws if u != w) for w in ws]  # ω'(w_i)
+        D_omega = [self.D * prod(x - w for w in ws) for x in self.boxed]
+        return [[Do // ((x - w) * s) for w, s in zip(ws, slopes)] for x, Do in zip(self.boxed, D_omega)]
+
+    def column(self, k: int) -> list[int]:  # of c_(npin+k), on the box rows; q·C(x, N) with no pin
         while len(self.cols) <= k:
-            a, D = self._raw(self.npin + len(self.cols)), 1
-            for c, col in enumerate(self.pinned[0]):
-                D = _pivot([a], col, c, D)
-            self.cols.append(a)
+            N, q = self.npin + len(self.cols), self.eps.denominator
+            at_pins = [comb(w, N) for w, _ in self.pins]
+            self.cols.append([q * (self.D * comb(x, N) - sum(map(mul, row, at_pins))) for x, row in
+                              zip(self.boxed, self.lagrange)] if at_pins else [q * comb(x, N) for x in self.boxed])
         return self.cols[k]
 
-    def box_rhs(self) -> list[int]:  # D·lo <= col·t - b <= D·hi: col·t <= D·hi + b, -col·t <= -b - D·lo
-        _, b, D = self.pinned
-        return [v for i, (lo, hi) in enumerate(self.boxes, self.npin) for v in (D * hi + b[i], -b[i] - D * lo)]
+    @cached_property
+    def b(self) -> list[int]:  # b(x) at each box weight x
+        return [sum(l for l, (_, v) in zip(row, self.pins) if v) for row in self.lagrange]
+
+    def box_rhs(self) -> list[int]:  # D·lo <= col·t + q·b <= D·hi: col·t <= D·hi - q·b, -col·t <= q·b - D·lo
+        q, D = self.eps.denominator, self.D
+        return [v for (lo, hi), b in zip(self.boxes, self.b) for v in (D * hi - q * b, q * b - D * lo)]
 
     def box_column(self, k: int) -> list[int]:  # of c_(npin+k) in the box rows
-        col = self.column(k)
-        return [v for i in range(self.npin, len(col)) for v in (col[i], -col[i])]
+        return [v for x in self.column(k) for v in (x, -x)]
 
 
 @lru_cache(maxsize=4)
@@ -344,9 +350,9 @@ def _certify(red: _Reduction, d: int, lam: list[int] | None) -> None:
 def _check_size(red: _Reduction, boxes: int, columns: int) -> None:  # see MAX_LP_SIZE
     npin, n = red.npin, red.f.n
     if npin * npin * (n + 1) > MAX_BLOCK_SIZE:
-        raise ValueError(f"refused: eliminating {npin} pinned weights at n = {n} exceeds "
+        raise ValueError(f"refused: a block of {npin} pinned weights at n = {n} exceeds "
                          f"polydeg.MAX_BLOCK_SIZE = {MAX_BLOCK_SIZE}")
-    words = 1 + red.pinned[2].bit_length() // 64
+    words = 1 + red.D.bit_length() // 64
     if boxes * columns * words > MAX_LP_SIZE:
         size = f"{boxes} box weights × {columns} free columns" + (f" × {words} words of D" if words > 1 else "")
         raise ValueError(f"refused: the degree LP on {size} exceeds polydeg.MAX_LP_SIZE = {MAX_LP_SIZE}")
@@ -393,11 +399,12 @@ def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult 
     if d > n:
         raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
     result = None
-    if solved:
-        (t, Dt), (_, b, D) = solved, red.pinned
-        free = [red.column(k) for k in range(len(t))]
-        coeffs = [Fraction(b[i] * Dt - sum(col[i] * v for col, v in zip(free, t)), D * Dt) for i in range(npin)]
-        result = _witness(red, coeffs + [Fraction(v, Dt) for v in t])
+    if solved:  # q·D·Dt times the fit at weights 0..d, differenced: c_k = Δᵏ(·)(0) / (q·D·Dt)
+        (t, Dt), q, pinned = solved, red.eps.denominator, dict(red.pins)
+        rows = zip(red.b, zip(*(red.column(k) for k in range(len(t)))))  # per box weight, ascending
+        boxed = (q * Dt * b + sum(map(mul, row, t)) for b, row in rows)
+        V = [q * red.D * Dt * pinned[x] if x in pinned else next(boxed) for x in range(d + 1)]
+        result = _witness(red, [Fraction(v, q * red.D * Dt) for v in _differences(V)])
     _certify(red, d, lam)
     return d, FeasibilityResult(False, None) if d > top else result
 

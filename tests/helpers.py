@@ -268,10 +268,12 @@ class EagerReduction(NamedTuple):
 
 
 def eager_reduce(f: SymPartialFn, eps, top: int) -> EagerReduction:
-    """Reference for polydeg._Reduction: Gauss–Jordan on the pinned
-    equalities over every column c_0..c_top at once, the box rows carried
-    along, as the degree search ran it before it eliminated the pinned block
-    once and replayed its pivots on each column it asked for."""
+    """Reference for polydeg._Reduction's closed form: Gauss–Jordan on the
+    pinned equalities over every column c_0..c_top at once, with the
+    simplex's fraction-free pivot, the box rows carried along as non-pivot
+    rows.  Pinned row i ends as D·c_i + sum_k cols[k][i]·c_(npin+k) = b[i];
+    at box weight x, cols[k] holds _Reduction.column(k)[x] and b the negated
+    q·b(x), and D, the last pivot, is det C(w_i, j) once top >= npin - 1."""
     eps = Fraction(eps)
     p, q = eps.numerator, eps.denominator
     bound_of = {"0": (0, p), "1": (q - p, q), "*": (0, q)}

@@ -240,7 +240,7 @@ class TestClassicalClassifyDet:
         def no_matrix(n, k):
             raise AssertionError("the matrix was built")
 
-        monkeypatch.setattr(identities, "binom_matrix", no_matrix)
+        monkeypatch.setattr(identities, "_hankel_matrix", no_matrix)
         cap_n, cap_k = identities.MAX_DET_N, identities.MAX_DET_K
         with pytest.raises(AssertionError, match="built"):
             main(["det", "--n", str(cap_n), "--k", str(cap_k)])

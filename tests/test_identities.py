@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import symquery as sq
 from helpers import pivoting_bareiss_det
-from symquery.identities import _bareiss_det, _pascal_reduce, binom_matrix, comb_ext
+from symquery.identities import _bareiss_det, _hankel_matrix, binom_matrix, comb_ext
 
 
 def leading_minors(m: list[list[int]]) -> list[int]:
@@ -76,10 +76,17 @@ class TestDeterminant:
                 assert sq.binom_det(n, k) != 0, (n, k)
 
     def test_pascal_reduction_is_the_hankel_matrix(self):
+        # k sweeps of R_r -= R_(r+1), the s-th on rows 0..k-s in increasing
+        # order, are integer row subtractions: by Pascal's rule they take the
+        # binomial matrix to the Hankel matrix with the same determinant
         for k in range(9):
             for n in range(2 * k + 1, 41):
+                m = binom_matrix(n, k)
+                for s in range(k, 0, -1):
+                    for r in range(s):
+                        m[r] = [x - y for x, y in zip(m[r], m[r + 1])]
                 hankel = [[comb_ext(n - k, r + c + 1) for c in range(k + 1)] for r in range(k + 1)]
-                assert _pascal_reduce(binom_matrix(n, k)) == hankel, (n, k)
+                assert m == hankel == _hankel_matrix(n, k), (n, k)
 
     def test_reduction_keeps_the_determinant(self):
         for k in range(1, 7):
@@ -92,7 +99,7 @@ class TestDeterminant:
         for k in range(9):
             for n in range(2 * k + 1, 41):
                 closed = [sq.binom_det_closed(n - k + j - 1, j - 1) for j in range(1, k + 2)]
-                assert leading_minors(_pascal_reduce(binom_matrix(n, k))) == closed, (n, k)
+                assert leading_minors(_hankel_matrix(n, k)) == closed, (n, k)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from symquery import polydeg
 from symquery.polydeg import FamilyKind, PolyV
 
 from helpers import (binary_search_least_degree, candidate_classify, eager_fit, eager_reduce, full_tableau_feasible_box,
-                     interpolation_profile, sym_fns)
+                     interpolation_profile, pivoting_bareiss_det, sym_fns)
 
 vec = sq.from_string
 F = Fraction
@@ -289,11 +289,12 @@ class TestFeasibleBox:
 
 
 class TestEliminate:
-    """The one reducer of a degree search: at eps = 0 it eliminates the
-    defined (pinned) weights once and carries the undefined (box) weights
-    along, reducing each free column when a search first asks for it; its
-    state is the degree-d system for every d, the same integers as the eager
-    elimination of every column (helpers.eager_reduce)."""
+    """The one reducer of a degree search: at eps = 0 it solves the defined
+    (pinned) weights in closed form, by Cramer's rule, and keeps the
+    undefined (box) weights' rows, building each free column when a search
+    first asks for it; its box rows, rhs and D are the same integers as the
+    eager Gauss–Jordan elimination of every column (helpers.eager_reduce),
+    whose reduced rows solve the degree-d system for every d."""
 
     @staticmethod
     def pivot_columns(rows):
@@ -315,10 +316,10 @@ class TestEliminate:
         pinned = [w for w, v in enumerate(f.values) if v != "*"]
         value = {"0": 0, "1": 1}
         top = data.draw(st.integers(0, f.n), label="top")
-        red = polydeg._Reduction(f, F(0))
-        P, cols = red.npin, [red.column(k) for k in range(top + 1 - len(pinned))]
-        _, b, D = red.pinned
-        assert P == len(pinned) and len(red.cols) == top + 1 - min(top + 1, P) and D > 0
+        red, (P, cols, b, D) = polydeg._Reduction(f, F(0)), eager_reduce(f, 0, f.n)
+        for k in range(top + 1 - P):  # built lazily, up to top
+            red.column(k)
+        assert P == len(pinned) and len(red.cols) == top + 1 - min(top + 1, P) and D == red.D > 0
         for d in range(top + 1):
             aug = [[comb(w, k) for k in range(d + 1)] + [value[f.values[w]]] for w in pinned]
             # the pinned weights are distinct, so the pivots are a prefix
@@ -336,34 +337,44 @@ class TestEliminate:
     @given(sym_fns(max_n=12))
     @settings(max_examples=100, deadline=None)
     def test_carried_box_rows_are_the_schur_complement(self, f):
+        # the closed-form box rows are the Schur complement of the eager
+        # elimination's pinned rows, and b(x) the reduced values' combination
         boxed = [w for w, v in enumerate(f.values) if v == "*"]
-        red = polydeg._Reduction(f, F(0))
-        P, (_, b, D) = red.npin, red.pinned
-        for j, w in enumerate(boxed, P):
+        red, (P, cols, b, D) = polydeg._Reduction(f, F(0)), eager_reduce(f, 0, f.n)
+        for j, w in enumerate(boxed):
             a = [comb(w, k) for k in range(f.n + 1)]
             for fc in range(P, f.n + 1):
-                col = red.column(fc - P)
-                assert col[j] == D * a[fc] - sum(a[i] * col[i] for i in range(P))
-            assert b[j] == -sum(a[i] * b[i] for i in range(P))
+                col = cols[fc - P]
+                assert red.column(fc - P)[j] == D * a[fc] - sum(a[i] * col[i] for i in range(P))
+            assert red.b[j] == sum(a[i] * b[i] for i in range(P))
+
+    @given(sym_fns(max_n=16))
+    @settings(max_examples=100, deadline=None)
+    def test_D_is_the_pinned_determinant(self, f):
+        pins = [w for w, v in enumerate(f.values) if v != "*"]
+        block = [[comb(w, j) for j in range(len(pins))] for w in pins]
+        assert polydeg._Reduction(f, F(0)).D == (pivoting_bareiss_det(block) if pins else 1)  # the empty one is 1
 
     @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]), st.data())
     @settings(max_examples=100, deadline=None)
     def test_lazy_columns_are_the_eager_ones(self, f, eps, data):
-        # every column asked for, in any order, and b and D are the eager
-        # elimination's integers, so Bland's path cannot move
+        # every column asked for, in any order, the rhs and D are the eager
+        # elimination's integers on the box rows, so Bland's path cannot move
         red = polydeg._Reduction(f, eps)
         top = data.draw(st.integers(min(red.npin, f.n), f.n), label="top")
         want = eager_reduce(f, eps, top)
         order = data.draw(st.permutations(range(top + 1 - red.npin)), label="order")
-        assert {k: red.column(k) for k in order} == dict(enumerate(want.cols))
-        assert red.npin == want.npin and red.pinned[1:] == (want.b, want.D)
+        assert {k: red.column(k) for k in order} == {k: col[red.npin :] for k, col in enumerate(want.cols)}
+        assert red.npin == want.npin and red.D == want.D
+        assert red.box_rhs() == [v for (lo, hi), b in zip(red.boxes, want.b[red.npin :])
+                                 for v in (want.D * hi + b, -b - want.D * lo)]
         assert [red.box_column(k) for k in range(len(want.cols))] == [
             [v for x in col[red.npin :] for v in (x, -x)] for col in want.cols]
 
     @staticmethod
     def assert_fit_is_the_eager_one(f, every_degree):
         # below the pinned count the interpolant decides: the same degree and
-        # witness bytes as the eager reduction's reduced rows, no elimination
+        # witness bytes as the eager reduction's reduced rows, no table
         npin, lo = len(f.domain_weights), sign_changes(f)
         want = eager_reduce(f, 0, f.n)
         d = max([lo] + [i for i in range(npin) if want.b[i]])
@@ -374,7 +385,7 @@ class TestEliminate:
             assert sq.degree(f, 0) == d
             got = sq.lp_feasible(f, 0, d)
             assert tuple(map(str, got.witness.coeffs)) == tuple(map(str, ref.witness.coeffs))
-            assert "pinned" not in vars(polydeg._reduce(f, F(0)))  # no Gauss–Jordan below npin
+            assert "lagrange" not in vars(polydeg._reduce(f, F(0)))  # no table below npin
         else:
             assert sq.degree(f, 0) >= npin
         for e in range(npin) if every_degree else ():
@@ -393,17 +404,20 @@ class TestEliminate:
     @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
     @settings(max_examples=60, deadline=None)
     def test_every_pivot_is_positive(self, f, eps):
-        # _pivot takes p = col[r] as the new D, with no sign flip
-        seen, pivot = [], polydeg._pivot
+        # _pivot takes p = col[r] as the new D, with no sign flip; the pinned
+        # block is solved in closed form, so its one caller is the simplex
+        # and its calls are the dictionaries' pivots
+        seen, boxes, pivot, init = [], [], polydeg._pivot, polydeg._FeasibleBox.__init__
 
         def recorded(cols, col, r, D):
             seen.append(col[r])
             return pivot(cols, col, r, D)
 
         polydeg._reduce.cache_clear()
-        with mock.patch.object(polydeg, "_pivot", recorded):
+        with mock.patch.object(polydeg, "_pivot", recorded), \
+                mock.patch.object(polydeg._FeasibleBox, "__init__", lambda box, rhs: boxes.append(box) or init(box, rhs)):
             polydeg.least_degree(f, eps)
-        assert all(p > 0 for p in seen)
+        assert all(p > 0 for p in seen) and len(seen) == sum(box.pivots for box in boxes)
 
     @given(sym_fns(max_n=12), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
     @settings(max_examples=40, deadline=None)
@@ -455,11 +469,11 @@ class TestDegree:
 
     @pytest.mark.parametrize("n,k", [(200, 20), (400, 40), (1000, 100)])
     def test_large_balanced_family_by_interpolation(self, n, k):
-        # below the pinned count: no elimination, no LP, the witness checked
+        # below the pinned count: no Lagrange table, no LP, the witness checked
         polydeg._reduce.cache_clear()
         d, result = polydeg.least_degree(sq.family_dj(n, k), 0)
         assert d == 2 * k + 2 and result.feasible and sq.check_representation(result.witness, sq.family_dj(n, k), 0)
-        assert "pinned" not in vars(polydeg._reduce(sq.family_dj(n, k), F(0)))
+        assert "lagrange" not in vars(polydeg._reduce(sq.family_dj(n, k), F(0)))
 
     def test_constant_is_degree_zero(self):
         assert sq.degree(vec("00*0"), 0) == 0
@@ -555,16 +569,16 @@ class TestDegree:
     @staticmethod
     def count_solves(monkeypatch):
         """Record the (start, top) of every search, the column count of every
-        dictionary run and the pinned count of every pinned-block
-        elimination; clear() empties the records and _reduce's cache."""
-        seen = {"searches": [], "runs": [], "eliminations": []}
-        search, run, pinned = polydeg._search, polydeg._FeasibleBox.run, polydeg._Reduction.pinned.func
+        dictionary run and the pinned count of every Lagrange table built;
+        clear() empties the records and _reduce's cache."""
+        seen = {"searches": [], "runs": [], "tables": []}
+        search, run, table = polydeg._search, polydeg._FeasibleBox.run, polydeg._Reduction.lagrange.func
         monkeypatch.setattr(polydeg, "_search", lambda red, lo, top: seen["searches"].append((lo, top))
                             or search(red, lo, top))
         monkeypatch.setattr(polydeg._FeasibleBox, "run", lambda box: seen["runs"].append(box.nf) or run(box))
-        counted = cached_property(lambda red: seen["eliminations"].append(red.npin) or pinned(red))
-        counted.__set_name__(polydeg._Reduction, "pinned")
-        monkeypatch.setattr(polydeg._Reduction, "pinned", counted)
+        counted = cached_property(lambda red: seen["tables"].append(red.npin) or table(red))
+        counted.__set_name__(polydeg._Reduction, "lagrange")
+        monkeypatch.setattr(polydeg._Reduction, "lagrange", counted)
 
         def clear():
             polydeg._reduce.cache_clear()
@@ -582,7 +596,7 @@ class TestDegree:
             for search, once in ((polydeg.least_degree, 1), (lambda f, eps: (sq.degree(f, eps),), 0)):
                 clear()
                 assert search(vec(f"PARITY:{n}"), eps)[0] == n
-                assert seen == {"searches": [(n, n)] * once, "runs": [n + 1] * once, "eliminations": [0] * once}
+                assert seen == {"searches": [(n, n)] * once, "runs": [n + 1] * once, "tables": [0] * once}
 
     def test_degree_command_solves_each_degree_once(self, monkeypatch, capsys):
         from symquery.cli import main
@@ -601,16 +615,16 @@ class TestDegree:
             d = sq.degree(f, F(eps))
             # one dictionary run per degree, upward from lo, in one search up to
             # n, or in the half search for MAJ:9, which is not _search; the
-            # pinned block is eliminated once, and not at all below npin
+            # Lagrange table is built once, and not at all below npin
             searches = [] if spec == "MAJ:9" else [(lo, n)]
-            eliminations = [npin] * (d >= npin)
-            assert seen == {"searches": searches, "runs": runs, "eliminations": eliminations}, spec
+            tables = [npin] * (d >= npin)
+            assert seen == {"searches": searches, "runs": runs, "tables": tables}, spec
             clear()
             assert main(["degree", "--fn", spec, "--eps", eps]) == 0
             # then lp_feasible at d, on degree's reduction: one cold run, none
-            # below npin, and no second elimination
+            # below npin, and no second table
             assert seen == {"searches": searches + [(d, d)], "runs": runs + [d + 1 - npin] * (d >= npin),
-                            "eliminations": eliminations}, spec
+                            "tables": tables}, spec
         capsys.readouterr()
 
     @given(st.one_of(sym_fns(max_n=10), mirrored_fns(max_n=12)), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
@@ -682,7 +696,7 @@ class TestSizeGuard:
     def test_measured_cap(self, monkeypatch):
         # MAJ:41 at 1/8 is admitted and MAJ:80 refused; DJ:1000,100 at eps = 0
         # needs no LP, and an n = 400 vector whose pinned interpolant leaves a
-        # box would eliminate a block of 398 pinned weights, refused
+        # box would solve a block of 398 pinned weights, refused
         self.unsolved(monkeypatch, "_scan", "_pivot")
         polydeg._reduce.cache_clear()
         with pytest.raises(self.Built):
@@ -696,8 +710,17 @@ class TestSizeGuard:
         values = [rng.choice("01") for _ in range(401)]
         for w in (150, 200, 250):
             values[w] = "*"
-        with pytest.raises(ValueError, match="eliminating 398 pinned weights"):
+        with pytest.raises(ValueError, match="a block of 398 pinned weights"):
             sq.degree(vec("".join(values)), 0)
+
+    def test_refused_without_a_pivot(self, monkeypatch):
+        # the LP's size reads D in closed form: nothing is eliminated first
+        self.unsolved(monkeypatch, "_pivot")
+        polydeg._reduce.cache_clear()
+        with pytest.raises(ValueError) as refused:
+            sq.degree(vec("0*1*" * 50 + "0"), 0)
+        assert str(refused.value) == ("refused: the degree LP on 100 box weights × 100 free columns × 79 words of D "
+                                      "exceeds polydeg.MAX_LP_SIZE = 2000")
 
     def test_cli_refuses_with_one_error_line(self, capsys):
         from symquery.cli import main

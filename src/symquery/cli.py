@@ -47,6 +47,11 @@ def _collect_params(args: argparse.Namespace) -> tuple[algos.Algorithm, dict[str
 
 def _cmd_degree(args: argparse.Namespace) -> int:
     f = symfun.from_string(args.fn)
+    # Fraction builds 10**|exponent| in full, so an exponent whose power has
+    # more than 4300 digits (Python's limit on integer strings) is refused unparsed
+    exponent = args.eps.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) >= 4300):
+        raise ValueError("--eps has an exponent of 4300 or more: its power of 10 passes Python's 4300-digit limit")
     try:
         eps = Fraction(args.eps)
     except ZeroDivisionError:

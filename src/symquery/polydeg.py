@@ -4,10 +4,10 @@ A weight profile of degree d is stored in the binomial basis: on inputs of
 weight w it evaluates to sum_k c_k * C(w, k) with rational coefficients
 c_0..c_d.  Whether some degree-d profile fits a function within error eps is
 a linear feasibility question, decided exactly on one path for every eps:
-with eps = p/q the weight bounds are integers over q.  Below the count of
-the weights they pin (the defined ones, at eps = 0) the one candidate is the
-pinned values' interpolant (Newton's divided differences), checked once;
-at or above it the pinned equalities are solved in closed form, by Cramer's
+with eps = p/q the weight bounds are integers over q.  The interpolant of
+the values they pin (the defined ones, at eps = 0; Newton's divided
+differences) is checked once: the one candidate below their count, it
+answers wherever it fits.  Else the pinned equalities are solved by Cramer's
 rule over their Vandermonde determinant (integer Lagrange weights, one table
 per function), which leaves the box rows of the others, each column built
 when a search asks for it, and a Phase-I simplex decides the box rows with
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .catalogue import FamilyKind, FamilyTag, classify_deg2  # noqa: F401 (polydeg.classify_deg2 is public)
 from .symfun import SymPartialFn, isomorphs
@@ -218,11 +218,12 @@ def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool
             and all(sum(map(mul, lam, a)) == 0 for a in columns) and sum(map(mul, lam, rhs)) < 0)
 
 
-# A search refuses with ValueError, before it builds them, an LP of more than
-# MAX_LP_SIZE box weights × free columns × 64-bit words of the reduced rows'
-# denominator D, and a pinned block of more than MAX_BLOCK_SIZE pinned
-# weights² × weights.  On a 2-core x86 VM, MAJ:42 at eps = 1/8 (43 × 43)
-# takes 5.3 s, and a block of 298 pinned weights at n = 300 0.06 s in process.
+# _scan refuses with ValueError, before it builds them, an LP of more than
+# MAX_LP_SIZE box weights × free columns to its top degree × 64-bit words of
+# q·D, the scale every box row carries, and a pinned block of more than
+# MAX_BLOCK_SIZE pinned weights² × weights, whose Lagrange weights it would
+# extrapolate.  On a 2-core x86 VM, MAJ:42 at eps = 1/8 (43 × 43) takes 5.3 s,
+# and "*"*44 + 957 random 0/1, whose LP fits (D = 1), 50 s with the block cap lifted.
 MAX_LP_SIZE = 2000
 MAX_BLOCK_SIZE = 32_000_000
 
@@ -251,8 +252,8 @@ class _Reduction:
     @cached_property
     def fit(self) -> tuple[int, list[int] | None, int]:
         """(deg, V, L): the pinned values' interpolant p has degree deg (-1 if
-        p = 0) and, if it stays in [0, 1] at every box weight (one evaluation
-        each), binomial coefficients c_k = Δᵏp(0) = V[k] / L, else V is None.
+        p = 0) and, if q·p stays in every box (one evaluation per box weight),
+        binomial coefficients c_k = Δᵏp(0) = V[k] / L, else V is None.
         Newton's divided differences over the pinned weights (Stoer and
         Bulirsch, §2.1), each level integers over one denominator E; the j-th
         Newton term has degree j, so deg is the last nonzero one's index."""
@@ -275,7 +276,8 @@ class _Reduction:
                 P = P * (x - ws[j]) + A[j]
             return P
 
-        if not all(0 <= value(w) <= L for w in self.boxed):
+        q = self.eps.denominator
+        if not all(lo * L <= q * value(w) <= hi * L for w, (lo, hi) in zip(self.boxed, self.boxes)):
             return deg, None, L
         return deg, _differences([value(x) for x in range(deg + 1)]), L
 
@@ -347,25 +349,23 @@ def _certify(red: _Reduction, d: int, lam: list[int] | None) -> None:
         raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {red.f} at degree {d - 1}")
 
 
-def _check_size(red: _Reduction, boxes: int, columns: int) -> None:  # see MAX_LP_SIZE
+def _scan(red: _Reduction, rhs: Callable[[], list[int]], columns: Iterable[tuple[int, list[int]]], lo: int,
+          top: int) -> tuple[int, tuple[list[int], int] | None, list[int] | None]:
+    """Unless red's size refuses it (see MAX_LP_SIZE), one dictionary for
+    rows·t <= rhs() gains the (degree, column) pairs, ascending to top, and
+    runs from degree lo to the first feasible one.  Returns the degree it
+    stopped at with that run's (t, Dt), or with None at n after an
+    infeasible run (interpolation fits there) or one past the last pair;
+    and the last infeasible run's Farkas λ or None."""
     npin, n = red.npin, red.f.n
     if npin * npin * (n + 1) > MAX_BLOCK_SIZE:
         raise ValueError(f"refused: a block of {npin} pinned weights at n = {n} exceeds "
                          f"polydeg.MAX_BLOCK_SIZE = {MAX_BLOCK_SIZE}")
-    words = 1 + red.D.bit_length() // 64
-    if boxes * columns * words > MAX_LP_SIZE:
-        size = f"{boxes} box weights × {columns} free columns" + (f" × {words} words of D" if words > 1 else "")
+    boxes, free, words = len(red.boxes), top + 1 - npin, 1 + (red.eps.denominator * red.D).bit_length() // 64
+    if boxes * free * words > MAX_LP_SIZE:
+        size = f"{boxes} box weights × {free} free columns" + (f" × {words} words of q·D" if words > 1 else "")
         raise ValueError(f"refused: the degree LP on {size} exceeds polydeg.MAX_LP_SIZE = {MAX_LP_SIZE}")
-
-
-def _scan(rhs: list[int], columns: Iterable[tuple[int, list[int]]], lo: int, n: int) -> tuple[
-        int, tuple[list[int], int] | None, list[int] | None]:
-    """One dictionary for rows·t <= rhs gains the (degree, column) pairs in
-    ascending degree and runs from degree lo to the first feasible one.
-    Returns the degree it stopped at with that run's (t, Dt), or with None
-    at n after an infeasible run (interpolation fits there) or one past the
-    last pair; and the last infeasible run's Farkas λ or None."""
-    box, lam = _FeasibleBox(rhs), None
+    box, lam = _FeasibleBox(rhs()), None
     for d, a in columns:
         if d == n and lam is not None:
             return d, None, lam
@@ -380,22 +380,20 @@ def _scan(rhs: list[int], columns: Iterable[tuple[int, list[int]]], lo: int, n: 
 
 def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult | None]:
     """The least feasible degree d in [lo, top] of red, or top + 1 if none,
-    with the result at d (None where d = n follows an infeasible run).  For
-    d < npin a fit is the pinned values' interpolant, unique, of degree deg:
-    one check decides [max(lo, deg), npin-1].  Then _scan, within
-    _check_size, takes the box column of each degree from npin to top; its
-    witness and Farkas certificate (for every lower degree, as feasibility
-    is monotone in d) are re-checked."""
+    with the result at d (None where d = n follows an infeasible run).  The
+    pinned values' interpolant, of degree deg, is the one fit below npin and,
+    where it fits, the answer at max(lo, deg): above npin it is t = 0, which
+    a first dictionary returns.  Else _scan takes the box column of each
+    degree from npin to top; its witness and Farkas certificate (for every
+    lower degree, as feasibility is monotone in d) are re-checked."""
     npin, n = red.npin, red.f.n
-    if lo < npin:
-        deg, V, L = red.fit
-        d = max(lo, deg)
-        if d <= top and V is not None:
-            return d, _witness(red, [Fraction(v, L) for v in V] + [Fraction(0)] * (d - deg))
-        if npin > top:  # no free column, and no interpolant of degree <= top fits
-            return top + 1, FeasibilityResult(False, None)
-    _check_size(red, len(red.boxes), top + 1 - npin)
-    d, solved, lam = _scan(red.box_rhs(), ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, n)
+    deg, V, L = red.fit
+    d = max(lo, deg)
+    if d <= top and V is not None:
+        return d, _witness(red, [Fraction(v, L) for v in V] + [Fraction(0)] * (d - deg))
+    if npin > top:  # no free column, and no interpolant of degree <= top fits
+        return top + 1, FeasibilityResult(False, None)
+    d, solved, lam = _scan(red, red.box_rhs, ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, top)
     if d > n:
         raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
     result = None
@@ -444,15 +442,15 @@ def _half_search(red: _Reduction, lo: int, odd: int) -> int:
     has that parity (sign changes pair up about n/2).  The witness (c_k =
     Δᵏp(0)) and the last infeasible λ, unfolded, are checked on f's rows."""
     n, q, half = red.f.n, red.eps.denominator, range(red.f.n // 2 + 1)
-    _check_size(red, n + 1, n + 1)  # sized as the full search: the half one is no cheaper per entry
-    rhs = red.box_rhs()[: 2 * len(half)]  # (2hi - q, q - 2lo) bound 2q·(p - 1/2) if odd
 
     def basis(j: int, w: int) -> int:  # s_j(w), times 2(n - 2w) if odd
         return (2 * (n - 2 * w) if odd else 1) * comb(w, j) * comb(n - w, j)
 
     columns = ((d, [v for w in half for v in (q * basis(j, w), -q * basis(j, w))])
                for j, d in enumerate(range(odd, n + 1, 2)))
-    d, solved, lam = _scan([2 * v + (-q, q)[i % 2] if odd else v for i, v in enumerate(rhs)], columns, lo, n)
+    # (2hi - q, q - 2lo) bound 2q·(p - 1/2) if odd; sized as the full search to n: no cheaper per entry
+    d, solved, lam = _scan(red, lambda: [2 * v + (-q, q)[i % 2] if odd else v
+                                         for i, v in enumerate(red.box_rhs()[: 2 * len(half)])], columns, lo, n)
     if solved is not None:
         t, Dt = solved
         V = _differences([odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)])
@@ -471,16 +469,16 @@ def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, Feasibili
 
 def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
     """Least d with a feasible degree-d profile, from an exact lower bound
-    lo: n if lo is n (interpolation fits), else on the shared reduction of
-    (f, eps), by the half search if f is fixed by a mirror at eps > 0, or by
-    the search from lo to n; both check the two sides of their answer, and
-    refuse with ValueError, before any LP, one above MAX_LP_SIZE."""
+    lo: lo if it is 0 (a constant fits) or n (interpolation fits), else on
+    the shared reduction of (f, eps), by the half search if f is fixed by a
+    mirror at eps > 0, or by the search from lo to n; both check the two
+    sides of their answer, and _scan refuses an LP over MAX_LP_SIZE."""
     # if q fits f within eps < 1/2, q - 1/2 changes sign strictly between
     # each value change, so it has that many roots
     eps, lo = _as_eps(eps), len(f.value_changes)
-    if lo == f.n:
+    if lo in (0, f.n):
         return lo
-    red, mirrors = _reduce(f, eps), (isomorphs(f)[1::2] if eps and lo else [])  # reverse, reverse_complement
+    red, mirrors = _reduce(f, eps), (isomorphs(f)[1::2] if eps else [])  # reverse, reverse_complement
     return _half_search(red, lo, mirrors.index(f)) if f in mirrors else _search(red, lo, f.n)[0]
 
 

@@ -53,6 +53,20 @@ class TestDegree:
         assert code == 2 and out == ""
         assert err == "error: --eps '1/0' has a zero denominator\n"
 
+    def test_large_exponent_refused_unparsed(self, capsys, monkeypatch):
+        # Fraction builds 10**|exponent| in full: "1e-100000000" would not finish
+        def guarded(text):
+            assert "e" not in text.lower(), f"Fraction({text!r}) builds 10**|exponent|"
+            return Fraction(text)
+
+        monkeypatch.setattr("symquery.cli.Fraction", guarded)
+        for eps in ("1e-100000000", "1e-4300", "1E+04_300"):
+            code, out, err = run_cli(capsys, "degree", "--fn", "01", "--eps", eps)
+            assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error: --eps has an exponent")
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "degree", "--fn", "01", "--eps", "1e-4299")  # 4300 digits: admitted
+        assert code == 0 and "degree          1" in out
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--fn", "XYZ")
         assert code != 0

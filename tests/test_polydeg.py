@@ -563,8 +563,8 @@ class TestDegree:
             for eps in (F(0), F(1, 8)):
                 clear()
                 assert sq.degree(f, eps) >= lo
-                mirrored = eps and lo and f in sq.isomorphs(f)[1::2]  # then the half search runs instead
-                assert seen["searches"] == ([] if lo == f.n or mirrored else [(lo, f.n)]), (str(f), eps)
+                mirrored = eps and f in sq.isomorphs(f)[1::2]  # then the half search runs instead
+                assert seen["searches"] == ([] if lo in (0, f.n) or mirrored else [(lo, f.n)]), (str(f), eps)
 
     @staticmethod
     def count_solves(monkeypatch):
@@ -630,12 +630,12 @@ class TestDegree:
     @given(st.one_of(sym_fns(max_n=10), mirrored_fns(max_n=12)), st.sampled_from([F(0), F(1, 8), F(1, 3)]))
     @settings(max_examples=60, deadline=None)
     def test_one_dictionary_per_search(self, f, eps):
-        # degree builds at most one dictionary, none when lo = n, and
+        # degree builds at most one dictionary, none when lo = 0 or n, and
         # least_degree at most one more, lp_feasible's
         built, init = [], polydeg._FeasibleBox.__init__
         with mock.patch.object(polydeg._FeasibleBox, "__init__", lambda box, rhs: built.append(rhs) or init(box, rhs)):
             d = sq.degree(f, eps)
-            assert len(built) <= (sign_changes(f) < f.n)
+            assert len(built) <= (0 < sign_changes(f) < f.n)
             built.clear()
             assert polydeg.least_degree(f, eps)[0] == d
             assert len(built) <= 2
@@ -643,11 +643,11 @@ class TestDegree:
 
 class TestSizeGuard:
     """A search refuses, with ValueError and before it builds them, an LP of
-    more than MAX_LP_SIZE box weights × free columns × words of D, and a
+    more than MAX_LP_SIZE box weights × free columns × words of q·D, and a
     pinned block of more than MAX_BLOCK_SIZE pinned weights² × weights."""
 
     class Built(Exception):
-        """Raised in place of the first LP run or pivot: nothing is solved."""
+        """Raised in place of the first dictionary or pivot: nothing is solved."""
 
     @classmethod
     def unsolved(cls, monkeypatch, *names):
@@ -660,7 +660,7 @@ class TestSizeGuard:
     @staticmethod
     def lp_size(f, eps, columns):
         npin = len(f.domain_weights) if eps == 0 else 0
-        words = 1 + eager_reduce(f, eps, f.n).D.bit_length() // 64
+        words = 1 + (F(eps).denominator * eager_reduce(f, eps, f.n).D).bit_length() // 64
         return (f.n + 1 - npin) * columns * words
 
     @pytest.mark.parametrize("spec,eps,d", [("MAJ:41", F(1, 8), 39), ("THRESHOLD:9,3", F(1, 4), 6),
@@ -670,7 +670,7 @@ class TestSizeGuard:
         # up to n, lp_feasible's up to d; admitted at the cap, refused below it
         f = vec(spec)
         npin = len(f.domain_weights) if eps == 0 else 0
-        self.unsolved(monkeypatch, "_scan")
+        self.unsolved(monkeypatch, "_FeasibleBox")
         for call, columns in ((lambda: sq.degree(f, eps), f.n + 1 - npin), (lambda: sq.lp_feasible(f, eps, d), d + 1 - npin)):
             size = self.lp_size(f, eps, columns)
             monkeypatch.setattr(polydeg, "MAX_LP_SIZE", size)
@@ -679,6 +679,33 @@ class TestSizeGuard:
             monkeypatch.setattr(polydeg, "MAX_LP_SIZE", size - 1)
             with pytest.raises(ValueError, match="MAX_LP_SIZE"):
                 call()
+
+    @given(st.one_of(sym_fns(max_n=10), mirrored_fns(max_n=12)), st.sampled_from([F(0), F(1, 8), F(1, 3)]),
+           st.sampled_from([20, 60, 200]))
+    @settings(max_examples=80, deadline=None)
+    def test_no_dictionary_outgrows_the_cap(self, f, eps, cap):
+        # box weights × columns added × words of q·D stays within the cap in
+        # every dictionary, and for 0 < lo < n degree refuses whatever
+        # least_degree's cold solve at its answer would
+        sizes, add = [], polydeg._FeasibleBox.add_column
+        words = 1 + (eps.denominator * eager_reduce(f, eps, f.n).D).bit_length() // 64
+
+        def counted(box, a):
+            add(box, a)
+            sizes.append(len(box.rhs) // 2 * box.nf * words)
+
+        polydeg._reduce.cache_clear()
+        with mock.patch.object(polydeg, "MAX_LP_SIZE", cap), mock.patch.object(polydeg._FeasibleBox, "add_column", counted):
+            try:
+                d = sq.degree(f, eps)
+            except ValueError as refused:
+                assert "MAX_LP_SIZE" in str(refused)
+            else:
+                try:
+                    assert polydeg.least_degree(f, eps)[0] == d
+                except ValueError as refused:
+                    assert "MAX_LP_SIZE" in str(refused) and sign_changes(f) in (0, f.n), (str(f), eps, cap)
+        assert max(sizes, default=0) <= cap
 
     def test_block_cap_boundary(self, monkeypatch):
         f = vec("0*****1*1")
@@ -696,8 +723,9 @@ class TestSizeGuard:
     def test_measured_cap(self, monkeypatch):
         # MAJ:41 at 1/8 is admitted and MAJ:80 refused; DJ:1000,100 at eps = 0
         # needs no LP, and an n = 400 vector whose pinned interpolant leaves a
-        # box would solve a block of 398 pinned weights, refused
-        self.unsolved(monkeypatch, "_scan", "_pivot")
+        # box would extrapolate from a block of 398 pinned weights, refused,
+        # as is one of 957 at n = 1000 (D = 1, so the LP alone fits the cap)
+        self.unsolved(monkeypatch, "_FeasibleBox", "_pivot")
         polydeg._reduce.cache_clear()
         with pytest.raises(self.Built):
             sq.degree(vec("MAJ:41"), F(1, 8))
@@ -712,15 +740,44 @@ class TestSizeGuard:
             values[w] = "*"
         with pytest.raises(ValueError, match="a block of 398 pinned weights"):
             sq.degree(vec("".join(values)), 0)
+        wide = vec("*" * 44 + "".join(rng.choice("01") for _ in range(957)))
+        assert polydeg._Reduction(wide, F(0)).D == 1
+        with pytest.raises(ValueError, match="a block of 957 pinned weights at n = 1000"):
+            sq.degree(wide, 0)
+
+    def test_refused_on_the_scale_of_eps(self, monkeypatch):
+        # every box row carries q·D: q = 10^40 is 3 words, 10^400 21
+        self.unsolved(monkeypatch, "_FeasibleBox")
+        for spec, eps, words in (("MAJ:20", F(1, 10**400), 21), ("MAJ:30", F(1, 10**400), 21),
+                                 ("MAJ:30", F(1, 10**40), 3), ("THRESHOLD:40,13", F(1, 10**40), 3)):
+            with pytest.raises(ValueError, match=f"× {words} words of q·D exceeds polydeg.MAX_LP_SIZE"):
+                sq.degree(vec(spec), eps)
+        with pytest.raises(self.Built):  # 21 × 21 × 3
+            sq.degree(vec("MAJ:20"), F(1, 10**40))
 
     def test_refused_without_a_pivot(self, monkeypatch):
-        # the LP's size reads D in closed form: nothing is eliminated first
+        # the LP's size reads D in closed form: nothing is eliminated, and
+        # no Lagrange weight is built, first
+        def table(red):
+            raise self.Built
+
         self.unsolved(monkeypatch, "_pivot")
+        monkeypatch.setattr(polydeg._Reduction, "lagrange", property(table))
         polydeg._reduce.cache_clear()
         with pytest.raises(ValueError) as refused:
             sq.degree(vec("0*1*" * 50 + "0"), 0)
-        assert str(refused.value) == ("refused: the degree LP on 100 box weights × 100 free columns × 79 words of D "
+        assert str(refused.value) == ("refused: the degree LP on 100 box weights × 100 free columns × 79 words of q·D "
                                       "exceeds polydeg.MAX_LP_SIZE = 2000")
+
+    def test_forced_answers_build_no_dictionary(self, monkeypatch):
+        # lo = 0: a constant fits, and the zero profile is the one both the
+        # interpolant and a first dictionary give
+        self.unsolved(monkeypatch, "_FeasibleBox")
+        for f, eps in ((vec("0" * 101), F(1, 8)), (vec("*" * 101), F(0))):
+            polydeg._reduce.cache_clear()
+            assert sq.degree(f, eps) == 0
+            d, result = polydeg.least_degree(f, eps)
+            assert d == 0 and result.feasible and str(result.witness) == "c0=0"
 
     def test_cli_refuses_with_one_error_line(self, capsys):
         from symquery.cli import main
@@ -743,7 +800,7 @@ class TestHalfSearch:
         with mock.patch.object(polydeg, "_unfold", lambda *a: unfolded.append(unfold(*a)) or unfolded[-1]), \
                 mock.patch.object(polydeg, "_search", lambda *a: searched.append(a) or search(*a)):
             d = sq.degree(f, eps)
-        assert len(searched) == (lo == 0)  # lo = n needs no search, and lo = 0 takes the full one
+        assert not searched  # the half search runs, or none: lo = 0 and lo = n need none
         assert d == polydeg._search(polydeg._Reduction(f, eps), lo, f.n)[0]
         assert polydeg.least_degree(f, eps) == (d, sq.lp_feasible(f, eps, d))
         # d has the parity of lo, and a half search above lo refutes d - 1 once

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 import hypothesis.strategies as st
@@ -141,6 +141,15 @@ def pivoting_bareiss_det(matrix: list[list[int]]) -> int:
             m[r][p] = 0
         prev = m[p][p]
     return sign * m[size - 1][size - 1]
+
+
+def plane_partitions(a: int, b: int, c: int) -> int:
+    """MacMahon's count of plane partitions in an a x b x c box, a, b, c >= 0:
+    the product of (i+j+l-1)/(i+j+l-2) over the box's cells, telescoped along
+    its longest side a to (a+i+j-1)/(i+j-1)."""
+    a, b, c = sorted((a, b, c), reverse=True)
+    cells = [(i, j) for i in range(1, b + 1) for j in range(1, c + 1)]
+    return prod(a + i + j - 1 for i, j in cells) // prod(i + j - 1 for i, j in cells)
 
 
 def set_rule_d_complexity(f: SymPartialFn) -> int:

@@ -251,13 +251,16 @@ class TestClassicalClassifyDet:
         assert payload["determinant"] == payload["closed_form"]
 
     def test_det_caps_refuse_before_building(self, capsys, monkeypatch):
-        def no_matrix(n, k):
-            raise AssertionError("the matrix was built")
+        def no_entries(n, k):
+            raise AssertionError("the entries were built")
 
-        monkeypatch.setattr(identities, "_hankel_matrix", no_matrix)
+        # both kernels read the entries from this one builder
+        monkeypatch.setattr(identities, "_hankel_entries", no_entries)
         cap_n, cap_k = identities.MAX_DET_N, identities.MAX_DET_K
-        with pytest.raises(AssertionError, match="built"):
-            main(["det", "--n", str(cap_n), "--k", str(cap_k)])
+        # at the cap corner (condensation) and in the band n <= 3k-2 (Bareiss)
+        for n, k in ((cap_n, cap_k), (3 * cap_k - 2, cap_k)):
+            with pytest.raises(AssertionError, match="built"):
+                main(["det", "--n", str(n), "--k", str(k)])
         for n, k in ((cap_n + 1, cap_k), (cap_n, cap_k + 1)):
             code, out, err = run_cli(capsys, "det", "--n", str(n), "--k", str(k))
             assert code == 2 and out == ""

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 import symquery as sq
-from helpers import pivoting_bareiss_det
-from symquery.identities import _bareiss_det, _hankel_matrix, binom_matrix, comb_ext
+from helpers import pivoting_bareiss_det, plane_partitions
+from symquery import identities
+from symquery.identities import _bareiss_det, _condensation, _hankel_entries, _hankel_matrix, binom_matrix, comb_ext
+
+# every (n, k) with k <= 12 and 2k+1 <= n <= 80, on both sides of n = 3k-1
+BOUNDARY = [(n, k) for k in range(13) for n in range(2 * k + 1, 81)]
 
 
 def leading_minors(m: list[list[int]]) -> list[int]:
@@ -24,6 +28,26 @@ def symmetric_matrices(draw, max_size: int = 8, bound: int = 50) -> list[list[in
         for c in range(r, size):
             m[r][c] = m[c][r] = draw(st.integers(-bound, bound))
     return m
+
+
+@st.composite
+def odd_sequences(draw, max_k: int = 5, bound: int = 9) -> list[int]:
+    size = 2 * draw(st.integers(0, max_k)) + 1
+    return draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+
+
+def hankel(s: list[int], j: int, m: int) -> list[list[int]]:
+    """The m x m Hankel matrix [s_(j+r+c)]."""
+    return [[s[j + r + c] for c in range(m)] for r in range(m)]
+
+
+def condensed_det(s: list[int]) -> int:
+    *_, (det,) = _condensation(s)
+    return det
+
+
+def refuse(*args):
+    raise AssertionError("the other kernel was called")
 
 
 class TestHelperIdentity:
@@ -122,6 +146,57 @@ class TestSymmetricKernel:
         assert pivoting_bareiss_det([[0, 1], [1, 0]]) == -1
         with pytest.raises(RuntimeError):
             _bareiss_det([[0, 1], [1, 0]])
+
+
+class TestCondensationKernel:
+    @given(odd_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_or_raises(self, s):
+        # the table divides by H_m^(j) for 1 <= m <= k-1 and 2 <= j <= 2k-2m
+        k = len(s) // 2
+        divisors = [pivoting_bareiss_det(hankel(s, j, m)) for m in range(1, k) for j in range(2, 2 * k - 2 * m + 1)]
+        if all(divisors):
+            assert condensed_det(s) == pivoting_bareiss_det(hankel(s, 0, k + 1))
+        else:
+            with pytest.raises(RuntimeError):
+                condensed_det(s)
+
+    def test_zero_divisor_raises_not_zero_division(self):
+        # the one divisor at k = 2 is s_2 = 0, yet the determinant is -2
+        assert pivoting_bareiss_det(hankel([1, 1, 0, 1, 1], 0, 3)) == -2
+        with pytest.raises(RuntimeError):
+            condensed_det([1, 1, 0, 1, 1])
+
+
+class TestCondensationBoundary:
+    def test_table_holds_signed_plane_partition_counts(self, monkeypatch):
+        # where n >= 3k-1: H_m^(j) = (-1)^(m(m-1)/2) PP(N-j-m, j+m, m) for
+        # j+m <= N, so every divisor (j+m <= 2k-1 <= N) is nonzero; Bareiss is
+        # not called
+        monkeypatch.setattr(identities, "_bareiss_det", refuse)
+        for n, k in BOUNDARY:
+            if n < 3 * k - 1:
+                continue
+            N = n - k
+            rows = list(_condensation(_hankel_entries(n, k)))
+            for m, row in enumerate(rows, 1):
+                sign = -1 if m * (m - 1) // 2 % 2 else 1
+                for j, minor in enumerate(row):
+                    assert minor == (sign * plane_partitions(N - j - m, j + m, m) if j + m <= N else 0), (n, k, m, j)
+            assert all(rows[m - 1][j] for m in range(1, k) for j in range(2, 2 * k - 2 * m + 1)), (n, k)
+            assert sq.binom_det(n, k) == sq.binom_det_closed(n, k) == rows[-1][0], (n, k)
+
+    def test_band_is_served_by_elimination(self, monkeypatch):
+        # where 2k+1 <= n <= 3k-2 the divisor H_1^(2k-2) = C(n-k, 2k-1) is 0
+        monkeypatch.setattr(identities, "_condensation", refuse)
+        band = [(n, k) for n, k in BOUNDARY if n <= 3 * k - 2]
+        assert len(band) == sum(k - 2 for k in range(3, 13))
+        for n, k in band:
+            s = _hankel_entries(n, k)
+            assert s[2 * k - 2] == 0
+            with pytest.raises(RuntimeError):
+                condensed_det(s)
+            assert sq.binom_det(n, k) == pivoting_bareiss_det(binom_matrix(n, k)) == sq.binom_det_closed(n, k), (n, k)
 
 
 class TestBareissAgainstCofactors:

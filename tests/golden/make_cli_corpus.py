@@ -73,7 +73,8 @@ def invocations() -> list[tuple[list[str], str | None]]:
         out.append((["classical", "--fn", fn], None))
     for fn in ("0*1*0", "001**", "F2:9,5", "F4:6", "DJ:8,1", "1***", "******"):
         out.append((["classify", "--fn", fn], None))
-    for n, k in ((6, 1), (12, 3), (20, 4), (1, 0)):
+    # (12, 5), (13, 5) and (21, 8) lie in the band 2k+1 <= n <= 3k-2
+    for n, k in ((6, 1), (12, 3), (20, 4), (1, 0), (12, 5), (13, 5), (21, 8)):
         out.append((["det", "--n", str(n), "--k", str(k)], None))
     out.append((["families"], None))
     errors = [

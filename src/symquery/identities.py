@@ -31,14 +31,21 @@ MacMahon's plane partitions in an a x b x m box (Gessel and Viennot 1985):
 for j+m <= N; for j+m > N the last row, C(N, j+m+c), is zero.  So H_m^(j)
 is nonzero exactly when j+m <= N, and every divisor is nonzero exactly
 when N >= 2k-1, that is n >= 3k-1.  In the band 2k+1 <= n <= 3k-2 the
-divisor H_1^(2k-2) = C(N, 2k-1) is 0, so every band instance meets a zero
-divisor and condensation cannot serve it.
+divisor H_1^(2k-2) = C(N, 2k-1) is 0, so condensation cannot serve s there.
 
-There a symmetric fraction-free elimination serves.  The j x j leading
-block of [s_(r+c)] is the reduced matrix of the instance n' = N+j-1,
-k' = j-1, where n' - 2k' - 1 = N - j >= 0 as N >= k+1 >= j, so every
-leading minor is that instance's nonzero closed form (H_j^(0) above): the
-elimination meets no zero pivot and needs no row swap.
+There the binomial transform serves, which keeps every Hankel determinant
+(Layman, "The Hankel transform and some of its properties", J. Integer
+Seq. 2001).  With P = [C(r, i)], unit lower triangular, Vandermonde's
+convolution gives the lifted entries t_i = C(N+i, i+1) = sum_j C(i, j) s_j,
+so P [s_(r+c)] P^T = [t_(r+c)], of the same determinant.  By the same
+convolution the shifted sequence t_(j+i) is the binomial transform of
+C(N+j, j+1+i), so the count above, with N+j for N, gives
+
+    H_m^(j)(t) = (-1)^(m(m-1)/2) * PP(N-m, j+m, m),
+
+nonzero for every j, as m <= k+1 <= N: condensation serves t on every
+admitted (n, k).  Outside the band s stays, whose minors, PP(N-j-m, ...)
+against PP(N-m, ...), are the smaller.
 """
 
 from __future__ import annotations
@@ -60,12 +67,11 @@ def helper_identity(p: int, l: int) -> bool:
     return (p + 1) * comb_ext(p, l) == (l + 1) * comb_ext(p + 1, l + 1)
 
 
-# Largest n and k the determinant side accepts.  Condensation serves
-# n >= 3k-1, the corner (1000, 40) among them, in 0.07-0.09 s on a 2-core
-# x86 VM (Bareiss took 0.16-0.19 s); Bareiss serves the band below, whose
-# costliest instance, (118, 40), takes 0.03-0.04 s.  At k = 44 the corner
-# takes 0.13-0.15 s by condensation, about what k = 40 took by Bareiss, and
-# (1000, 50) 0.27 s, so the caps keep their values.
+# Largest n and k the determinant side accepts.  On a 2-core x86 VM
+# condensation takes 0.07-0.10 s at the corner (1000, 40), and 9-12 ms on
+# the lifted entries of the band's costliest instance, (118, 40).  At
+# k = 44 the corner takes 0.12-0.17 s, about what k = 40 took by Bareiss
+# elimination, and (1000, 50) 0.24-0.27 s, so the caps keep their values.
 MAX_DET_N = 1000
 MAX_DET_K = 40
 
@@ -85,24 +91,6 @@ def binom_matrix(n: int, k: int) -> list[list[int]]:
     return [[comb_ext(n - r, k + 1 + c) for c in range(k + 1)] for r in range(k + 1)]
 
 
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant of a symmetric matrix; every division is
-    exact.  After step p, entry (r, c) is the minor on rows {0..p, r} and
-    columns {0..p, c}, symmetric in r and c, so row r updates only row[r:]
-    and reads m[r][p] as m[p][r].  The pivots are the leading minors; a zero
-    one before the last step raises RuntimeError (no pivot search)."""
-    m = [row[:] for row in matrix]
-    prev = 1
-    for p in range(len(m) - 1):
-        prow, piv = m[p], m[p][p]
-        if piv == 0:
-            raise RuntimeError(f"zero leading minor of order {p + 1}")
-        for r, f in enumerate(prow[p + 1 :], p + 1):
-            m[r][r:] = [(x * piv - f * y) // prev for x, y in zip(m[r][r:], prow[r:])]
-        prev = piv
-    return m[-1][-1]
-
-
 def _condensation(s: list[int]):
     """Yield the rows H_1, ..., H_(k+1) of the table of shifted Hankel minors
     of the module docstring, for s of odd length 2k+1; the last row is
@@ -118,27 +106,21 @@ def _condensation(s: list[int]):
 
 
 def _hankel_entries(n: int, k: int) -> list[int]:
-    """The 2k+1 distinct entries s_i = C(n-k, i+1) of the Hankel matrix."""
-    return [math.comb(n - k, i + 1) for i in range(2 * k + 1)]
-
-
-def _hankel_matrix(n: int, k: int) -> list[list[int]]:
-    """C(n-k, r+c+1) for r, c in 0..k, sliced from its 2k+1 entries."""
-    s = _hankel_entries(n, k)
-    return [s[r : r + k + 1] for r in range(k + 1)]
+    """The 2k+1 distinct entries of a Hankel matrix with the binomial
+    matrix's determinant: s_i = C(n-k, i+1), lifted to t_i = C(n-k+i, i+1)
+    in the band n <= 3k-2, where condensing s meets a zero divisor."""
+    lift = n < 3 * k - 1
+    return [math.comb(n - k + lift * i, i + 1) for i in range(2 * k + 1)]
 
 
 def binom_det(n: int, k: int) -> Fraction:
     """Exact determinant of the binomial matrix (an integer, returned as a
-    rational for interface uniformity), on the Hankel matrix of the module
-    docstring, whose entries are smaller: by condensation where n >= 3k-1,
-    where every divisor is nonzero, by Bareiss in the band below it.
-    Refuses n and k above the caps before building the entries."""
+    rational for interface uniformity), condensed on the Hankel entries of
+    the module docstring, where every divisor is nonzero.  Refuses n and k
+    above the caps before building the entries."""
     _check_params(n, k)
-    if n >= 3 * k - 1:
-        *_, (det,) = _condensation(_hankel_entries(n, k))
-        return Fraction(det)
-    return Fraction(_bareiss_det(_hankel_matrix(n, k)))
+    *_, (det,) = _condensation(_hankel_entries(n, k))
+    return Fraction(det)
 
 
 def binom_det_closed(n: int, k: int) -> Fraction:
@@ -151,5 +133,5 @@ def binom_det_closed(n: int, k: int) -> Fraction:
 
 
 def check_identity(n: int, k: int) -> bool:
-    """Exact equality of the eliminated determinant and the closed form."""
+    """Exact equality of the condensed determinant and the closed form."""
     return binom_det(n, k) == binom_det_closed(n, k)

@@ -118,10 +118,10 @@ def full_tableau_feasible_box(rows: list[list[int]], rhs: list[int]) -> tuple[li
 
 
 def pivoting_bareiss_det(matrix: list[list[int]]) -> int:
-    """Reference for identities._bareiss_det, for any square matrix: the
-    general Bareiss elimination, updating each whole trailing block, with a
-    row-swap search on a zero pivot.  Fraction-free determinant; all
-    intermediate divisions are exact."""
+    """Reference determinant for identities.binom_det and
+    polydeg._Reduction.D, for any square matrix: the general Bareiss
+    elimination, updating each whole trailing block, with a row-swap search
+    on a zero pivot.  Fraction-free; all intermediate divisions are exact."""
     m = [row[:] for row in matrix]
     size = len(m)
     sign = 1

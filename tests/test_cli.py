@@ -254,10 +254,10 @@ class TestClassicalClassifyDet:
         def no_entries(n, k):
             raise AssertionError("the entries were built")
 
-        # both kernels read the entries from this one builder
+        # the kernel reads the entries from this one builder
         monkeypatch.setattr(identities, "_hankel_entries", no_entries)
         cap_n, cap_k = identities.MAX_DET_N, identities.MAX_DET_K
-        # at the cap corner (condensation) and in the band n <= 3k-2 (Bareiss)
+        # at the cap corner and in the band n <= 3k-2 (lifted entries)
         for n, k in ((cap_n, cap_k), (3 * cap_k - 2, cap_k)):
             with pytest.raises(AssertionError, match="built"):
                 main(["det", "--n", str(n), "--k", str(k)])

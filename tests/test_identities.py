@@ -1,5 +1,6 @@
 """Binomial determinant identity and its helper product rule, exact integers."""
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,8 +9,7 @@ from hypothesis import given, settings
 
 import symquery as sq
 from helpers import pivoting_bareiss_det, plane_partitions
-from symquery import identities
-from symquery.identities import _bareiss_det, _condensation, _hankel_entries, _hankel_matrix, binom_matrix, comb_ext
+from symquery.identities import _condensation, _hankel_entries, binom_matrix, comb_ext
 
 # every (n, k) with k <= 12 and 2k+1 <= n <= 80, on both sides of n = 3k-1
 BOUNDARY = [(n, k) for k in range(13) for n in range(2 * k + 1, 81)]
@@ -18,16 +18,6 @@ BOUNDARY = [(n, k) for k in range(13) for n in range(2 * k + 1, 81)]
 def leading_minors(m: list[list[int]]) -> list[int]:
     """Determinants of the j x j leading blocks, j = 1..size, by the reference."""
     return [pivoting_bareiss_det([row[:j] for row in m[:j]]) for j in range(1, len(m) + 1)]
-
-
-@st.composite
-def symmetric_matrices(draw, max_size: int = 8, bound: int = 50) -> list[list[int]]:
-    size = draw(st.integers(1, max_size))
-    m = [[0] * size for _ in range(size)]
-    for r in range(size):
-        for c in range(r, size):
-            m[r][c] = m[c][r] = draw(st.integers(-bound, bound))
-    return m
 
 
 @st.composite
@@ -41,13 +31,18 @@ def hankel(s: list[int], j: int, m: int) -> list[list[int]]:
     return [[s[j + r + c] for c in range(m)] for r in range(m)]
 
 
+def product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def unlifted(n: int, k: int) -> list[int]:
+    """The 2k+1 entries s_i = C(n-k, i+1) that the Pascal sweeps leave."""
+    return [math.comb(n - k, i + 1) for i in range(2 * k + 1)]
+
+
 def condensed_det(s: list[int]) -> int:
     *_, (det,) = _condensation(s)
     return det
-
-
-def refuse(*args):
-    raise AssertionError("the other kernel was called")
 
 
 class TestHelperIdentity:
@@ -109,8 +104,10 @@ class TestDeterminant:
                 for s in range(k, 0, -1):
                     for r in range(s):
                         m[r] = [x - y for x, y in zip(m[r], m[r + 1])]
-                hankel = [[comb_ext(n - k, r + c + 1) for c in range(k + 1)] for r in range(k + 1)]
-                assert m == hankel == _hankel_matrix(n, k), (n, k)
+                entries = [[comb_ext(n - k, r + c + 1) for c in range(k + 1)] for r in range(k + 1)]
+                assert m == entries == hankel(unlifted(n, k), 0, k + 1), (n, k)
+                if n >= 3 * k - 1:
+                    assert _hankel_entries(n, k) == unlifted(n, k), (n, k)
 
     def test_reduction_keeps_the_determinant(self):
         for k in range(1, 7):
@@ -118,34 +115,20 @@ class TestDeterminant:
                 assert sq.binom_det(n, k) == pivoting_bareiss_det(binom_matrix(n, k)), (n, k)
 
     def test_leading_minors_are_smaller_closed_forms(self):
-        # why the kernel needs no pivot search: the j x j leading block of the
-        # reduced matrix is the reduced matrix of (n-k+j-1, j-1)
+        # the j x j leading block of the reduced matrix is the reduced matrix
+        # of (n-k+j-1, j-1); the lift, a congruence by a unit lower-triangular
+        # matrix, keeps the leading minors, the first column of the table
         for k in range(9):
             for n in range(2 * k + 1, 41):
                 closed = [sq.binom_det_closed(n - k + j - 1, j - 1) for j in range(1, k + 2)]
-                assert leading_minors(_hankel_matrix(n, k)) == closed, (n, k)
+                assert leading_minors(hankel(unlifted(n, k), 0, k + 1)) == closed, (n, k)
+                assert [row[0] for row in _condensation(_hankel_entries(n, k))] == closed, (n, k)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             sq.binom_det(4, 2)  # n < 2k+1
         with pytest.raises(ValueError):
             sq.binom_det(4, -1)
-
-
-class TestSymmetricKernel:
-    @given(symmetric_matrices())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_reference_or_raises(self, m):
-        if all(leading_minors(m)[:-1]):
-            assert _bareiss_det(m) == pivoting_bareiss_det(m)
-        else:
-            with pytest.raises(RuntimeError):
-                _bareiss_det(m)
-
-    def test_zero_pivot_raises_not_zero(self):
-        assert pivoting_bareiss_det([[0, 1], [1, 0]]) == -1
-        with pytest.raises(RuntimeError):
-            _bareiss_det([[0, 1], [1, 0]])
 
 
 class TestCondensationKernel:
@@ -169,11 +152,9 @@ class TestCondensationKernel:
 
 
 class TestCondensationBoundary:
-    def test_table_holds_signed_plane_partition_counts(self, monkeypatch):
+    def test_table_holds_signed_plane_partition_counts(self):
         # where n >= 3k-1: H_m^(j) = (-1)^(m(m-1)/2) PP(N-j-m, j+m, m) for
-        # j+m <= N, so every divisor (j+m <= 2k-1 <= N) is nonzero; Bareiss is
-        # not called
-        monkeypatch.setattr(identities, "_bareiss_det", refuse)
+        # j+m <= N, so every divisor (j+m <= 2k-1 <= N) is nonzero
         for n, k in BOUNDARY:
             if n < 3 * k - 1:
                 continue
@@ -186,20 +167,37 @@ class TestCondensationBoundary:
             assert all(rows[m - 1][j] for m in range(1, k) for j in range(2, 2 * k - 2 * m + 1)), (n, k)
             assert sq.binom_det(n, k) == sq.binom_det_closed(n, k) == rows[-1][0], (n, k)
 
-    def test_band_is_served_by_elimination(self, monkeypatch):
-        # where 2k+1 <= n <= 3k-2 the divisor H_1^(2k-2) = C(n-k, 2k-1) is 0
-        monkeypatch.setattr(identities, "_condensation", refuse)
+    def test_band_condenses_the_lifted_entries(self):
+        # where 2k+1 <= n <= 3k-2 the divisor H_1^(2k-2) = C(n-k, 2k-1) of the
+        # unlifted entries is 0; on the lifted t_i = C(N+i, i+1) every table
+        # entry is H_m^(j) = (-1)^(m(m-1)/2) PP(N-m, j+m, m), nonzero as m <= N
         band = [(n, k) for n, k in BOUNDARY if n <= 3 * k - 2]
         assert len(band) == sum(k - 2 for k in range(3, 13))
         for n, k in band:
-            s = _hankel_entries(n, k)
+            s = unlifted(n, k)
             assert s[2 * k - 2] == 0
             with pytest.raises(RuntimeError):
                 condensed_det(s)
+            N = n - k
+            t = _hankel_entries(n, k)
+            assert t == [math.comb(N + i, i + 1) for i in range(2 * k + 1)], (n, k)
+            for m, row in enumerate(_condensation(t), 1):
+                sign = -1 if m * (m - 1) // 2 % 2 else 1
+                assert row == [sign * plane_partitions(N - m, j + m, m) for j in range(len(row))], (n, k, m)
             assert sq.binom_det(n, k) == pivoting_bareiss_det(binom_matrix(n, k)) == sq.binom_det_closed(n, k), (n, k)
 
+    def test_pascal_congruence_lifts_the_entries(self):
+        # P [s_(r+c)] P^T = [t_(r+c)] with P = [C(r, i)] unit lower-triangular,
+        # as t_i = sum_j C(i, j) s_j (Vandermonde): the same determinant
+        for k in range(9):
+            pascal = [[math.comb(r, i) for i in range(k + 1)] for r in range(k + 1)]
+            for n in range(2 * k + 1, 41):
+                t = [math.comb(n - k + i, i + 1) for i in range(2 * k + 1)]
+                congruent = product(product(pascal, hankel(unlifted(n, k), 0, k + 1)), list(zip(*pascal)))
+                assert congruent == hankel(t, 0, k + 1), (n, k)
 
-class TestBareissAgainstCofactors:
+
+class TestDeterminantAgainstCofactors:
     def test_three_by_three_cross_check(self):
         m = binom_matrix(9, 2)
         a, b, c = m[0]

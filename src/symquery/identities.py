@@ -70,8 +70,8 @@ def helper_identity(p: int, l: int) -> bool:
 # Largest n and k the determinant side accepts.  On a 2-core x86 VM
 # condensation takes 0.07-0.10 s at the corner (1000, 40), and 9-12 ms on
 # the lifted entries of the band's costliest instance, (118, 40).  At
-# k = 44 the corner takes 0.12-0.17 s, about what k = 40 took by Bareiss
-# elimination, and (1000, 50) 0.24-0.27 s, so the caps keep their values.
+# k = 44 the corner takes 0.12-0.17 s and (1000, 50) 0.24-0.27 s, so the
+# caps keep their values.
 MAX_DET_N = 1000
 MAX_DET_K = 40
 

@@ -10,21 +10,24 @@ Two one-query subroutines power everything:
   measured index is certainly a 1-position at weight n/4 and certainly a
   0-position at weight 3n/4.
 
-Each has one closed-form outcome law, per weight, in exact rationals; the
-law on one input shares each side's mass equally among its outcomes, which
-symmetry makes equally likely.  Each registry entry describes its
-algorithm once, as a plan: a small tree of pair tests on the bits padded
+Each has one closed-form outcome law per weight, an integer numerator per
+side over a fixed denominator (m^2 for the pair test, n^3 for the search);
+the exact law on one input, in Fractions, shares each side's mass equally
+among its outcomes, which symmetry makes equally likely.  Each registry
+entry describes its algorithm once, as a plan: a small tree of pair tests on the bits padded
 with zeros, searches on the bits padded with zeros then ones (which may
 read the reported bit), and a first read of x_1 (which may complement the
 rest), whose leaves are an output bit or the subroutine's outcome itself.
 The plan is walked two ways.  Per input, it lists every measurement branch
 of one execution (an AlgorithmRun) with its path, probability (from the
 per-input laws, as floats), output and query count.  Per weight class, it
-gives the exact law of (output, queries used) in Fractions, with the
-number of branches behind each pair: the plan reads explicit bits and
+gives the exact law of (output, queries used) in integers, each mass a
+numerator over the product of the denominators of the steps on its path, with
+the number of branches behind each pair: the plan reads explicit bits and
 calls the subroutines, so the law depends only on the weight of the input
 and, where the plan reads x_1 first, on x_1.  ``verify_exact`` certifies
-the whole domain from these laws, once per class, in time polynomial in n.
+the whole domain from these laws, once per class, in time polynomial in n,
+and builds a Fraction only to print a failing branch.
 ``run`` is the only per-input walk: it reads the same law's branch count
 to refuse an input before listing its branches, and the positional names
 (``dj(n, k, x)``, ...) and ``simulate_domain``, the exponential reference
@@ -214,38 +217,43 @@ def grover1_state(x: str) -> qsim.QState:
     return qsim.apply_map(state, reflect, assume_unitary=True)
 
 
-# The exact probability of a set of branches and how many branches it holds.
-Mass = tuple[Fraction, int]
+# One side of a subroutine's law at one weight: the numerator of its mass
+# over the law's denominator, and how many branches share that mass.
+Side = tuple[int, int]
 
 
-def xquery_weight_law(t: int, m: int) -> tuple[Mass, Mass]:
-    """Pair-test law on every m-bit input of weight t: the flat outcome, one
-    branch of probability ((m - 2t)/m)^2, and the t(m - t) differing pairs,
-    4/m^2 each."""
+def xquery_weight_law(t: int, m: int) -> tuple[int, Side, Side]:
+    """Pair-test law on every m-bit input of weight t, over the denominator
+    m^2: the flat outcome, one branch of mass (m - 2t)^2, and the t(m - t)
+    differing pairs, 4 each."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     pairs = t * (m - t)
-    return (Fraction((m - 2 * t) ** 2, m * m), 1), (Fraction(4 * pairs, m * m), pairs)
+    return m * m, ((m - 2 * t) ** 2, 1), (4 * pairs, pairs)
 
 
-def grover1_weight_law(t: int, n: int) -> tuple[Mass, Mass]:
-    """One-iteration search law on every n-bit input of weight t: the mass on
-    the t 1-positions and on the n - t 0-positions, each position's
-    amplitude being (2s/n -+ 1)/sqrt(n) with s = n - 2t."""
+def grover1_weight_law(t: int, n: int) -> tuple[int, Side, Side]:
+    """One-iteration search law on every n-bit input of weight t, over the
+    denominator n^3: the mass t(3n - 4t)^2 on the t 1-positions and
+    (n - t)(n - 4t)^2 on the n - t 0-positions, each position's amplitude
+    being (2s/n -+ 1)/sqrt(n) with s = n - 2t."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    mean2 = Fraction(2 * (n - 2 * t), n)
-    return (t * (mean2 + 1) ** 2 / n, t), ((n - t) * (mean2 - 1) ** 2 / n, n - t)
+    return n**3, (t * (3 * n - 4 * t) ** 2, t), ((n - t) * (n - 4 * t) ** 2, n - t)
+
+
+def _share(den: int, mass: int, count: int) -> Fraction | int:
+    """Each of `count` branches' equal share of mass/den; 0 when mass is."""
+    return mass and Fraction(mass, den * count)
 
 
 def xquery_exact_distribution(x: str) -> list[tuple[tuple[int, int], Fraction]]:
     """The pair test's outcome law on x, in exact rationals: the weight
     law's flat mass if nonzero, then each differing pair (i, j), i < j, with
     an equal share of the pair mass."""
-    m = len(x)
-    (flat, _), (mass, pairs) = xquery_weight_law(x.count("1"), m)
-    share = mass and mass / pairs  # no pair differs when pairs = 0
-    out: list[tuple[tuple[int, int], Fraction]] = [((0, 0), flat)] if flat else []
+    den, (flat, _), (mass, pairs) = xquery_weight_law(x.count("1"), len(x))
+    share = _share(den, mass, pairs)  # no pair differs when pairs = 0
+    out: list[tuple[tuple[int, int], Fraction]] = [((0, 0), _share(den, flat, 1))] if flat else []
     other = {bit: [j for j, b in enumerate(x, 1) if b != bit] for bit in "01"}  # opposite-bit positions
     return out + [((i, j), share) for i, bit in enumerate(x, 1) for j in other[bit][bisect(other[bit], i):]]
 
@@ -254,8 +262,8 @@ def grover1_exact_distribution(x: str) -> list[tuple[int, Fraction]]:
     """The one-iteration search's index law on x, in exact rationals: each
     1-position, and each 0-position, with an equal share of its side's
     weight-law mass; indices of probability 0 are left out."""
-    (ones, t), (zeros, rest) = grover1_weight_law(x.count("1"), len(x))
-    share = {"1": ones and ones / t, "0": zeros and zeros / rest}
+    den, ones, zeros = grover1_weight_law(x.count("1"), len(x))
+    share = {"1": _share(den, *ones), "0": _share(den, *zeros)}
     return [(i, share[bit]) for i, bit in enumerate(x, 1) if share[bit]]
 
 
@@ -485,40 +493,45 @@ def _branches(step: Step, x: str, path: tuple[str, ...], prob: float, used: int,
             _branches(nxt, x, path + (f"grover:{i}", f"x{i}={bit}"), prob * p, used + 2, out)
 
 
-# (output, queries used) -> the mass of the branches that end so, on every
-# input of one class; zero-probability branches are left out.  Steps run in
-# sequence multiply both their probabilities and their branch counts.
-Law = dict[tuple[object, int], Mass]
+# (output, queries used) -> (numerator, denominator, branches): the mass of
+# the branches that end so on every input of one class is numerator /
+# denominator; zero-probability branches are left out.  Steps run in
+# sequence multiply their numerators, their denominators and their branch
+# counts, so the entries come in chain order and each one's denominator
+# divides the next one's.
+Law = dict[tuple[object, int], tuple[int, int, int]]
 
 
 def _law(step: Step, t: int, used: int) -> Law:
     """The law of `step` on every input of weight t, after `used` queries,
-    in one pass down its chain.  A bare subroutine's outcomes are named in
-    its contract's terms."""
+    in one pass down its chain, in integers: each entry's numerator is the
+    chain's reach numerator times its side's, over the denominators of the
+    steps so far.  A bare subroutine's outcomes are named in its contract's
+    terms."""
     if not isinstance(step, tuple):
-        return {(step, used): (Fraction(1), 1)}
+        return {(step, used): (1, 1, 1)}
     law: Law = {}
-    reach, paths = None, 1  # the chain's mass so far; None while it is certain
+    reach, den, paths = 1, 1, 1  # the chain's mass so far, reach / den, over `paths` branches
     while True:
         if type(step) is Pair:
             used += 1
-            (p0, c0), (p1, c1) = xquery_weight_law(t, step.length)
+            s, (p0, c0), (p1, c1) = xquery_weight_law(t, step.length)
             leaf, nxt, terms = step.flat, step.pair, ("flat", "differing pair")
             t -= 1
         else:
             used += 1 if step.one is OUTCOME else 2
-            (p0, c0), (p1, c1) = grover1_weight_law(t + step.ones, step.length)
+            s, (p0, c0), (p1, c1) = grover1_weight_law(t + step.ones, step.length)
             leaf, nxt, terms = step.one, step.zero, ("1-position", "0-position")
+        den *= s
         if p0:
-            law[terms[0] if leaf is OUTCOME else leaf, used] = (p0, c0) if reach is None else (reach * p0, paths * c0)
+            law[terms[0] if leaf is OUTCOME else leaf, used] = reach * p0, den, paths * c0
         if not p1:
             return law
-        if reach is not None:
-            p1, c1 = reach * p1, paths * c1
+        reach, paths = reach * p1, paths * c1
         if not isinstance(nxt, tuple):
-            law[terms[1] if nxt is OUTCOME else nxt, used] = p1, c1
+            law[terms[1] if nxt is OUTCOME else nxt, used] = reach, den, paths
             return law
-        step, reach, paths = nxt, p1, c1
+        step = nxt
 
 
 # Per-class laws of one algorithm at input weight t: a list of (prefix, law),
@@ -572,7 +585,7 @@ def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
     plan = entry.plan(*args)
     _check_bits(x, n)
     (law,) = [law for prefix, law in _classes(plan, n, x.count("1")) if x.startswith(prefix)]
-    if sum(count for _, count in law.values()) > MAX_RUN_BRANCHES:
+    if sum(count for *_, count in law.values()) > MAX_RUN_BRANCHES:
         raise ValueError(
             f"run is capped at {MAX_RUN_BRANCHES} branches, and {alg} may list more "
             f"on an input of weight {x.count('1')}; verify checks the whole domain instead"
@@ -672,18 +685,26 @@ def _weight_classes(plan: Step, n: int, allowed: dict[int, frozenset], transform
 
 
 def _certify(function: str, classes: Iterable[_Class]) -> VerificationReport:
+    """Check each class's law totals exactly 1 and its outputs are allowed.
+    The total is one running sum T / P along the chain: an entry num / d
+    whose d the running P divides makes T <- T·(d / P) + num, P <- d, each a
+    product of a big integer by a step's small denominator; any other entry
+    is added over P·d.  A Fraction is built only for a failure's text."""
     failures: list[tuple[str, str]] = []
     worst = 0
     checked = 0
     for x, count, law, allowed in classes:
-        total = sum(p for p, _ in law.values())
-        if total != 1:
-            raise RuntimeError(f"branch probabilities sum to {total}, not 1, on the class of {x}")
-        for (out, used), (p, _) in law.items():
+        total, den = 0, 1
+        for num, d, _ in law.values():
+            scale, rest = divmod(d, den)
+            total, den = (total * d + num * den, den * d) if rest else (total * scale + num, d)
+        if total != den:
+            raise RuntimeError(f"branch probabilities sum to {Fraction(total, den)}, not 1, on the class of {x}")
+        for (out, used), (num, d, _) in law.items():
             worst = max(worst, used)
             if out not in allowed:
                 failures.append(
-                    (x, f"weight-class branch output={out} expected={_expected(allowed)} (prob {p})")
+                    (x, f"weight-class branch output={out} expected={_expected(allowed)} (prob {Fraction(num, d)})")
                 )
         checked += count
     return VerificationReport(function, checked, not failures, worst, tuple(failures))

@@ -269,6 +269,60 @@ def indexwise_grover1_law(x: str) -> list[tuple[int, Fraction]]:
     return out
 
 
+# The Fraction weight-class law that algos._law replaced, kept as its
+# reference: (output, queries used) -> (probability, branches).
+Mass = tuple[Fraction, int]
+
+
+def fraction_xquery_weight_law(t: int, m: int) -> tuple[Mass, Mass]:
+    """Reference for algos.xquery_weight_law: the flat outcome, one branch
+    of probability ((m - 2t)/m)^2, and the t(m - t) differing pairs, 4/m^2
+    each."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    pairs = t * (m - t)
+    return (Fraction((m - 2 * t) ** 2, m * m), 1), (Fraction(4 * pairs, m * m), pairs)
+
+
+def fraction_grover1_weight_law(t: int, n: int) -> tuple[Mass, Mass]:
+    """Reference for algos.grover1_weight_law: the mass on the t 1-positions
+    and on the n - t 0-positions, each position's amplitude being
+    (2s/n -+ 1)/sqrt(n) with s = n - 2t."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    mean2 = Fraction(2 * (n - 2 * t), n)
+    return (t * (mean2 + 1) ** 2 / n, t), ((n - t) * (mean2 - 1) ** 2 / n, n - t)
+
+
+def fraction_law(step: algos.Step, t: int, used: int) -> dict[tuple[object, int], Mass]:
+    """Reference for algos._law, in Fractions: the law of `step` on every
+    input of weight t, after `used` queries, in one pass down its chain."""
+    if not isinstance(step, tuple):
+        return {(step, used): (Fraction(1), 1)}
+    law: dict[tuple[object, int], Mass] = {}
+    reach, paths = None, 1  # the chain's mass so far; None while it is certain
+    while True:
+        if type(step) is algos.Pair:
+            used += 1
+            (p0, c0), (p1, c1) = fraction_xquery_weight_law(t, step.length)
+            leaf, nxt, terms = step.flat, step.pair, ("flat", "differing pair")
+            t -= 1
+        else:
+            used += 1 if step.one is algos.OUTCOME else 2
+            (p0, c0), (p1, c1) = fraction_grover1_weight_law(t + step.ones, step.length)
+            leaf, nxt, terms = step.one, step.zero, ("1-position", "0-position")
+        if p0:
+            law[terms[0] if leaf is algos.OUTCOME else leaf, used] = (p0, c0) if reach is None else (reach * p0, paths * c0)
+        if not p1:
+            return law
+        if reach is not None:
+            p1, c1 = reach * p1, paths * c1
+        if not isinstance(nxt, tuple):
+            law[terms[1] if nxt is algos.OUTCOME else nxt, used] = p1, c1
+            return law
+        step, reach, paths = nxt, p1, c1
+
+
 class EagerReduction(NamedTuple):
     npin: int
     cols: list[list[int]]  # the free columns npin..top

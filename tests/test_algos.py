@@ -11,7 +11,14 @@ import symquery as sq
 from symquery import algos, qsim
 from symquery.symfun import MAX_FAMILY_N, TRANSFORMS, complement_fn
 
-from helpers import indexwise_grover1_law, pairwise_xquery_law, registered
+from helpers import (
+    fraction_grover1_weight_law,
+    fraction_law,
+    fraction_xquery_weight_law,
+    indexwise_grover1_law,
+    pairwise_xquery_law,
+    registered,
+)
 
 
 def outputs(run):
@@ -441,8 +448,7 @@ class TestRunInvariants:
     def test_branch_bound_covers_every_run(self, alg):
         # the class law's branch count, which run checks against its cap,
         # is exactly the number of branches run lists
-        entry = algos.ALGORITHMS[alg]
-        instances = list(valid_instances(alg, 8)) if entry.family else [{"n": n} for n in range(1, 9)]
+        instances = every_instance(alg, 8)
         assert instances
         for params in instances:
             args = list(params.values())
@@ -493,7 +499,7 @@ def counted(alg, args, x):
     """The branch count of the class law x is in."""
     classes = algos._classes(algos.ALGORITHMS[alg].plan(*args), args[0], x.count("1"))
     (law,) = [law for prefix, law in classes if x.startswith(prefix)]
-    return sum(count for _, count in law.values())
+    return sum(count for *_, count in law.values())
 
 
 DECISION_ALGORITHMS = sorted(alg for alg, entry in algos.ALGORITHMS.items() if entry.family)
@@ -518,6 +524,19 @@ def valid_instances(alg, n_max):
             except ValueError:  # includes UnsupportedParameters
                 continue
             yield params
+
+
+def every_instance(alg, n_max):
+    """Every valid parameter set with n <= n_max; a subroutine's plan takes
+    every n >= 1."""
+    if algos.ALGORITHMS[alg].family:
+        return list(valid_instances(alg, n_max))
+    return [{"n": n} for n in range(1, n_max + 1)]
+
+
+def transforms_of(alg):
+    """The transforms verify_exact takes: a subroutine's contract takes none."""
+    return TRANSFORMS if algos.ALGORITHMS[alg].family else TRANSFORMS[:1]
 
 
 def summary(report):
@@ -549,8 +568,8 @@ class TestWeightClassEngine:
                     p, count = simulated.get(key, (0.0, 0))
                     simulated[key] = (p + b.probability, count + 1)
                 assert set(simulated) == set(law), (params, x)
-                for key, (p, count) in law.items():
-                    assert abs(simulated[key][0] - float(p)) < 1e-9, (params, x, key)
+                for key, (num, den, count) in law.items():
+                    assert abs(simulated[key][0] - num / den) < 1e-9, (params, x, key)
                     assert simulated[key][1] == count, (params, x, key)
 
     def test_contracts_agree_with_simulation(self):
@@ -569,7 +588,8 @@ class TestWeightClassEngine:
 
         def agree(law, listed):
             # a side with no mass lists no outcome, whatever it counts
-            return all(p == q and (not p or c == d) for (p, c), (q, d) in zip(law, listed))
+            den, *law_sides = law
+            return all(F(p, den) == q and (not p or c == d) for (p, c), (q, d) in zip(law_sides, listed))
 
         for m in range(1, 17):
             for t in range(m + 1):
@@ -635,3 +655,130 @@ class TestWeightClassEngine:
             for check in (algos.verify_exact, algos.simulate_domain):
                 with pytest.raises(ValueError, match="takes no transform"):
                     check(alg, {"n": n}, transform=t)
+
+
+def assert_entrywise(law, reference):
+    """Same keys in the same order, each numerator over its denominator the
+    reference's Fraction, and the same branch counts."""
+    assert list(law) == list(reference)
+    for key, (num, den, count) in law.items():
+        assert (F(num, den), count) == reference[key], key
+
+
+def reduced(*args):
+    """The reference law in the integer layout, each entry in lowest terms,
+    so that its denominators need not divide one another."""
+    return {key: (p.numerator, p.denominator, count) for key, (p, count) in fraction_law(*args).items()}
+
+
+def bend(monkeypatch, change):
+    """Make algos._law apply `change` to every law it returns."""
+    original = algos._law
+    monkeypatch.setattr(algos, "_law", lambda *args: change(original(*args)))
+
+
+class TestIntegerLaws:
+    @pytest.mark.parametrize("alg", list(algos.ALGORITHMS))
+    def test_match_the_fraction_reference(self, alg, monkeypatch):
+        for params in every_instance(alg, 16):
+            n, plan = params["n"], algos.ALGORITHMS[alg].plan(*params.values())
+            for t in range(n + 1):
+                classes = algos._classes(plan, n, t)
+                with monkeypatch.context() as m:
+                    m.setattr(algos, "_law", fraction_law)
+                    want = algos._classes(plan, n, t)
+                assert [prefix for prefix, _ in classes] == [prefix for prefix, _ in want]
+                for (_, law), (_, reference) in zip(classes, want):
+                    assert_entrywise(law, reference)
+            for transform in transforms_of(alg):
+                try:
+                    allowed = algos._check_request(alg, params, transform)[3][1]
+                except ValueError:  # grover1's contract needs n divisible by 4
+                    continue
+                classes = list(algos._weight_classes(plan, n, allowed, transform))
+                with monkeypatch.context() as m:
+                    m.setattr(algos, "_law", fraction_law)
+                    want = list(algos._weight_classes(plan, n, allowed, transform))
+                assert len(classes) == len(want)
+                for (x, count, law, ok), (y, size, reference, ok2) in zip(classes, want):
+                    assert (x, count, ok) == (y, size, ok2)
+                    assert_entrywise(law, reference)
+
+    @pytest.mark.parametrize("alg", list(algos.ALGORITHMS))
+    def test_reports_match_the_reference(self, alg, monkeypatch):
+        # the reference's entries in lowest terms also take _certify's
+        # general step, where a denominator does not divide the next
+        for params in every_instance(alg, 16):
+            for transform in transforms_of(alg):
+                try:
+                    report = algos.verify_exact(alg, params, transform)
+                except ValueError:  # grover1's contract needs n divisible by 4
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(algos, "_law", reduced)
+                    assert algos.verify_exact(alg, params, transform) == report, (params, transform)
+
+    def test_wrong_target_reports_match_the_reference(self, monkeypatch):
+        info = algos.ALGORITHMS["dj"]
+        monkeypatch.setitem(algos.ALGORITHMS, "dj", info._replace(family=lambda n, k: complement_fn(sq.family_dj(n, k))))
+        for params in every_instance("dj", 16):
+            for transform in TRANSFORMS:
+                report = algos.verify_exact("dj", params, transform)
+                assert not report.all_exact and all("(prob " in why for _, why in report.failures)
+                with monkeypatch.context() as m:
+                    m.setattr(algos, "_law", reduced)
+                    assert algos.verify_exact("dj", params, transform) == report, (params, transform)
+
+    @given(st.integers(1, 200).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))))
+    @settings(max_examples=300, deadline=None)
+    def test_weight_laws_match_their_fraction_formulas(self, mt):
+        m, t = mt
+        for law, reference in ((algos.xquery_weight_law, fraction_xquery_weight_law),
+                               (algos.grover1_weight_law, fraction_grover1_weight_law)):
+            den, *sides = law(t, m)
+            assert [(F(num, den), count) for num, count in sides] == list(reference(t, m)), (law.__name__, m, t)
+
+    def test_verify_builds_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("built a Fraction")
+
+        monkeypatch.setattr(algos, "Fraction", no_fraction)
+        for alg, params in [("dj", {"n": 200, "k": 99}), ("f4", {"n": 101}), ("dw", {"n": 200, "k": 1, "l": 135}),
+                            ("f1", {"n": 9}), ("f3", {"n": 9}), ("dhw", {"n": 9, "k": 7}), ("f2", {"n": 12, "k": 5}),
+                            ("xquery", {"n": 12}), ("grover1", {"n": 16})]:
+            for transform in transforms_of(alg):
+                assert algos.verify_exact(alg, params, transform).all_exact, (alg, params, transform)
+
+    def test_a_numerator_off_by_one_is_refused(self, monkeypatch):
+        def off_by_one(law):
+            key, (num, den, count) = next(iter(law.items()))
+            return {**law, key: (num + 1, den, count)}
+
+        bend(monkeypatch, off_by_one)
+        # weight 0 is one flat branch of mass 64/64
+        with pytest.raises(RuntimeError, match=r"^branch probabilities sum to 65/64, not 1, on the class of 00000000$"):
+            algos.verify_exact("dj", {"n": 8, "k": 1})
+        for alg, params in [("f2", {"n": 12, "k": 5}), ("f4", {"n": 7}), ("grover1", {"n": 8})]:
+            with pytest.raises(RuntimeError, match="^branch probabilities sum to "):
+                algos.verify_exact(alg, params)
+
+    def test_a_dropped_entry_is_refused(self, monkeypatch):
+        def dropped(law):
+            law = dict(law)
+            law.popitem()
+            return law
+
+        bend(monkeypatch, dropped)
+        for alg, params in [("dj", {"n": 8, "k": 1}), ("f2", {"n": 12, "k": 5}), ("f4", {"n": 7}), ("xquery", {"n": 6})]:
+            with pytest.raises(RuntimeError, match="^branch probabilities sum to "):
+                algos.verify_exact(alg, params)
+
+    def test_certify_adds_denominators_that_do_not_divide(self):
+        def certify(*entries):
+            law = {(i, 1): (num, den, 1) for i, (num, den) in enumerate(entries)}
+            return algos._certify("f", [("0", 1, law, frozenset(range(len(entries))))])
+
+        assert certify((1, 2), (1, 3), (1, 6)).all_exact
+        assert certify((1, 3), (1, 2), (1, 6)).all_exact
+        with pytest.raises(RuntimeError, match="sum to 7/6"):
+            certify((1, 2), (2, 3))  # T·(3 // 2) + 2 would read 3/3

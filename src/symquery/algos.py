@@ -12,22 +12,24 @@ Two one-query subroutines power everything:
 
 Each has one closed-form outcome law per weight, an integer numerator per
 side over a fixed denominator (m^2 for the pair test, n^3 for the search);
-the exact law on one input, in Fractions, shares each side's mass equally
-among its outcomes, which symmetry makes equally likely.  Each registry
-entry describes its algorithm once, as a plan: a small tree of pair tests on the bits padded
-with zeros, searches on the bits padded with zeros then ones (which may
-read the reported bit), and a first read of x_1 (which may complement the
-rest), whose leaves are an output bit or the subroutine's outcome itself.
-The plan is walked two ways.  Per input, it lists every measurement branch
-of one execution (an AlgorithmRun) with its path, probability (from the
-per-input laws, as floats), output and query count.  Per weight class, it
-gives the exact law of (output, queries used) in integers, each mass a
-numerator over the product of the denominators of the steps on its path, with
-the number of branches behind each pair: the plan reads explicit bits and
-calls the subroutines, so the law depends only on the weight of the input
-and, where the plan reads x_1 first, on x_1.  ``verify_exact`` certifies
-the whole domain from these laws, once per class, in time polynomial in n,
-and builds a Fraction only to print a failing branch.
+the law on one input, over the same denominator, shares each side's
+numerator equally among its outcomes, which symmetry makes equally likely.
+Each registry entry describes its algorithm once, as a plan: a small tree
+of pair tests on the bits padded with zeros, searches on the bits padded
+with zeros then ones (which may read the reported bit), and a first read
+of x_1 (which may complement the rest), whose leaves are an output bit or
+the subroutine's outcome itself.  The plan is walked two ways.  Per input,
+it lists every measurement branch of one execution (an AlgorithmRun) with
+its path, probability, output and query count; it multiplies the per-input
+laws' integers along the path and rounds each branch's numerator over
+denominator to a float once.  Per weight class, it gives the exact law of
+(output, queries used) in integers, each mass a numerator over the product
+of the denominators of the steps on its path, with the number of branches
+behind each pair: the plan reads explicit bits and calls the subroutines,
+so the law depends only on the weight of the input and, where the plan
+reads x_1 first, on x_1.  ``verify_exact`` certifies the whole domain from
+these laws, once per class, in time polynomial in n, and builds a Fraction
+only to print a failing branch.
 ``run`` is the only per-input walk: it reads the same law's branch count
 to refuse an input before listing its branches, and the positional names
 (``dj(n, k, x)``, ...) and ``simulate_domain``, the exponential reference
@@ -242,42 +244,26 @@ def grover1_weight_law(t: int, n: int) -> tuple[int, Side, Side]:
     return n**3, (t * (3 * n - 4 * t) ** 2, t), ((n - t) * (n - 4 * t) ** 2, n - t)
 
 
-def _share(den: int, mass: int, count: int) -> Fraction | int:
-    """Each of `count` branches' equal share of mass/den; 0 when mass is."""
-    return mass and Fraction(mass, den * count)
-
-
-def xquery_exact_distribution(x: str) -> list[tuple[tuple[int, int], Fraction]]:
-    """The pair test's outcome law on x, in exact rationals: the weight
-    law's flat mass if nonzero, then each differing pair (i, j), i < j, with
-    an equal share of the pair mass."""
+@lru_cache(maxsize=65536)
+def xquery_outcomes(x: str) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+    """The pair test's outcome law on x over the weight law's denominator,
+    in measurement order: the flat outcome (0,0) with the flat mass if it
+    is nonzero, then each differing pair (i, j), i < j, with 4."""
     den, (flat, _), (mass, pairs) = xquery_weight_law(x.count("1"), len(x))
-    share = _share(den, mass, pairs)  # no pair differs when pairs = 0
-    out: list[tuple[tuple[int, int], Fraction]] = [((0, 0), _share(den, flat, 1))] if flat else []
     other = {bit: [j for j, b in enumerate(x, 1) if b != bit] for bit in "01"}  # opposite-bit positions
-    return out + [((i, j), share) for i, bit in enumerate(x, 1) for j in other[bit][bisect(other[bit], i):]]
-
-
-def grover1_exact_distribution(x: str) -> list[tuple[int, Fraction]]:
-    """The one-iteration search's index law on x, in exact rationals: each
-    1-position, and each 0-position, with an equal share of its side's
-    weight-law mass; indices of probability 0 are left out."""
-    den, ones, zeros = grover1_weight_law(x.count("1"), len(x))
-    share = {"1": _share(den, *ones), "0": _share(den, *zeros)}
-    return [(i, share[bit]) for i, bit in enumerate(x, 1) if share[bit]]
+    share = mass and mass // pairs  # no pair differs when pairs = 0
+    listed = tuple(((i, j), share) for i, bit in enumerate(x, 1) for j in other[bit][bisect(other[bit], i):])
+    return den, (((0, 0), flat),) + listed if flat else listed
 
 
 @lru_cache(maxsize=65536)
-def xquery_outcomes(x: str) -> tuple[tuple[tuple[int, int], float], ...]:
-    """Outcomes of the pair test, as floats in measurement order: (0,0)
-    and/or pairs (i, j), i < j."""
-    return tuple((o, float(p)) for o, p in xquery_exact_distribution(x))
-
-
-@lru_cache(maxsize=65536)
-def grover_outcomes(x: str) -> tuple[tuple[int, float], ...]:
-    """Measured index distribution of the one-iteration search, as floats."""
-    return tuple((i, float(p)) for i, p in grover1_exact_distribution(x))
+def grover_outcomes(x: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The one-iteration search's index law on x over the weight law's
+    denominator: each 1-position, and each 0-position, with its side's
+    mass over its side's count; indices of probability 0 are left out."""
+    den, *sides = grover1_weight_law(x.count("1"), len(x))
+    share = {bit: mass and mass // count for bit, (mass, count) in zip("10", sides)}
+    return den, tuple((i, share[bit]) for i, bit in enumerate(x, 1) if share[bit])
 
 
 # ---------------------------------------------------------------------------
@@ -464,33 +450,39 @@ def _flip(x: str) -> str:
     return x.translate(FLIP)
 
 
-def _branches(step: Step, x: str, path: tuple[str, ...], prob: float, used: int, out: list[BranchTrace]) -> None:
+def _branches(step: Step, x: str, path: tuple[str, ...], num: int, den: int, used: int, out: list[BranchTrace]) -> None:
     """Append to `out` every branch of `step` on the bits x, reached along
-    `path` with probability `prob` after `used` queries."""
+    `path` with probability num / den after `used` queries: each step
+    multiplies in its outcome's numerator and its law's denominator, and a
+    branch rounds num / den to a float once."""
     if not isinstance(step, tuple):
-        out.append(BranchTrace(path, prob, step, used))
+        out.append(BranchTrace(path, num / den, step, used))
     elif type(step) is ReadFirst:
         one = x[0] == "1"
         rest = _flip(x[1:]) if one and step.complement else x[1:]
-        _branches(step.one if one else step.zero, rest, path + (f"x1={x[0]}",), prob, used + 1, out)
+        _branches(step.one if one else step.zero, rest, path + (f"x1={x[0]}",), num, den, used + 1, out)
     elif type(step) is Pair:
         bits = x + "0" * (step.length - len(x))
-        for (i, j), p in xquery_outcomes(bits):
+        s, outcomes = xquery_outcomes(bits)
+        den *= s
+        for (i, j), p in outcomes:
             nxt = step.flat if (i, j) == (0, 0) else step.pair
             here = path + (f"xq:{i},{j}",)
             if isinstance(nxt, tuple):
-                _branches(nxt, bits[: i - 1] + bits[i : j - 1] + bits[j:], here, prob * p, used + 1, out)
+                _branches(nxt, bits[: i - 1] + bits[i : j - 1] + bits[j:], here, num * p, den, used + 1, out)
             else:
-                out.append(BranchTrace(here, prob * p, (i, j) if nxt is OUTCOME else nxt, used + 1))
+                out.append(BranchTrace(here, num * p / den, (i, j) if nxt is OUTCOME else nxt, used + 1))
     else:
         bits = x + "0" * (step.length - len(x) - step.ones) + "1" * step.ones
-        for i, p in grover_outcomes(bits):
+        s, outcomes = grover_outcomes(bits)
+        den *= s
+        for i, p in outcomes:
             if step.one is OUTCOME:
-                out.append(BranchTrace(path + (f"grover:{i}",), prob * p, i, used + 1))
+                out.append(BranchTrace(path + (f"grover:{i}",), num * p / den, i, used + 1))
                 continue
             bit = bits[i - 1]
             nxt = step.one if bit == "1" else step.zero
-            _branches(nxt, x, path + (f"grover:{i}", f"x{i}={bit}"), prob * p, used + 2, out)
+            _branches(nxt, x, path + (f"grover:{i}", f"x{i}={bit}"), num * p, den, used + 2, out)
 
 
 # (output, queries used) -> (numerator, denominator, branches): the mass of
@@ -591,7 +583,7 @@ def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
             f"on an input of weight {x.count('1')}; verify checks the whole domain instead"
         )
     out: list[BranchTrace] = []
-    _branches(plan, x, (), 1.0, 0, out)
+    _branches(plan, x, (), 1, 1, 0, out)
     return AlgorithmRun(x, tuple(out))
 
 
@@ -714,10 +706,11 @@ def simulate_domain(
     alg: str, params: Mapping[str, int], transform: str = "identity"
 ) -> VerificationReport:
     """Reference for verify_exact: replay every promised input through
-    ``run``, in floats, and check every branch (a subroutine's named in its
-    contract's terms).  A failing input keeps one failure: its first wrong
-    branch and how many more there are.  Exponential in n: refuses n above
-    MAX_ENUM_N, and an input ``run`` refuses."""
+    ``run`` (integers along each path, one float per branch) and check
+    every branch (a subroutine's named in its contract's terms).  A failing
+    input keeps one failure: its first wrong branch and how many more there
+    are.  Exponential in n: refuses n above MAX_ENUM_N, and an input
+    ``run`` refuses."""
     _, _, f, (function, allowed) = _check_request(alg, params, transform)
     n = params["n"]
     if n > MAX_ENUM_N:

@@ -16,7 +16,8 @@ from typing import Iterator, NamedTuple
 MAX_ENUM_N = 30  # input enumeration lists 2^n strings, so it stays at desk scale
 # Largest n a family or literal spec may name, the size `verify` and `run`
 # admit; it is checked before the n + 1 values are built.  verify's slowest
-# instance, dj at k = n/2 - 1, takes about 4 s at n = 1000 on a 2-core x86 VM.
+# instance, dj at k = n/2 - 1, takes 0.7-0.8 s end to end at n = 1000 on a
+# 2-core x86 VM.
 MAX_FAMILY_N = 1000
 
 # Swaps 0 and 1 and passes * through: it negates input bits and output values alike.

@@ -232,9 +232,17 @@ def registered(alg: str, params: dict, field: str):
     return getattr(entry, field)(*(params[p] for p in entry.params))
 
 
+def exact_law(outcomes: tuple[int, tuple]) -> list[tuple[object, Fraction]]:
+    """An outcome list of algos.xquery_outcomes or algos.grover_outcomes,
+    (den, ((outcome, numerator), ...)), as (outcome, Fraction) pairs."""
+    den, listed = outcomes
+    return [(o, Fraction(p, den)) for o, p in listed]
+
+
 def pairwise_xquery_law(x: str) -> list[tuple[tuple[int, int], Fraction]]:
-    """Reference for algos.xquery_exact_distribution, derived per pair:
-    P(0,0) = ((m - 2t)/m)^2 at weight t; each differing pair carries 4/m^2."""
+    """Reference for algos.xquery_outcomes, read by exact_law, derived per
+    pair: P(0,0) = ((m - 2t)/m)^2 at weight t; each differing pair carries
+    4/m^2."""
     m = len(x)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -252,8 +260,9 @@ def pairwise_xquery_law(x: str) -> list[tuple[tuple[int, int], Fraction]]:
 
 
 def indexwise_grover1_law(x: str) -> list[tuple[int, Fraction]]:
-    """Reference for algos.grover1_exact_distribution, derived per index:
-    the amplitude on index i is (2s/n - (-1)^{x_i}) / sqrt(n), s = n - 2|x|."""
+    """Reference for algos.grover_outcomes, read by exact_law, derived per
+    index: the amplitude on index i is (2s/n - (-1)^{x_i}) / sqrt(n),
+    s = n - 2|x|."""
     n = len(x)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -188,13 +188,15 @@ def test_criterion_8_simulator_invariants():
         for bits in itertools.product("01", repeat=n):
             x = "".join(bits)
             sim = dict(qsim.measure(algos.xquery_state(x)))
-            exact = dict(algos.xquery_exact_distribution(x))
+            den, listed = algos.xquery_outcomes(x)
+            exact = {o: F(p, den) for o, p in listed}
             assert set(sim) == set(exact), x
             assert all(abs(sim[o] - float(p)) <= 1e-9 for o, p in exact.items()), x
             assert abs(sum(sim.values()) - 1.0) <= 1e-9, x
 
             sim = {i: p for (i, _), p in qsim.measure(algos.grover1_state(x))}
-            exact = dict(algos.grover1_exact_distribution(x))
+            den, listed = algos.grover_outcomes(x)
+            exact = {o: F(p, den) for o, p in listed}
             assert set(sim) == set(exact), x
             assert all(abs(sim[o] - float(p)) <= 1e-9 for o, p in exact.items()), x
             assert abs(sum(sim.values()) - 1.0) <= 1e-9, x

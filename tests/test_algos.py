@@ -12,6 +12,7 @@ from symquery import algos, qsim
 from symquery.symfun import MAX_FAMILY_N, TRANSFORMS, complement_fn
 
 from helpers import (
+    exact_law,
     fraction_grover1_weight_law,
     fraction_law,
     fraction_xquery_weight_law,
@@ -56,7 +57,7 @@ class TestXquery:
             for bits in itertools.product("01", repeat=m):
                 x = "".join(bits)
                 sim = dict(qsim.measure(algos.xquery_state(x)))
-                exact = {o: float(p) for o, p in algos.xquery_exact_distribution(x)}
+                exact = dict(exact_law(algos.xquery_outcomes(x)))
                 assert set(sim) == set(exact)
                 assert all(abs(sim[o] - exact[o]) < 1e-9 for o in sim)
 
@@ -85,18 +86,18 @@ class TestGrover1:
             for bits in itertools.product("01", repeat=n):
                 x = "".join(bits)
                 sim = {i: p for (i, _), p in qsim.measure(algos.grover1_state(x))}
-                exact = {o: float(p) for o, p in algos.grover1_exact_distribution(x)}
+                exact = dict(exact_law(algos.grover_outcomes(x)))
                 assert set(sim) == set(exact)
                 assert all(abs(sim[o] - exact[o]) < 1e-9 for o in sim)
 
 
 def assert_same_laws(x):
     """Same list, same order, same Fractions as the per-pair and per-index
-    derivations the per-input laws replaced."""
-    for law, reference in ((algos.xquery_exact_distribution, pairwise_xquery_law),
-                           (algos.grover1_exact_distribution, indexwise_grover1_law)):
+    derivations the per-input laws replaced, from integer numerators."""
+    for law, reference in ((algos.xquery_outcomes, pairwise_xquery_law),
+                           (algos.grover_outcomes, indexwise_grover1_law)):
         got = law(x)
-        assert got == reference(x) and all(type(p) is F for _, p in got), (law.__name__, x)
+        assert exact_law(got) == reference(x) and all(type(p) is int for _, p in got[1]), (law.__name__, x)
 
 
 class TestPerInputLaws:
@@ -115,7 +116,7 @@ class TestPerInputLaws:
         assert_same_laws(x)
 
     def test_refuse_the_empty_input(self):
-        for law in (algos.xquery_exact_distribution, algos.grover1_exact_distribution):
+        for law in (algos.xquery_outcomes, algos.grover_outcomes):
             with pytest.raises(ValueError, match=">= 1"):
                 law("")
 
@@ -556,14 +557,18 @@ class TestWeightClassEngine:
 
     @pytest.mark.parametrize("alg", DECISION_ALGORITHMS)
     def test_class_laws_match_simulated_branches(self, alg):
+        # on every input, promised or not; the branches behind one (output,
+        # queries used) share its class mass equally, so each listed float
+        # is exactly num / (den * branches), rounded once
         info = algos.ALGORITHMS[alg]
         for params in valid_instances(alg, 8):
-            plan = info.plan(*params.values())
-            for x in sq.domain_inputs(registered(alg, params, "family")):
-                classes = algos._classes(plan, params["n"], x.count("1"))
-                (law,) = [law for prefix, law in classes if x.startswith(prefix)]
+            n, plan = params["n"], info.plan(*params.values())
+            for bits in itertools.product("01", repeat=n):
+                x = "".join(bits)
+                (law,) = [law for prefix, law in algos._classes(plan, n, x.count("1")) if x.startswith(prefix)]
+                branches = algos.run(alg, params, x).branches
                 simulated: dict = {}
-                for b in algos.run(alg, params, x).branches:
+                for b in branches:
                     key = (b.output, b.queries_used)
                     p, count = simulated.get(key, (0.0, 0))
                     simulated[key] = (p + b.probability, count + 1)
@@ -571,6 +576,9 @@ class TestWeightClassEngine:
                 for key, (num, den, count) in law.items():
                     assert abs(simulated[key][0] - num / den) < 1e-9, (params, x, key)
                     assert simulated[key][1] == count, (params, x, key)
+                for b in branches:
+                    num, den, count = law[b.output, b.queries_used]
+                    assert b.probability == num / (den * count), (params, x, b)
 
     def test_contracts_agree_with_simulation(self):
         cases = [("xquery", m) for m in range(1, 11)] + [("grover1", 4), ("grover1", 8)]
@@ -583,7 +591,7 @@ class TestWeightClassEngine:
     def test_weight_laws_sum_the_per_input_laws(self):
         def sides(outcomes, first):
             """Mass and number of the listed outcomes on either side."""
-            split = [[p for o, p in outcomes if first(o) is side] for side in (True, False)]
+            split = [[p for o, p in exact_law(outcomes) if first(o) is side] for side in (True, False)]
             return [(sum(ps), len(ps)) for ps in split]
 
         def agree(law, listed):
@@ -594,9 +602,9 @@ class TestWeightClassEngine:
         for m in range(1, 17):
             for t in range(m + 1):
                 x = "1" * t + "0" * (m - t)
-                pairs = sides(algos.xquery_exact_distribution(x), lambda o: o == (0, 0))
+                pairs = sides(algos.xquery_outcomes(x), lambda o: o == (0, 0))
                 assert agree(algos.xquery_weight_law(t, m), pairs), (m, t)
-                indices = sides(algos.grover1_exact_distribution(x), lambda i: x[i - 1] == "1")
+                indices = sides(algos.grover_outcomes(x), lambda i: x[i - 1] == "1")
                 assert agree(algos.grover1_weight_law(t, m), indices), (m, t)
 
     def test_wrong_target_fails_both_verifiers(self, monkeypatch):

@@ -31,6 +31,9 @@ FIXED = [
     ("******", "0"), ("**1*", "0"), ("01", "0"), ("*1", "1/4"),
     # eps = 0 witnesses that a per-row (not uniform) scaling of the simplex changes
     ("0***01**10", "0"), ("*1**1*0**1", "0"), ("10**0*01*1", "0"),
+    # eps = 0 LPs whose box rows carry large Lagrange contents: the alternation
+    # at n = 44 (22 box weights, 123 pivots) and a random vector at n = 36
+    ("0*1*" * 11 + "0", "0"), ("**1**00*11001101*1*00**1**11*0010*000", "0"),
 ]
 
 

@@ -9,17 +9,19 @@ the values they pin (the defined ones, at eps = 0; Newton's divided
 differences) is checked once: the one candidate below their count, it
 answers wherever it fits.  Else the pinned equalities are solved by Cramer's
 rule over their Vandermonde determinant (integer Lagrange weights, one table
-per function), which leaves the box rows of the others, each column built
-when a search asks for it, and a Phase-I simplex decides the box rows with
-a column-major fraction-free pivot (Edmonds 1967, Bareiss 1968) on integers
-over one common denominator; it keeps a dictionary (Chvátal 1983) that
-stores no basic column and gains columns without a restart.  One scan
-finds the least degree, upward from a lower bound, on those box rows or,
-at eps > 0 for a function fixed by a mirror, on half the rows and columns;
-its witness and last Farkas certificate are re-checked in integers on the
-function's rows, and an LP over a size cap is refused before it is built.
-classify_deg2, the catalogue of every function of degree <= 2, is
-re-exported from catalogue.
+per function), which leaves the box rows of the others, each over its
+content (the gcd of its Lagrange weights) and each column, built when a
+search asks for it, over its own.  A Phase-I simplex decides the box rows
+with a column-major fraction-free pivot (Edmonds 1967, Bareiss 1968) on
+integers over one common denominator, its cost weighting each artificial by
+its row's content, so it pivots as on the unscaled rows; it keeps a
+dictionary (Chvátal 1983) that stores no basic column and gains columns
+without a restart.  One scan finds the least degree, upward from a lower
+bound, on those box rows or, at eps > 0 for a function fixed by a mirror,
+on half the rows and columns; its witness and last Farkas certificate are
+re-checked in integers on the function's rows, and an LP over a size cap is
+refused before it is built.  classify_deg2, the catalogue of every function
+of degree <= 2, is re-exported from catalogue.
 """
 
 from __future__ import annotations
@@ -136,25 +138,33 @@ class _FeasibleBox:
     (-col off row r, the old D on it, negated for a y⁻), so a cold solve
     (all columns, then run) pivots as the full tableau.  A new column a is
     D·B⁻¹(flips⊙a) = sum_i a_i·T(slack_i), T(slack_i) being the slack's
-    stored column, or D·e_r while it is basic in row r.  A positive factor
-    common to every row rescales only the slacks and keeps every test
-    (ratios by cross-multiplication); per-row factors could change Bland's.
-    """
+    stored column, or D·e_r while it is basic in row r.  Row i may be a row
+    of the system divided by a factor g_i > 0 (weights, all 1 if None), so
+    its slack and artificial are those of the system over g_i: the Phase-I
+    cost sum_i g_i·(artificial i) is the system's own sum, so every reduced
+    cost sign, ratio (by cross-multiplication) and tie, and hence every
+    Bland pivot, is the system's, as under a positive column factor.  That
+    cost is entry m of every stored column and of rhs: D times sum_r g·a[r]
+    over the rows r whose artificial is basic.  _pivot updates it as a row,
+    exact whether or not an artificial leaves (col[leave] = p)."""
 
-    def __init__(self, rhs: list[int]) -> None:
+    def __init__(self, rhs: list[int], weights: list[int] | None = None) -> None:
         m, self.rhs = len(rhs), [abs(b) for b in rhs]
+        self.cost = [(1 if weights is None else weights[i]) if b < 0 else 0 for i, b in enumerate(rhs)]
+        self.rhs.append(sum(map(mul, self.cost, self.rhs)))
         # slot j < nf holds the y pair j, slot nf + i the slack of row i
-        self.slots: list[list[int] | None] = [None if b >= 0 else [-(k == i) for k in range(m)]
+        self.slots: list[list[int] | None] = [None if b >= 0 else [-(k == i) for k in range(m)] + [-self.cost[i]]
                                               for i, b in enumerate(rhs)]
         self.basis = [m + i if b < 0 else i for i, b in enumerate(rhs)]  # artificials keep the row order
-        self.nf, self.D, self.pivots = 0, 1, 0
+        self.nf, self.D, self.pivots, self.arts = 0, 1, 0, sum(b < 0 for b in rhs)
 
     def add_column(self, a: list[int]) -> None:
-        nf, m = self.nf, len(self.rhs)
+        nf, m = self.nf, len(self.basis)
         if not self.pivots:  # the initial dictionary: T(slack_i) is e_i, or -e_i on a flipped row
             col = [v if slack is None else -v for v, slack in zip(a, self.slots[nf:])]
-        else:
-            col = [self.D * a[j - 2 * nf] if 2 * nf <= j < 2 * nf + m else 0 for j in self.basis]  # basic slacks: D·e_r
+            col.append(sum(map(mul, self.cost, col)))
+        else:  # basic slacks: D·e_r, off the cost row
+            col = [self.D * a[j - 2 * nf] if 2 * nf <= j < 2 * nf + m else 0 for j in self.basis] + [0]
             for v, slack in zip(a, self.slots[nf:]):
                 if v and slack is not None:
                     col = [x + v * y for x, y in zip(col, slack)]
@@ -163,16 +173,13 @@ class _FeasibleBox:
         self.nf += 1
 
     def run(self) -> tuple[list[int], int] | None:
-        nf, m, rhs, slots, basis = self.nf, len(self.rhs), self.rhs, self.slots, self.basis
+        nf, m, rhs, slots, basis = self.nf, len(self.basis), self.rhs, self.slots, self.basis
         art_base = 2 * nf + m
         order = [(j, 1) for j in range(nf)] + [(j, -1) for j in range(nf)] + [(nf + i, 1) for i in range(m)]
-        while True:
-            art_rows = [r for r in range(m) if basis[r] >= art_base]
-            if not art_rows:
-                break
+        while self.arts:
             for enter, (s, sign) in enumerate(order):  # Bland: smallest improving column index
                 a = slots[s]
-                if a is not None and sign * sum(a[r] for r in art_rows) > 0:
+                if a is not None and sign * a[m] > 0:
                     break
             else:
                 break  # phase-I optimum reached with artificials still positive
@@ -192,23 +199,24 @@ class _FeasibleBox:
             self.D = _pivot([a for a in slots if a is not None] + [rhs], col, leave, self.D)
             self.pivots += 1
             basis[leave] = enter
-            if old < art_base:  # the leaving column, stored as y⁺ for a y⁻
+            if old >= art_base:
+                self.arts -= 1
+            else:  # the leaving column, stored as y⁺ for a y⁻
                 sign = -1 if nf <= old < 2 * nf else 1
                 slots[old if old < nf else old - nf] = back = [-sign * v for v in col]
                 back[leave] = sign * D_old
 
-        if any(rhs[r] for r in range(m) if basis[r] >= art_base):
+        if rhs[m]:  # the weighted sum of the artificials, each >= 0
             return None
         value = {j: rhs[r] for r, j in enumerate(basis)}
         return [value.get(j, 0) - value.get(nf + j, 0) for j in range(nf)], self.D
 
     def farkas(self) -> list[int]:
         """After an infeasible run, integers λ >= 0, λ·rows = 0 (both halves of
-        a y pair cost >= 0), λ·rhs < 0 (Chvátal 1983, ch. 9): λ_i = -sum of
-        T(slack_i) over the artificials' rows, D times slack i's reduced cost."""
-        art_base = 2 * self.nf + len(self.rhs)
-        art_rows = [r for r, j in enumerate(self.basis) if j >= art_base]
-        return [0 if slack is None else -sum(slack[r] for r in art_rows) for slack in self.slots[self.nf :]]
+        a y pair cost >= 0), λ·rhs < 0 (Chvátal 1983, ch. 9): λ_i = -T(slack_i)
+        on the cost row, D times slack i's reduced cost."""
+        m = len(self.basis)
+        return [0 if slack is None else -slack[m] for slack in self.slots[self.nf :]]
 
 
 def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool:
@@ -220,10 +228,11 @@ def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool
 
 # _scan refuses with ValueError, before it builds them, an LP of more than
 # MAX_LP_SIZE box weights × free columns to its top degree × 64-bit words of
-# q·D, the scale every box row carries, and a pinned block of more than
-# MAX_BLOCK_SIZE pinned weights² × weights, whose Lagrange weights it would
-# extrapolate.  On a 2-core x86 VM, MAJ:42 at eps = 1/8 (43 × 43) takes 5.3 s,
-# and "*"*44 + 957 random 0/1, whose LP fits (D = 1), 50 s with the block cap lifted.
+# q·D, which bounds the scale of every box row (each is over its content),
+# and a pinned block of more than MAX_BLOCK_SIZE pinned weights² × weights,
+# whose Lagrange weights it would extrapolate.  On a 2-core x86 VM, MAJ:42
+# at eps = 1/8 (43 × 43) takes 5.3 s, and "*"*44 + 957 random 0/1, whose LP
+# fits (D = 1), 50 s with the block cap lifted.
 MAX_LP_SIZE = 2000
 MAX_BLOCK_SIZE = 32_000_000
 
@@ -233,12 +242,16 @@ class _Reduction:
     sum_k c_k C(w, k) to integers [lo, hi]; the npin w_i with lo = hi = v_i
     (defined, at eps = 0, so q = 1) are pinned, the others boxes.  Below
     npin a fit is the pinned values' interpolant (fit).  At or above it the
-    free c_N fix the others, and q·D·(a·c) = sum_N column(N)[x]·c_N + q·b(x)
-    at a box weight x, D = det C(w_i, j), i, j < npin: by Cramer's rule the
-    Λ[x][i] = D·ℓ_i(x) (lagrange, one table per (f, eps); ℓ_i the pins'
-    Lagrange basis) are integers, column N is q·(D·C(x, N) - sum_i
-    Λ[x][i]·C(w_i, N)), built when a search first asks, and b(x) = sum_i
-    Λ[x][i]·v_i."""
+    free c_N fix the others: at a box weight x, q·D·(a·c) = sum_N
+    q·(D·C(x, N) - sum_i Λ[x][i]·C(w_i, N))·c_N + q·sum_i Λ[x][i]·v_i, D =
+    det C(w_i, j), i, j < npin, where by Cramer's rule the Λ[x][i] =
+    D·ℓ_i(x) (ℓ_i the pins' Lagrange basis) are integers.  The ℓ_i sum to 1,
+    so the Λ[x][i] sum to D and their gcd g_x divides D and the whole row.
+    The table (lagrange, one per (f, eps)) holds the row over g_x: g_x, D/g_x
+    and Λ[x][i]/g_x.  Column N, built when a search first asks, is the
+    column of c_N over its content h_N, and b(x) = sum_i (Λ[x][i]/g_x)·v_i;
+    a solution u of the box rows gives c_N = u_N·h_N.  q·D bounds the scale
+    the rows carry."""
 
     def __init__(self, f: SymPartialFn, eps: Fraction) -> None:
         p, q = eps.numerator, eps.denominator
@@ -290,29 +303,42 @@ class _Reduction:
         return D
 
     @cached_property
-    def lagrange(self) -> list[list[int]]:
-        """Λ[x][i] = D·ω(x) / ((x - w_i)·ω'(w_i)) at each box weight x, ω(x)
-        = prod_i (x - w_i): an exact division, the quotient an integer."""
+    def lagrange(self) -> list[tuple[int, int, list[int]]]:
+        """(g_x, D/g_x, Λ[x][·]/g_x) at each box weight x: Λ[x][i] = D·ω(x) /
+        ((x - w_i)·ω'(w_i)), ω(x) = prod_i (x - w_i), an exact division, the
+        quotient an integer, and g_x = gcd(D, Λ[x][·]), 1 with no pin."""
         ws = [w for w, _ in self.pins]
         slopes = [prod(w - u for u in ws if u != w) for w in ws]  # ω'(w_i)
-        D_omega = [self.D * prod(x - w for w in ws) for x in self.boxed]
-        return [[Do // ((x - w) * s) for w, s in zip(ws, slopes)] for x, Do in zip(self.boxed, D_omega)]
+        table = []
+        for x in self.boxed:
+            D_omega = self.D * prod(x - w for w in ws)
+            row = [D_omega // ((x - w) * s) for w, s in zip(ws, slopes)]
+            g = gcd(self.D, *row)
+            table.append((g, self.D // g, [v // g for v in row]))
+        return table
 
-    def column(self, k: int) -> list[int]:  # of c_(npin+k), on the box rows; q·C(x, N) with no pin
+    def column(self, k: int) -> list[int]:  # of c_(npin+k), on the box rows; C(x, N) with no pin
         while len(self.cols) <= k:
-            N, q = self.npin + len(self.cols), self.eps.denominator
+            N = self.npin + len(self.cols)
             at_pins = [comb(w, N) for w, _ in self.pins]
-            self.cols.append([q * (self.D * comb(x, N) - sum(map(mul, row, at_pins))) for x, row in
-                              zip(self.boxed, self.lagrange)] if at_pins else [q * comb(x, N) for x in self.boxed])
+            col = ([Dg * comb(x, N) - sum(map(mul, row, at_pins)) for x, (_, Dg, row) in zip(self.boxed, self.lagrange)]
+                   if at_pins else [comb(x, N) for x in self.boxed])
+            h = gcd(*col)
+            self.cols.append([v // h for v in col] if h > 1 else col)
         return self.cols[k]
 
     @cached_property
     def b(self) -> list[int]:  # b(x) at each box weight x
-        return [sum(l for l, (_, v) in zip(row, self.pins) if v) for row in self.lagrange]
+        return [sum(l for l, (_, v) in zip(row, self.pins) if v) for _, _, row in self.lagrange]
 
-    def box_rhs(self) -> list[int]:  # D·lo <= col·t + q·b <= D·hi: col·t <= D·hi - q·b, -col·t <= q·b - D·lo
-        q, D = self.eps.denominator, self.D
-        return [v for (lo, hi), b in zip(self.boxes, self.b) for v in (D * hi - q * b, q * b - D * lo)]
+    def box_rhs(self) -> list[int]:
+        # (D/g)·lo <= col·u + q·b <= (D/g)·hi: col·u <= (D/g)·hi - q·b, -col·u <= q·b - (D/g)·lo
+        q = self.eps.denominator
+        return [v for (lo, hi), (_, Dg, _), b in zip(self.boxes, self.lagrange, self.b)
+                for v in (Dg * hi - q * b, q * b - Dg * lo)]
+
+    def box_weights(self) -> list[int]:  # the factor g_x each box row was divided by
+        return [g for g, _, _ in self.lagrange for _ in (0, 1)]
 
     def box_column(self, k: int) -> list[int]:  # of c_(npin+k) in the box rows
         return [v for x in self.column(k) for v in (x, -x)]
@@ -349,10 +375,10 @@ def _certify(red: _Reduction, d: int, lam: list[int] | None) -> None:
         raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {red.f} at degree {d - 1}")
 
 
-def _scan(red: _Reduction, rhs: Callable[[], list[int]], columns: Iterable[tuple[int, list[int]]], lo: int,
+def _scan(red: _Reduction, new_box: Callable[[], _FeasibleBox], columns: Iterable[tuple[int, list[int]]], lo: int,
           top: int) -> tuple[int, tuple[list[int], int] | None, list[int] | None]:
-    """Unless red's size refuses it (see MAX_LP_SIZE), one dictionary for
-    rows·t <= rhs() gains the (degree, column) pairs, ascending to top, and
+    """Unless red's size refuses it (see MAX_LP_SIZE), one dictionary,
+    new_box(), gains the (degree, column) pairs, ascending to top, and
     runs from degree lo to the first feasible one.  Returns the degree it
     stopped at with that run's (t, Dt), or with None at n after an
     infeasible run (interpolation fits there) or one past the last pair;
@@ -365,7 +391,7 @@ def _scan(red: _Reduction, rhs: Callable[[], list[int]], columns: Iterable[tuple
     if boxes * free * words > MAX_LP_SIZE:
         size = f"{boxes} box weights × {free} free columns" + (f" × {words} words of q·D" if words > 1 else "")
         raise ValueError(f"refused: the degree LP on {size} exceeds polydeg.MAX_LP_SIZE = {MAX_LP_SIZE}")
-    box, lam = _FeasibleBox(rhs()), None
+    box, lam = new_box(), None
     for d, a in columns:
         if d == n and lam is not None:
             return d, None, lam
@@ -393,14 +419,15 @@ def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult 
         return d, _witness(red, [Fraction(v, L) for v in V] + [Fraction(0)] * (d - deg))
     if npin > top:  # no free column, and no interpolant of degree <= top fits
         return top + 1, FeasibilityResult(False, None)
-    d, solved, lam = _scan(red, red.box_rhs, ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, top)
+    d, solved, lam = _scan(red, lambda: _FeasibleBox(red.box_rhs(), red.box_weights()),
+                           ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, top)
     if d > n:
         raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
     result = None
     if solved:  # q·D·Dt times the fit at weights 0..d, differenced: c_k = Δᵏ(·)(0) / (q·D·Dt)
         (t, Dt), q, pinned = solved, red.eps.denominator, dict(red.pins)
-        rows = zip(red.b, zip(*(red.column(k) for k in range(len(t)))))  # per box weight, ascending
-        boxed = (q * Dt * b + sum(map(mul, row, t)) for b, row in rows)
+        rows = zip(red.lagrange, red.b, zip(*(red.column(k) for k in range(len(t)))))  # per box weight, ascending
+        boxed = (g * (q * Dt * b + sum(map(mul, row, t))) for (g, _, _), b, row in rows)
         V = [q * red.D * Dt * pinned[x] if x in pinned else next(boxed) for x in range(d + 1)]
         result = _witness(red, [Fraction(v, q * red.D * Dt) for v in _differences(V)])
     _certify(red, d, lam)
@@ -412,12 +439,13 @@ def lp_feasible(f: SymPartialFn, eps: RationalLike, d: int) -> FeasibilityResult
 
     With eps = p/q, each weight bounds q times the profile value to integers
     [0, p] where f is 0, [q-p, q] where f is 1 and [0, q] where f is
-    undefined; the box rows are all scaled by one factor q·D, so the simplex
-    decides as on the rational system (see _Reduction, _FeasibleBox).  This
-    is the search from d to d on the shared reduction of (f, eps): one check
-    of the pinned values' interpolant, or one cold run whose witness or
-    Farkas certificate is re-checked; an unsound one raises, and an LP over
-    MAX_LP_SIZE is refused with ValueError before it is built.
+    undefined; box row x is scaled by q·D/g_x, g_x its content, and the
+    simplex's cost by g_x, so it decides as on the rational system (see
+    _Reduction, _FeasibleBox).  This is the search from d to d on the
+    shared reduction of (f, eps): one check of the pinned values'
+    interpolant, or one cold run whose witness or Farkas certificate is
+    re-checked; an unsound one raises, and an LP over MAX_LP_SIZE is refused
+    with ValueError before it is built.
     """
     eps = _as_eps(eps)
     if not 0 <= d <= f.n:
@@ -449,8 +477,9 @@ def _half_search(red: _Reduction, lo: int, odd: int) -> int:
     columns = ((d, [v for w in half for v in (q * basis(j, w), -q * basis(j, w))])
                for j, d in enumerate(range(odd, n + 1, 2)))
     # (2hi - q, q - 2lo) bound 2q·(p - 1/2) if odd; sized as the full search to n: no cheaper per entry
-    d, solved, lam = _scan(red, lambda: [2 * v + (-q, q)[i % 2] if odd else v
-                                         for i, v in enumerate(red.box_rhs()[: 2 * len(half)])], columns, lo, n)
+    d, solved, lam = _scan(red, lambda: _FeasibleBox([2 * v + (-q, q)[i % 2] if odd else v
+                                                      for i, v in enumerate(red.box_rhs()[: 2 * len(half)])]),
+                           columns, lo, n)
     if solved is not None:
         t, Dt = solved
         V = _differences([odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)])

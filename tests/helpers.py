@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import NamedTuple
 
 import hypothesis.strategies as st
@@ -357,6 +357,19 @@ def eager_reduce(f: SymPartialFn, eps, top: int) -> EagerReduction:
     for c in range(min(top + 1, len(pinned))):
         D = polydeg._pivot(cols[c + 1 :] + [b], cols[c], c, D)
     return EagerReduction(len(pinned), cols[len(pinned) :], b, D)
+
+
+def content_free(columns: list[list[int]], g: list[int]) -> list[list[int]]:
+    """Reference for polydeg._Reduction's columns, from unscaled ones on the
+    box rows (eager_reduce's): entry x over the row's content g[x], each
+    division checked exact, then each column over its own content."""
+    out = []
+    for col in columns:
+        assert all(v % gx == 0 for v, gx in zip(col, g))
+        col = [v // gx for v, gx in zip(col, g)]
+        h = gcd(*col) or 1
+        out.append([v // h for v in col])
+    return out
 
 
 def eager_fit(f: SymPartialFn, d: int) -> FeasibilityResult:

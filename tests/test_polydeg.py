@@ -7,7 +7,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd, prod
 from unittest import mock
 
 import pytest
@@ -18,8 +18,8 @@ import symquery as sq
 from symquery import polydeg
 from symquery.polydeg import FamilyKind, PolyV
 
-from helpers import (binary_search_least_degree, candidate_classify, eager_fit, eager_reduce, full_tableau_feasible_box,
-                     interpolation_profile, pivoting_bareiss_det, sym_fns)
+from helpers import (binary_search_least_degree, candidate_classify, content_free, eager_fit, eager_reduce,
+                     full_tableau_feasible_box, interpolation_profile, pivoting_bareiss_det, sym_fns)
 
 vec = sq.from_string
 F = Fraction
@@ -216,6 +216,46 @@ class TestLpFeasible:
                 decide()
 
 
+def assert_cost_row(box, weights):
+    """Entry m of every stored column and of rhs is sum_r g_r·a[r] over the
+    rows r whose artificial is basic, recomputed from the basis."""
+    m = len(box.basis)
+    art_base = 2 * box.nf + m
+    arts = [(r, 1 if weights is None else weights[j - art_base]) for r, j in enumerate(box.basis) if j >= art_base]
+    for a in [slot for slot in box.slots if slot is not None] + [box.rhs]:
+        assert a[m] == sum(g * a[r] for r, g in arts)
+
+
+def pivot_path(rhs, weights, columns, cold):
+    """A dictionary's (entering, leaving row) pivots and each run's t as
+    rationals, adding the columns one per run or, cold, all before one run;
+    the cost row is checked after every pivot, and each infeasible run's
+    Farkas certificate on the columns added."""
+    box, path, runs, pivot = polydeg._FeasibleBox(list(rhs), weights), [], [], polydeg._pivot
+
+    def settle():  # the last pivot's entering index, now basic in its row
+        if path and path[-1][0] is None:
+            path[-1][0] = box.basis[path[-1][1]]
+        assert_cost_row(box, weights)
+
+    def recorded(cols, col, r, D):
+        settle()
+        path.append([None, r])
+        return pivot(cols, col, r, D)
+
+    with mock.patch.object(polydeg, "_pivot", recorded):
+        for k in ([len(columns)] if cold else range(1, len(columns) + 1)):
+            for a in columns[box.nf : k]:
+                box.add_column(list(a))
+            assert_cost_row(box, weights)
+            solved = box.run()
+            settle()
+            if solved is None:
+                assert polydeg._is_farkas(box.farkas(), columns[:k], rhs)
+            runs.append(solved and [F(v, solved[1]) for v in solved[0]])
+    return path, runs
+
+
 class TestFeasibleBox:
     """The dictionary simplex against the full tableau it stands for: the same
     Bland pivots give the same (t, D) or None, on small entries where ties
@@ -287,6 +327,16 @@ class TestFeasibleBox:
     def test_prefixes_of_paired_box_rows(self, boxes):
         self.assert_prefixes_match(*self.paired(boxes))
 
+    @given(systems, st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_rows_pivot_as_the_scaled_up_system(self, system, cold, data):
+        # row i standing for the system's row i over g_i, with weight g_i,
+        # makes the system's pivots and t, and keeps its cost row exact
+        g = data.draw(st.lists(st.integers(1, 6), min_size=len(system), max_size=len(system)), label="g")
+        columns, rhs = [list(a) for a in zip(*(a for a, _ in system))], [b for _, b in system]
+        scaled_up = [[v * gi for v, gi in zip(col, g)] for col in columns]
+        assert pivot_path(rhs, g, columns, cold) == pivot_path([b * gi for b, gi in zip(rhs, g)], None, scaled_up, cold)
+
 
 class TestEliminate:
     """The one reducer of a degree search: at eps = 0 it solves the defined
@@ -338,15 +388,62 @@ class TestEliminate:
     @settings(max_examples=100, deadline=None)
     def test_carried_box_rows_are_the_schur_complement(self, f):
         # the closed-form box rows are the Schur complement of the eager
-        # elimination's pinned rows, and b(x) the reduced values' combination
+        # elimination's pinned rows, and b(x) the reduced values' combination,
+        # each row over its content g_x and each column over its content h_N
         boxed = [w for w, v in enumerate(f.values) if v == "*"]
         red, (P, cols, b, D) = polydeg._Reduction(f, F(0)), eager_reduce(f, 0, f.n)
-        for j, w in enumerate(boxed):
-            a = [comb(w, k) for k in range(f.n + 1)]
-            for fc in range(P, f.n + 1):
-                col = cols[fc - P]
-                assert red.column(fc - P)[j] == D * a[fc] - sum(a[i] * col[i] for i in range(P))
-            assert red.b[j] == sum(a[i] * b[i] for i in range(P))
+        schur = [[D * comb(w, fc) - sum(comb(w, i) * cols[fc - P][i] for i in range(P)) for w in boxed]
+                 for fc in range(P, f.n + 1)]
+        g = [g for g, _, _ in red.lagrange]
+        assert [red.column(k) for k in range(len(schur))] == content_free(schur, g)
+        assert [gx * bx for gx, bx in zip(g, red.b)] == [sum(comb(w, i) * b[i] for i in range(P)) for w in boxed]
+
+    @given(sym_fns(max_n=14))
+    @settings(max_examples=100, deadline=None)
+    def test_row_content_divides_the_row(self, f):
+        # g_x, the gcd of the Lagrange row D·ℓ_i(x) recomputed in rationals,
+        # divides D, every unscaled column entry and both rhs entries of x
+        red, want = polydeg._Reduction(f, F(0)), eager_reduce(f, 0, f.n)
+        ws = [w for w, _ in red.pins]
+        for j, (x, (lo, hi)) in enumerate(zip(red.boxed, red.boxes)):
+            lam = [red.D * prod(F(x - u, w - u) for u in ws if u != w) for w in ws]
+            assert all(v.denominator == 1 for v in lam) and sum(lam) == (red.D if ws else 0)  # the ℓ_i sum to 1
+            g = gcd(red.D, *map(int, lam))
+            assert red.lagrange[j] == (g, red.D // g, [int(v) // g for v in lam])
+            b = want.b[red.npin + j]
+            row = [col[red.npin + j] for col in want.cols] + [want.D * hi + b, -b - want.D * lo]
+            assert red.D % g == 0 and all(v % g == 0 for v in row)
+
+    @given(sym_fns(min_n=2, max_n=14), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_content_free_rows_pivot_as_the_unscaled_ones(self, f, cold):
+        # the rows over g_x with weights g_x and the columns over h_N make the
+        # unscaled dictionary's (entering, leaving) pivots, and t = u / h
+        red, want = polydeg._Reduction(f, F(0)), eager_reduce(f, 0, f.n)
+        g = [g for g, _, _ in red.lagrange]
+        unscaled = [col[red.npin :] for col in want.cols]
+        h = [gcd(*(v // gx for v, gx in zip(col, g))) for col in unscaled]
+        rhs = [v for (lo, hi), b in zip(red.boxes, want.b[red.npin :]) for v in (want.D * hi + b, -b - want.D * lo)]
+        path, runs = pivot_path(rhs, None, [[v for x in col for v in (x, -x)] for col in unscaled], cold)
+        scaled = [red.box_column(k) for k in range(len(unscaled))]
+        scaled_path, scaled_runs = pivot_path(red.box_rhs(), red.box_weights(), scaled, cold)
+        assert scaled_path == path
+        assert [u and [v / hN for v, hN in zip(u, h)] for u in scaled_runs] == runs
+
+    def test_alternation_at_44_pivots_on_small_integers(self):
+        # "0*1*"*11 + "0" (23 pins, 22 boxes): least_degree's 123 pivots;
+        # its largest D has 225 bits (2,070 with the rows' contents kept)
+        seen, pivot = [], polydeg._pivot
+
+        def recorded(cols, col, r, D):
+            seen.append(col[r])
+            return pivot(cols, col, r, D)
+
+        polydeg._reduce.cache_clear()
+        with mock.patch.object(polydeg, "_pivot", recorded):
+            d, result = polydeg.least_degree(vec("0*1*" * 11 + "0"), 0)
+        assert d == 30 and result.feasible
+        assert len(seen) == 123 and max(p.bit_length() for p in seen) <= 225
 
     @given(sym_fns(max_n=16))
     @settings(max_examples=100, deadline=None)
@@ -360,16 +457,18 @@ class TestEliminate:
     def test_lazy_columns_are_the_eager_ones(self, f, eps, data):
         # every column asked for, in any order, the rhs and D are the eager
         # elimination's integers on the box rows, so Bland's path cannot move
+        # over the contents g_x of the rows and h_N of the columns
         red = polydeg._Reduction(f, eps)
         top = data.draw(st.integers(min(red.npin, f.n), f.n), label="top")
-        want = eager_reduce(f, eps, top)
+        want, g = eager_reduce(f, eps, top), [g for g, _, _ in red.lagrange]
+        cols = content_free([col[red.npin :] for col in want.cols], g)
         order = data.draw(st.permutations(range(top + 1 - red.npin)), label="order")
-        assert {k: red.column(k) for k in order} == {k: col[red.npin :] for k, col in enumerate(want.cols)}
+        assert {k: red.column(k) for k in order} == dict(enumerate(cols))
         assert red.npin == want.npin and red.D == want.D
-        assert red.box_rhs() == [v for (lo, hi), b in zip(red.boxes, want.b[red.npin :])
+        assert red.box_rhs() == [v // gx for (lo, hi), b, gx in zip(red.boxes, want.b[red.npin :], g)
                                  for v in (want.D * hi + b, -b - want.D * lo)]
-        assert [red.box_column(k) for k in range(len(want.cols))] == [
-            [v for x in col[red.npin :] for v in (x, -x)] for col in want.cols]
+        assert red.box_weights() == [gx for gx in g for _ in (0, 1)]
+        assert [red.box_column(k) for k in range(len(want.cols))] == [[v for x in col for v in (x, -x)] for col in cols]
 
     @staticmethod
     def assert_fit_is_the_eager_one(f, every_degree):
@@ -415,7 +514,8 @@ class TestEliminate:
 
         polydeg._reduce.cache_clear()
         with mock.patch.object(polydeg, "_pivot", recorded), \
-                mock.patch.object(polydeg._FeasibleBox, "__init__", lambda box, rhs: boxes.append(box) or init(box, rhs)):
+                mock.patch.object(polydeg._FeasibleBox, "__init__",
+                                  lambda box, rhs, weights=None: boxes.append(box) or init(box, rhs, weights)):
             polydeg.least_degree(f, eps)
         assert all(p > 0 for p in seen) and len(seen) == sum(box.pivots for box in boxes)
 
@@ -633,7 +733,8 @@ class TestDegree:
         # degree builds at most one dictionary, none when lo = 0 or n, and
         # least_degree at most one more, lp_feasible's
         built, init = [], polydeg._FeasibleBox.__init__
-        with mock.patch.object(polydeg._FeasibleBox, "__init__", lambda box, rhs: built.append(rhs) or init(box, rhs)):
+        with mock.patch.object(polydeg._FeasibleBox, "__init__",
+                               lambda box, rhs, weights=None: built.append(rhs) or init(box, rhs, weights)):
             d = sq.degree(f, eps)
             assert len(built) <= (0 < sign_changes(f) < f.n)
             built.clear()

@@ -144,9 +144,9 @@ class _FeasibleBox:
     cost sum_i g_i·(artificial i) is the system's own sum, so every reduced
     cost sign, ratio (by cross-multiplication) and tie, and hence every
     Bland pivot, is the system's, as under a positive column factor.  That
-    cost is entry m of every stored column and of rhs: D times sum_r g·a[r]
-    over the rows r whose artificial is basic.  _pivot updates it as a row,
-    exact whether or not an artificial leaves (col[leave] = p)."""
+    cost is entry m of every stored column a and of rhs, sum_r g_r·a[r] over
+    the rows r whose artificial is basic; _pivot updates it as a row, exact
+    whether or not an artificial leaves (col[leave] = p)."""
 
     def __init__(self, rhs: list[int], weights: list[int] | None = None) -> None:
         m, self.rhs = len(rhs), [abs(b) for b in rhs]

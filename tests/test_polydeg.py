@@ -910,7 +910,7 @@ class TestHalfSearch:
             red = polydeg._Reduction(f, eps)
             columns, rhs = [red.box_column(k) for k in range(d)], red.box_rhs()
             assert polydeg._is_farkas(lam, columns, rhs)
-            for i in range(len(lam)):  # every row has q·C(w, 0) = q in column 0
+            for i in range(len(lam)):  # every row has C(w, 0) = 1 in column 0
                 for v in (-1, lam[i] - 1, lam[i] + 1):
                     assert not polydeg._is_farkas(lam[:i] + [v] + lam[i + 1 :], columns, rhs), i
 

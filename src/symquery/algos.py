@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -691,10 +690,14 @@ def _certify(function: str, classes: Iterable[_Class]) -> VerificationReport:
             scale, rest = divmod(d, den)
             total, den = (total * d + num * den, den * d) if rest else (total * scale + num, d)
         if total != den:
+            from fractions import Fraction
+
             raise RuntimeError(f"branch probabilities sum to {Fraction(total, den)}, not 1, on the class of {x}")
         for (out, used), (num, d, _) in law.items():
             worst = max(worst, used)
             if out not in allowed:
+                from fractions import Fraction
+
                 failures.append(
                     (x, f"weight-class branch output={out} expected={_expected(allowed)} (prob {Fraction(num, d)})")
                 )

@@ -5,7 +5,8 @@ listing of one algorithm execution), verify (whole-domain exactness), classical
 (deterministic query complexity), classify (degree <= 2 catalogue match), det
 (binomial determinant identity), families (available constructors).  ``--json``
 switches to machine-readable output; verify/classify/det exit 0 exactly when
-the queried property holds.
+the queried property holds.  Each handler imports the layers it calls, so a
+process loads only what its subcommand runs.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
-
-from . import algos, classical, identities, polydeg, symfun
 
 
 def _prob(p: float) -> float:
@@ -33,6 +31,8 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
 
 def _collect_params(args: argparse.Namespace) -> tuple[algos.Algorithm, dict[str, int]]:
     """The registry entry of --alg and its parameter values, in order."""
+    from . import algos
+
     entry = algos.ALGORITHMS.get(args.alg)
     if entry is None:
         raise ValueError(f"unknown algorithm {args.alg!r}; choose from {sorted(algos.ALGORITHMS)}")
@@ -46,6 +46,10 @@ def _collect_params(args: argparse.Namespace) -> tuple[algos.Algorithm, dict[str
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import polydeg, symfun
+
     f = symfun.from_string(args.fn)
     # Fraction builds 10**|exponent| in full, so an exponent whose power has
     # more than 4300 digits (Python's limit on integer strings) is refused unparsed
@@ -80,6 +84,8 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from . import algos
+
     alg = args.alg
     entry, params = _collect_params(args)
     if args.input is None:
@@ -130,6 +136,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import algos
+
     alg = args.alg
     _, params = _collect_params(args)
     report = algos.verify_exact(alg, params)
@@ -157,6 +165,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_classical(args: argparse.Namespace) -> int:
+    from . import classical, symfun
+
     f = symfun.from_string(args.fn)
     d = classical.d_complexity(f)
     payload = {"command": "classical", "fn": args.fn, "vector": str(f), "d_complexity": d}
@@ -165,6 +175,8 @@ def _cmd_classical(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from . import polydeg, symfun
+
     f = symfun.from_string(args.fn)
     tag = polydeg.classify_deg2(f)
     payload = {
@@ -181,6 +193,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_det(args: argparse.Namespace) -> int:
+    from . import identities
+
     lhs = identities.binom_det(args.n, args.k)
     rhs = identities.binom_det_closed(args.n, args.k)
     match = lhs == rhs
@@ -201,6 +215,8 @@ def _cmd_det(args: argparse.Namespace) -> int:
 
 
 def _cmd_families(args: argparse.Namespace) -> int:
+    from . import algos, symfun
+
     functions = [("literal", "string over 0/1/* of length >= 2, value vector by weight")]
     functions += [(f"{name}:{','.join(params)}", desc) for name, (params, _, desc) in symfun.FAMILIES.items()]
     payload = {

@@ -409,14 +409,21 @@ def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult 
     with the result at d (None where d = n follows an infeasible run).  The
     pinned values' interpolant, of degree deg, is the one fit below npin and,
     where it fits, the answer at max(lo, deg): above npin it is t = 0, which
-    a first dictionary returns.  Else _scan takes the box column of each
-    degree from npin to top; its witness and Farkas certificate (for every
-    lower degree, as feasibility is monotone in d) are re-checked."""
+    a first dictionary returns.  At d = 0 with nothing pinned (eps > 0) the
+    one column is constant, so the box rows bound q·c_0 to [max lo, min hi]:
+    if that holds a point, its low end, where the first pivot of a cold run
+    stops, is the answer.  Else _scan takes the box column of each degree
+    from npin to top; its witness and Farkas certificate (for every lower
+    degree, as feasibility is monotone in d) are re-checked."""
     npin, n = red.npin, red.f.n
     deg, V, L = red.fit
     d = max(lo, deg)
     if d <= top and V is not None:
         return d, _witness(red, [Fraction(v, L) for v in V] + [Fraction(0)] * (d - deg))
+    if d == npin == 0:
+        c0 = max(lo for lo, _ in red.boxes)
+        if c0 <= min(hi for _, hi in red.boxes):
+            return 0, _witness(red, [Fraction(c0, red.eps.denominator)])
     if npin > top:  # no free column, and no interpolant of degree <= top fits
         return top + 1, FeasibilityResult(False, None)
     d, solved, lam = _scan(red, lambda: _FeasibleBox(red.box_rhs(), red.box_weights()),

@@ -750,7 +750,7 @@ class TestIntegerLaws:
         def no_fraction(*args):
             raise AssertionError("built a Fraction")
 
-        monkeypatch.setattr(algos, "Fraction", no_fraction)
+        monkeypatch.setattr("fractions.Fraction", no_fraction)  # algos imports it only to word a failure
         for alg, params in [("dj", {"n": 200, "k": 99}), ("f4", {"n": 101}), ("dw", {"n": 200, "k": 1, "l": 135}),
                             ("f1", {"n": 9}), ("f3", {"n": 9}), ("dhw", {"n": 9, "k": 7}), ("f2", {"n": 12, "k": 5}),
                             ("xquery", {"n": 12}), ("grover1", {"n": 16})]:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -59,7 +60,7 @@ class TestDegree:
             assert "e" not in text.lower(), f"Fraction({text!r}) builds 10**|exponent|"
             return Fraction(text)
 
-        monkeypatch.setattr("symquery.cli.Fraction", guarded)
+        monkeypatch.setattr("fractions.Fraction", guarded)  # _cmd_degree imports it when it runs
         for eps in ("1e-100000000", "1e-4300", "1E+04_300"):
             code, out, err = run_cli(capsys, "degree", "--fn", "01", "--eps", eps)
             assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error: --eps has an exponent")
@@ -412,6 +413,36 @@ except ImportError:
     print("ok")
 """
 
+# The symquery modules and fractions that one command loads, counted from
+# before `import symquery.cli`: the package and the cli load no layer, and
+# each command loads only the layers it calls.
+LAYERS_CHILD = """
+import contextlib, io, sys
+before = set(sys.modules)
+import symquery.cli
+def loaded():
+    return sorted(m for m in set(sys.modules) - before if m.startswith("symquery") or m == "fractions")
+assert loaded() == ["symquery", "symquery.cli"], loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = symquery.cli.main(sys.argv[1:])
+print(code, *loaded())
+"""
+
+POLYDEG = ["fractions", "catalogue", "polydeg", "symfun"]
+COMMAND_LAYERS = [  # argv, exit code, what it loads
+    (["degree", "--fn", "DJ:8,1"], 0, POLYDEG),
+    (["degree", "--fn", "MAJ:7", "--eps", "1/8", "--json"], 0, POLYDEG),
+    (["classify", "--fn", "0*1*0"], 0, POLYDEG),
+    (["run", "--alg", "dj", "--n", "8", "--k", "1", "--input", "10000000"], 0, ["algos", "symfun"]),
+    (["verify", "--alg", "dj", "--n", "8", "--k", "1"], 0, ["algos", "symfun"]),
+    (["verify", "--alg", "nope", "--n", "5"], 2, ["algos", "symfun"]),
+    (["families", "--json"], 0, ["algos", "symfun"]),
+    (["classical", "--fn", "DJ:8,1"], 0, ["classical", "symfun"]),
+    (["det", "--n", "6", "--k", "1"], 0, ["fractions", "identities"]),
+    (["det", "--n", "x"], 2, []),  # argparse's usage errors load no layer
+    (["frobnicate"], 2, []),
+]
+
 SRC = str(Path(symquery.__file__).resolve().parents[1])
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
@@ -436,6 +467,26 @@ class TestStartup:
 
     def test_import_loads_neither_dataclasses_nor_json(self):
         run_child(IMPORT_GRAPH_CHILD)
+
+    @pytest.mark.parametrize("argv, code, layers", COMMAND_LAYERS, ids=[" ".join(argv) for argv, _, _ in COMMAND_LAYERS])
+    def test_each_command_loads_only_its_layers(self, argv, code, layers):
+        child = subprocess.run([sys.executable, "-c", LAYERS_CHILD, *argv], env=CHILD_ENV,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        modules = {"symquery", "symquery.cli"} | {m if m == "fractions" else f"symquery.{m}" for m in layers}
+        assert child.stdout.split() == [str(code), *sorted(modules)]
+
+    def test_exports_resolve_on_first_access(self):
+        for name in symquery.__all__:
+            module = importlib.import_module(f"symquery.{symquery._EXPORTS[name]}")
+            assert getattr(symquery, name) is getattr(module, name), name
+        assert set(symquery.__all__) < set(dir(symquery))
+        assert {"algos", "cli", "identities", "polydeg", "qsim", "symfun"} <= set(dir(symquery))
+        assert symquery.algos is algos and symquery.algos.ALGORITHMS is algos.ALGORITHMS
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            symquery.nope  # noqa: B018
+        with pytest.raises(ImportError):
+            from symquery import nope  # noqa: F401
 
     @pytest.mark.parametrize(
         "argv", [["families", "--json"], ["verify", "--alg", "dj", "--n", "8", "--k", "1"]], ids=" ".join

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import operator
 import random
+import time
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, prod
@@ -886,6 +887,52 @@ class TestSizeGuard:
         assert main(["degree", "--fn", "MAJ:80", "--eps", "1/8"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("error: refused: the degree LP")
+
+
+class TestConstantColumn:
+    """At degree 0 with nothing pinned (eps > 0) the one column is constant:
+    the box rows bound q·c_0 to [max lo, min hi], and a nonempty range's low
+    end answers with no dictionary; an empty one is still the simplex's."""
+
+    EPS = [F(1, 8), F(1, 4), F(1, 3), F(7, 41), F(20, 97), F(1, 10**30)]
+
+    @given(st.integers(1, 14), st.sampled_from("01"), st.sampled_from(EPS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_is_the_cold_run(self, n, value, eps, data):
+        values = data.draw(st.lists(st.sampled_from([value, "*"]), min_size=n + 1, max_size=n + 1)
+                           .filter(lambda v: value in v), label="values")
+        f = vec("".join(values))
+        red = polydeg._Reduction(f, eps)
+        box = polydeg._FeasibleBox(red.box_rhs(), red.box_weights())
+        box.add_column(red.box_column(0))
+        (t,), Dt = box.run()
+        polydeg._reduce.cache_clear()
+        with mock.patch.object(polydeg, "_FeasibleBox", side_effect=AssertionError("a dictionary was built")):
+            d, result = polydeg.least_degree(f, eps)
+        assert d == 0 and str(result.witness) == f"c0={F(t, eps.denominator * Dt)}"
+        assert result.witness.coeffs == ((1 - eps) if value == "1" else 0,)
+
+    def test_empty_range_keeps_the_simplex(self):
+        built, init = [], polydeg._FeasibleBox.__init__
+        with mock.patch.object(polydeg._FeasibleBox, "__init__",
+                               lambda box, rhs, weights=None: built.append(box) or init(box, rhs, weights)):
+            for spec in ("01", "1**0", "0*" * 20 + "1"):
+                polydeg._reduce.cache_clear()
+                assert sq.lp_feasible(vec(spec), F(1, 4), 0) == sq.FeasibilityResult(False, None)
+        assert len(built) == 3  # each run's Farkas certificate is checked
+
+    def test_a_thousand_weights_at_a_tiny_eps(self, capsys):
+        # 1001 box weights × 1 column × 2 words of q·D would pass MAX_LP_SIZE
+        from symquery.cli import main
+
+        f, eps = vec("1" * 1001), F(1, 10**30)
+        polydeg._reduce.cache_clear()
+        start = time.perf_counter()
+        d, result = polydeg.least_degree(f, eps)
+        assert time.perf_counter() - start < 1
+        assert d == 0 and result.witness.coeffs == (1 - eps,)
+        assert main(["degree", "--fn", "1" * 1001, "--eps", "1e-30"]) == 0
+        assert "degree          0\nwitness         c0=999999999999999999999999999999/1" in capsys.readouterr().out
 
 
 class TestHalfSearch:

@@ -15,13 +15,14 @@ search asks for it, over its own.  A Phase-I simplex decides the box rows
 with a column-major fraction-free pivot (Edmonds 1967, Bareiss 1968) on
 integers over one common denominator, its cost weighting each artificial by
 its row's content, so it pivots as on the unscaled rows; it keeps a
-dictionary (Chvátal 1983) that stores no basic column and gains columns
-without a restart.  One scan finds the least degree, upward from a lower
-bound, on those box rows or, at eps > 0 for a function fixed by a mirror,
-on half the rows and columns; its witness and last Farkas certificate are
-re-checked in integers on the function's rows, and an LP over a size cap is
-refused before it is built.  classify_deg2, the catalogue of every function
-of degree <= 2, is re-exported from catalogue.
+dictionary (Chvátal 1983) that stores no basic column, nor the slack of a
+row whose artificial is basic, and gains columns without a restart.  One
+scan finds the least degree, upward from a lower bound, on those box rows
+or, at eps > 0 for a function fixed by a mirror, on half the rows and
+columns; its witness and last Farkas certificate are re-checked in integers
+on the function's rows, and an LP over a size cap is refused before it is
+built.  classify_deg2, the catalogue of every function of degree <= 2, is
+re-exported from catalogue.
 """
 
 from __future__ import annotations
@@ -133,41 +134,43 @@ class _FeasibleBox:
     feasible while basic at level 0.  Bland scans y⁺ (0..nf-1), y⁻
     (nf..2nf-1), the slacks and the artificials, renumbered as nf grows.  A
     basic column is D·e_r, so only nonbasic ones are stored: a y pair while
-    neither half is basic (as y⁺) and a nonbasic slack.  A leaving
-    artificial is dropped; a leaving y or slack takes the entering slot
-    (-col off row r, the old D on it, negated for a y⁻), so a cold solve
-    (all columns, then run) pivots as the full tableau.  A new column a is
+    neither half is basic (as y⁺) and a nonbasic slack.  Neither is the
+    slack of a row i whose artificial is basic (always in row i, as it never
+    re-enters): its column is -D·e_i, never improving, so its slot is False.
+    A leaving artificial i writes that column out as it pivots, -D_old on
+    row i and col off it; a leaving y or slack takes the entering slot (-col
+    off row r, the old D on it, negated for a y⁻), so a cold solve (all
+    columns, then run) pivots as the full tableau.  A new column a is
     D·B⁻¹(flips⊙a) = sum_i a_i·T(slack_i), T(slack_i) being the slack's
-    stored column, or D·e_r while it is basic in row r.  Row i may be a row
-    of the system divided by a factor g_i > 0 (weights, all 1 if None), so
-    its slack and artificial are those of the system over g_i: the Phase-I
-    cost sum_i g_i·(artificial i) is the system's own sum, so every reduced
-    cost sign, ratio (by cross-multiplication) and tie, and hence every
-    Bland pivot, is the system's, as under a positive column factor.  That
-    cost is entry m of every stored column a and of rhs, sum_r g_r·a[r] over
-    the rows r whose artificial is basic; _pivot updates it as a row, exact
-    whether or not an artificial leaves (col[leave] = p)."""
+    stored column, D·e_r while it is basic in row r, or -D·e_i.  Row i may
+    be a row of the system divided by a factor g_i > 0 (weights, all 1 if
+    None), so its slack and artificial are those of the system over g_i: the
+    Phase-I cost sum_i g_i·(artificial i) is the system's own sum, so every
+    reduced cost sign, ratio (by cross-multiplication) and tie, and hence
+    every Bland pivot, is the system's, as under a positive column factor.
+    That cost is entry m of every column a and of rhs, sum_r g_r·a[r] over
+    the rows r whose artificial is basic (-g_i·D for a False slot); _pivot
+    updates it as a row, and a leaving artificial i's column gets col[m] -
+    p·g_i."""
 
     def __init__(self, rhs: list[int], weights: list[int] | None = None) -> None:
         m, self.rhs = len(rhs), [abs(b) for b in rhs]
         self.cost = [(1 if weights is None else weights[i]) if b < 0 else 0 for i, b in enumerate(rhs)]
         self.rhs.append(sum(map(mul, self.cost, self.rhs)))
         # slot j < nf holds the y pair j, slot nf + i the slack of row i
-        self.slots: list[list[int] | None] = [None if b >= 0 else [-(k == i) for k in range(m)] + [-self.cost[i]]
-                                              for i, b in enumerate(rhs)]
+        self.slots: list[list[int] | bool | None] = [None if b >= 0 else False for b in rhs]
         self.basis = [m + i if b < 0 else i for i, b in enumerate(rhs)]  # artificials keep the row order
         self.nf, self.D, self.pivots, self.arts = 0, 1, 0, sum(b < 0 for b in rhs)
 
     def add_column(self, a: list[int]) -> None:
-        nf, m = self.nf, len(self.basis)
-        if not self.pivots:  # the initial dictionary: T(slack_i) is e_i, or -e_i on a flipped row
-            col = [v if slack is None else -v for v, slack in zip(a, self.slots[nf:])]
-            col.append(sum(map(mul, self.cost, col)))
-        else:  # basic slacks: D·e_r, off the cost row
-            col = [self.D * a[j - 2 * nf] if 2 * nf <= j < 2 * nf + m else 0 for j in self.basis] + [0]
-            for v, slack in zip(a, self.slots[nf:]):
-                if v and slack is not None:
-                    col = [x + v * y for x, y in zip(col, slack)]
+        nf, m, D = self.nf, len(self.basis), self.D
+        col = [D * a[j - 2 * nf] if 2 * nf <= j < 2 * nf + m else 0 for j in self.basis] + [0]  # basic slacks: D·e_r
+        for i, (v, slack) in enumerate(zip(a, self.slots[nf:])):
+            if v and slack is False:  # -D·e_i, cost -g_i·D
+                col[i] -= D * v
+                col[m] -= self.cost[i] * D * v
+            elif v and slack is not None:
+                col = [x + v * y for x, y in zip(col, slack)]
         self.slots.insert(nf, col)
         self.basis = [j + (j >= nf) + (j >= 2 * nf) for j in self.basis]
         self.nf += 1
@@ -179,7 +182,7 @@ class _FeasibleBox:
         while self.arts:
             for enter, (s, sign) in enumerate(order):  # Bland: smallest improving column index
                 a = slots[s]
-                if a is not None and sign * a[m] > 0:
+                if a and sign * a[m] > 0:
                     break
             else:
                 break  # phase-I optimum reached with artificials still positive
@@ -196,11 +199,13 @@ class _FeasibleBox:
                 raise RuntimeError("phase-I simplex lost boundedness")
             slots[s] = None
             old, D_old = basis[leave], self.D
-            self.D = _pivot([a for a in slots if a is not None] + [rhs], col, leave, self.D)
+            self.D = _pivot([a for a in slots if a] + [rhs], col, leave, self.D)
             self.pivots += 1
             basis[leave] = enter
-            if old >= art_base:
+            if old >= art_base:  # its row's slack, -D_old·e_leave until this pivot, is stored
                 self.arts -= 1
+                col[leave], col[m] = -D_old, col[m] - self.D * self.cost[leave]
+                slots[nf + leave] = col
             else:  # the leaving column, stored as y⁺ for a y⁻
                 sign = -1 if nf <= old < 2 * nf else 1
                 slots[old if old < nf else old - nf] = back = [-sign * v for v in col]
@@ -216,7 +221,8 @@ class _FeasibleBox:
         a y pair cost >= 0), λ·rhs < 0 (Chvátal 1983, ch. 9): λ_i = -T(slack_i)
         on the cost row, D times slack i's reduced cost."""
         m = len(self.basis)
-        return [0 if slack is None else -slack[m] for slack in self.slots[self.nf :]]
+        return [0 if slack is None else g * self.D if slack is False else -slack[m]
+                for slack, g in zip(self.slots[self.nf :], self.cost)]
 
 
 def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 MAX_ENUM_N = 30  # input enumeration lists 2^n strings, so it stays at desk scale
@@ -51,14 +52,21 @@ class SymPartialFn(NamedTuple("SymPartialFn", [("n", int), ("values", str)])):
     @property
     def domain_weights(self) -> tuple[int, ...]:
         """Weights where the function is defined."""
-        return tuple(w for w, v in enumerate(self.values) if v != "*")
+        return _defined(self.values)[0]
 
     @property
     def value_changes(self) -> tuple[tuple[int, int], ...]:
         """Adjacent defined weights u < v (undefined ones skipped) where the
         value differs."""
-        ws = self.domain_weights
-        return tuple((u, v) for u, v in zip(ws, ws[1:]) if self.values[u] != self.values[v])
+        return _defined(self.values)[1]
+
+
+@lru_cache
+def _defined(values: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(domain_weights, value_changes) of a values string, built once per
+    string: a request reads them in degree, classify_deg2 and d_complexity."""
+    ws = tuple(w for w, v in enumerate(values) if v != "*")
+    return ws, tuple((u, v) for u, v in zip(ws, ws[1:]) if values[u] != values[v])
 
 
 # The four functions equal to f up to input/output negation (variable

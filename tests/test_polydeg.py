@@ -219,11 +219,14 @@ class TestLpFeasible:
 
 def assert_cost_row(box, weights):
     """Entry m of every stored column and of rhs is sum_r g_r·a[r] over the
-    rows r whose artificial is basic, recomputed from the basis."""
+    rows r whose artificial is basic, recomputed from the basis; the slack of
+    such a row stores no column, and every other slack slot is a column or
+    None (basic)."""
     m = len(box.basis)
     art_base = 2 * box.nf + m
     arts = [(r, 1 if weights is None else weights[j - art_base]) for r, j in enumerate(box.basis) if j >= art_base]
-    for a in [slot for slot in box.slots if slot is not None] + [box.rhs]:
+    assert [r for r, slack in enumerate(box.slots[box.nf :]) if slack is False] == [r for r, _ in arts]
+    for a in [slot for slot in box.slots if isinstance(slot, list)] + [box.rhs]:
         assert a[m] == sum(g * a[r] for r, g in arts)
 
 
@@ -445,6 +448,24 @@ class TestEliminate:
             d, result = polydeg.least_degree(vec("0*1*" * 11 + "0"), 0)
         assert d == 30 and result.feasible
         assert len(seen) == 123 and max(p.bit_length() for p in seen) <= 225
+
+    def test_artificial_rows_store_no_slack_column(self):
+        # F1:45,5 (2 pins, 44 boxes, 40 of 88 rows sign-flipped): 121 pivots
+        # hand 33,108 entries to _pivot, against 212,176 while each flipped
+        # row's slack was a stored m-entry column; the same witness
+        pivots, entries, pivot = [0], [0], polydeg._pivot
+
+        def counted(cols, col, r, D):
+            pivots[0] += 1
+            entries[0] += sum(map(len, cols))
+            return pivot(cols, col, r, D)
+
+        polydeg._reduce.cache_clear()
+        with mock.patch.object(polydeg, "_pivot", counted):
+            d, result = polydeg.least_degree(vec("F1:45,5"), 0)
+        assert d == 5 and pivots == [121] and entries == [33_108]
+        assert str(result.witness) == ("c0=0, c1=515147/1356075, c2=-3567643/33901875, c3=180527/11300625, "
+                                       "c4=-15514/11300625, c5=122/2260125")
 
     @given(sym_fns(max_n=16))
     @settings(max_examples=100, deadline=None)

@@ -298,6 +298,14 @@ class TestValueChanges:
         assert vec("PARITY:3").value_changes == ((0, 1), (1, 2), (2, 3))
         assert vec("11*1").value_changes == vec("***").value_changes == ()
 
+    def test_built_once_per_values_string(self):
+        # a request reads both in degree, classify_deg2 and d_complexity:
+        # equal values strings share one pair of tuples
+        f, g = vec("01*10**1*01"), vec("01*10**1*01")
+        assert f is not g
+        assert f.domain_weights is g.domain_weights == (0, 1, 3, 4, 7, 9, 10)
+        assert f.value_changes is g.value_changes == ((0, 1), (3, 4), (4, 7), (7, 9), (9, 10))
+
     @given(sym_fns(max_n=10))
     @settings(max_examples=100)
     def test_adjacent_defined_weights_with_different_values(self, f):

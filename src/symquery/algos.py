@@ -606,7 +606,7 @@ def _check_request(
         raise ValueError(f"verification is capped at n={MAX_FAMILY_N}, got n={n}")
     if entry.family is not None:
         f = isomorphs(entry.family(*args))[TRANSFORMS.index(transform)]
-        return entry, args, f, (str(f), {w: frozenset({int(f.values[w])}) for w in f.domain_weights})
+        return entry, args, f, (str(f), {w: frozenset({int(v)}) for w, v in enumerate(f.values) if v != "*"})
     if n < 1:
         raise ValueError(f"{alg} contract needs n >= 1, got n={n}")
     if transform != "identity":

@@ -237,8 +237,8 @@ def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool
 # q·D, which bounds the scale of every box row (each is over its content),
 # and a pinned block of more than MAX_BLOCK_SIZE pinned weights² × weights,
 # whose Lagrange weights it would extrapolate.  On a 2-core x86 VM, MAJ:42
-# at eps = 1/8 (43 × 43) takes 5.3 s, and "*"*44 + 957 random 0/1, whose LP
-# fits (D = 1), 50 s with the block cap lifted.
+# at eps = 1/8 (43 × 43) takes 2.1 s end to end, and "*"*44 + 957 random
+# 0/1, whose LP fits (D = 1), 50 s with the block cap lifted.
 MAX_LP_SIZE = 2000
 MAX_BLOCK_SIZE = 32_000_000
 

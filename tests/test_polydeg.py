@@ -219,9 +219,8 @@ class TestLpFeasible:
 
 def assert_cost_row(box, weights):
     """Entry m of every stored column and of rhs is sum_r g_r·a[r] over the
-    rows r whose artificial is basic, recomputed from the basis; the slack of
-    such a row stores no column, and every other slack slot is a column or
-    None (basic)."""
+    rows r whose artificial is basic, recomputed from the basis; the slack
+    slots of exactly those rows hold the False marker, not a column."""
     m = len(box.basis)
     art_base = 2 * box.nf + m
     arts = [(r, 1 if weights is None else weights[j - art_base]) for r, j in enumerate(box.basis) if j >= art_base]
@@ -451,8 +450,9 @@ class TestEliminate:
 
     def test_artificial_rows_store_no_slack_column(self):
         # F1:45,5 (2 pins, 44 boxes, 40 of 88 rows sign-flipped): 121 pivots
-        # hand 33,108 entries to _pivot, against 212,176 while each flipped
-        # row's slack was a stored m-entry column; the same witness
+        # hand 33,108 entries to _pivot, as no flipped row's slack is stored
+        # while its artificial is basic (212,176 if each were); the witness
+        # is the full tableau's
         pivots, entries, pivot = [0], [0], polydeg._pivot
 
         def counted(cols, col, r, D):

@@ -394,9 +394,8 @@ def _dw2_plan(n: int) -> Step:
 def _dw_padding(n: int, k: int, l: int) -> tuple[int, int]:
     """Padded length and number of padded ones of the dw reduction: zeros
     then ones are appended, reaching dw1's instance when k > 0 and dw2's
-    when k = 0."""
-    if not 0 <= k < l <= n:
-        raise ValueError(f"need 0 <= k < l <= n, got k={k}, l={l}, n={n}")
+    when k = 0, after the promise's own range rule."""
+    family_dw(n, k, l)
     if k > 0 and 3 * k < n and 3 * l >= 2 * n + k and l >= 3 * k and (l - k) % 2 == 0:
         return 2 * (l - k), (l - 3 * k) // 2
     if k == 0 and 4 * l >= n and l < n // 2:
@@ -554,26 +553,28 @@ def _classes(plan: Step, n: int, t: int) -> Classes:
 MAX_RUN_BRANCHES = 100_000
 
 
-def _lookup(alg: str, params: Mapping[str, int]) -> tuple[Algorithm, list[int]]:
-    """The registry entry and its parameter values, in order."""
+def _instance(alg: str, params: Mapping[str, int], what: str) -> tuple[Algorithm, list[int], Step]:
+    """The registry entry, its parameter values in order, and the instance's
+    plan, whose builder checks the algorithm's own parameter rule; n above
+    MAX_FAMILY_N is refused before it, `what` naming the refusal."""
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}")
     entry = ALGORITHMS[alg]
     missing = [p for p in entry.params if p not in params]
     if missing:
         raise ValueError(f"{alg} needs parameters {entry.params}, missing {missing}")
-    return entry, [params[p] for p in entry.params]
+    if params["n"] > MAX_FAMILY_N:
+        raise ValueError(f"{what} is capped at n={MAX_FAMILY_N}, got n={params['n']}")
+    args = [params[p] for p in entry.params]
+    return entry, args, entry.plan(*args)
 
 
 def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
     """Every branch of one execution on x.  Refuses n above MAX_FAMILY_N,
     and an input whose class law (the one verify_exact certifies) counts
     more than MAX_RUN_BRANCHES branches, before any subroutine runs."""
-    entry, args = _lookup(alg, params)
+    _, _, plan = _instance(alg, params, "run")
     n = params["n"]
-    if n > MAX_FAMILY_N:
-        raise ValueError(f"run is capped at n={MAX_FAMILY_N}, got n={n}")
-    plan = entry.plan(*args)
     _check_bits(x, n)
     (law,) = [law for prefix, law in _classes(plan, n, x.count("1")) if x.startswith(prefix)]
     if sum(count for *_, count in law.values()) > MAX_RUN_BRANCHES:
@@ -591,27 +592,22 @@ def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
 Contract = tuple[str, dict[int, frozenset]]
 
 
-def _check_request(
-    alg: str, params: Mapping[str, int], transform: str
-) -> tuple[Algorithm, list[int], SymPartialFn | None, Contract]:
-    """The registry entry, its parameter values, and what it is checked
-    against: for a decision algorithm, its promise under `transform` and
-    that function's value at each weight it defines; for a subroutine, no
-    function and its output contract, which takes no transform."""
+def _check_request(alg: str, params: Mapping[str, int], transform: str) -> tuple[Step, SymPartialFn | None, Contract]:
+    """The instance's plan, then what it is checked against: for a decision
+    algorithm, its promise under `transform` and that function's value at
+    each weight it defines; for a subroutine, no function and its output
+    contract, which takes no transform."""
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
-    entry, args = _lookup(alg, params)
-    n = params["n"]
-    if n > MAX_FAMILY_N:
-        raise ValueError(f"verification is capped at n={MAX_FAMILY_N}, got n={n}")
+    entry, args, plan = _instance(alg, params, "verification")
     if entry.family is not None:
         f = isomorphs(entry.family(*args))[TRANSFORMS.index(transform)]
-        return entry, args, f, (str(f), {w: frozenset({int(v)}) for w, v in enumerate(f.values) if v != "*"})
-    if n < 1:
-        raise ValueError(f"{alg} contract needs n >= 1, got n={n}")
+        return plan, f, (str(f), {w: frozenset({int(v)}) for w, v in enumerate(f.values) if v != "*"})
+    if params["n"] < 1:
+        raise ValueError(f"{alg} contract needs n >= 1, got n={params['n']}")
     if transform != "identity":
         raise ValueError(f"{alg} is checked against its output contract, which takes no transform")
-    return entry, args, None, entry.contract(*args)
+    return plan, None, entry.contract(*args)
 
 
 def _xquery_contract(m: int) -> Contract:
@@ -649,8 +645,8 @@ def verify_exact(alg: str, params: Mapping[str, int], transform: str = "identity
     probabilities must total exactly 1.  A failure names one input of its
     class.  Instances with n above MAX_FAMILY_N are refused.
     """
-    entry, args, _, (function, allowed) = _check_request(alg, params, transform)
-    return _certify(function, _weight_classes(entry.plan(*args), params["n"], allowed, transform))
+    plan, _, (function, allowed) = _check_request(alg, params, transform)
+    return _certify(function, _weight_classes(plan, params["n"], allowed, transform))
 
 
 # One certified class: an input it contains, how many inputs it has, the
@@ -714,7 +710,7 @@ def simulate_domain(
     input keeps one failure: its first wrong branch and how many more there
     are.  Exponential in n: refuses n above MAX_ENUM_N, and an input
     ``run`` refuses."""
-    _, _, f, (function, allowed) = _check_request(alg, params, transform)
+    _, f, (function, allowed) = _check_request(alg, params, transform)
     n = params["n"]
     if n > MAX_ENUM_N:
         raise ValueError(f"input enumeration capped at n={MAX_ENUM_N}, got n={n}")

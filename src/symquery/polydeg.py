@@ -17,12 +17,12 @@ integers over one common denominator, its cost weighting each artificial by
 its row's content, so it pivots as on the unscaled rows; it keeps a
 dictionary (Chvátal 1983) that stores no basic column, nor the slack of a
 row whose artificial is basic, and gains columns without a restart.  One
-scan finds the least degree, upward from a lower bound, on those box rows
-or, at eps > 0 for a function fixed by a mirror, on half the rows and
-columns; its witness and last Farkas certificate are re-checked in integers
-on the function's rows, and an LP over a size cap is refused before it is
-built.  classify_deg2, the catalogue of every function of degree <= 2, is
-re-exported from catalogue.
+scan (_scan) finds the least degree, upward from a lower bound, on those
+box rows or, at eps > 0 for a function fixed by a mirror, on half the rows
+and columns; the one exit from the LP, it re-checks in integers on the
+function's rows each witness and Farkas certificate it returns, and it
+refuses an LP over a size cap before building it.  classify_deg2, the
+catalogue of every function of degree <= 2, is re-exported from catalogue.
 """
 
 from __future__ import annotations
@@ -365,30 +365,29 @@ def _differences(V: list[int]) -> list[int]:
     return V
 
 
-def _witness(red: _Reduction, coeffs: list[Fraction]) -> FeasibilityResult:
-    """The profile with these coefficients, re-checked: an unsound witness,
-    from the interpolant or the simplex, raises RuntimeError."""
-    witness = PolyV(tuple(coeffs))
+def _witness(red: _Reduction, V: list[int], den: int, d: int) -> FeasibilityResult:
+    """The degree-d profile c_k = V[k] / den (0 past V), re-checked: an
+    unsound witness, from the interpolant or the simplex, raises
+    RuntimeError."""
+    # from a list, sized exactly: a tuple built from a generator may keep spare slots, and every answer keeps it
+    witness = PolyV(tuple([Fraction(v, den) for v in V] + [Fraction(0)] * (d + 1 - len(V))))
     if not check_representation(witness, red.f, red.eps):
         raise RuntimeError(f"unsound witness for {red.f} at eps = {red.eps}")
     return FeasibilityResult(True, witness)
 
 
-def _certify(red: _Reduction, d: int, lam: list[int] | None) -> None:
-    """Raise RuntimeError unless lam, if given, is a Farkas certificate on
-    red's box rows over the columns of degree < d: no fit of degree d - 1."""
-    if lam is not None and not _is_farkas(lam, [red.box_column(k) for k in range(d - red.npin)], red.box_rhs()):
-        raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {red.f} at degree {d - 1}")
-
-
 def _scan(red: _Reduction, new_box: Callable[[], _FeasibleBox], columns: Iterable[tuple[int, list[int]]], lo: int,
-          top: int) -> tuple[int, tuple[list[int], int] | None, list[int] | None]:
+          top: int, witness: Callable[[list[int], int, int], tuple[list[int], int]],
+          unfold: Callable[[list[int]], list[int]]) -> tuple[int, FeasibilityResult | None]:
     """Unless red's size refuses it (see MAX_LP_SIZE), one dictionary,
     new_box(), gains the (degree, column) pairs, ascending to top, and
-    runs from degree lo to the first feasible one.  Returns the degree it
-    stopped at with that run's (t, Dt), or with None at n after an
-    infeasible run (interpolation fits there) or one past the last pair;
-    and the last infeasible run's Farkas λ or None."""
+    runs from degree lo to the first feasible one.  Returns the degree d it
+    stopped at with that run's witness, or with None at n after an
+    infeasible run (interpolation fits there) or one past the last pair.
+    Everything it returns is re-checked on f's rows: the witness, whose
+    coefficients over one denominator witness(t, Dt, d) gives from the run's
+    (t, Dt), and the last infeasible run's Farkas λ, unfold(λ) on red's box
+    rows, for every degree below d (feasibility is monotone in d)."""
     npin, n = red.npin, red.f.n
     if npin * npin * (n + 1) > MAX_BLOCK_SIZE:
         raise ValueError(f"refused: a block of {npin} pinned weights at n = {n} exceeds "
@@ -397,17 +396,24 @@ def _scan(red: _Reduction, new_box: Callable[[], _FeasibleBox], columns: Iterabl
     if boxes * free * words > MAX_LP_SIZE:
         size = f"{boxes} box weights × {free} free columns" + (f" × {words} words of q·D" if words > 1 else "")
         raise ValueError(f"refused: the degree LP on {size} exceeds polydeg.MAX_LP_SIZE = {MAX_LP_SIZE}")
-    box, lam = new_box(), None
+    box, lam, result = new_box(), None, None
     for d, a in columns:
         if d == n and lam is not None:
-            return d, None, lam
+            break
         box.add_column(a)
         if d >= lo:
             solved = box.run()
             if solved is not None:
-                return d, solved, lam
+                result = _witness(red, *witness(*solved, d), d)
+                break
             lam = box.farkas()
-    return d + 1, None, lam
+    else:
+        d += 1
+    if d > n:
+        raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
+    if lam is not None and not _is_farkas(unfold(lam), [red.box_column(k) for k in range(d - npin)], red.box_rhs()):
+        raise RuntimeError(f"simplex produced an unsound infeasibility certificate for {red.f} at degree {d - 1}")
+    return d, result
 
 
 def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult | None]:
@@ -419,31 +425,27 @@ def _search(red: _Reduction, lo: int, top: int) -> tuple[int, FeasibilityResult 
     one column is constant, so the box rows bound q·c_0 to [max lo, min hi]:
     if that holds a point, its low end, where the first pivot of a cold run
     stops, is the answer.  Else _scan takes the box column of each degree
-    from npin to top; its witness and Farkas certificate (for every lower
-    degree, as feasibility is monotone in d) are re-checked."""
-    npin, n = red.npin, red.f.n
+    from npin to top, and checks what it returns."""
+    npin, q = red.npin, red.eps.denominator
     deg, V, L = red.fit
     d = max(lo, deg)
     if d <= top and V is not None:
-        return d, _witness(red, [Fraction(v, L) for v in V] + [Fraction(0)] * (d - deg))
+        return d, _witness(red, V, L, d)
     if d == npin == 0:
         c0 = max(lo for lo, _ in red.boxes)
         if c0 <= min(hi for _, hi in red.boxes):
-            return 0, _witness(red, [Fraction(c0, red.eps.denominator)])
+            return 0, _witness(red, [c0], q, 0)
     if npin > top:  # no free column, and no interpolant of degree <= top fits
         return top + 1, FeasibilityResult(False, None)
-    d, solved, lam = _scan(red, lambda: _FeasibleBox(red.box_rhs(), red.box_weights()),
-                           ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, top)
-    if d > n:
-        raise RuntimeError(f"phase-I simplex found no degree-n fit of {red.f}")
-    result = None
-    if solved:  # q·D·Dt times the fit at weights 0..d, differenced: c_k = Δᵏ(·)(0) / (q·D·Dt)
-        (t, Dt), q, pinned = solved, red.eps.denominator, dict(red.pins)
-        rows = zip(red.lagrange, red.b, zip(*(red.column(k) for k in range(len(t)))))  # per box weight, ascending
-        boxed = (g * (q * Dt * b + sum(map(mul, row, t))) for (g, _, _), b, row in rows)
-        V = [q * red.D * Dt * pinned[x] if x in pinned else next(boxed) for x in range(d + 1)]
-        result = _witness(red, [Fraction(v, q * red.D * Dt) for v in _differences(V)])
-    _certify(red, d, lam)
+
+    def witness(t: list[int], Dt: int, d: int) -> tuple[list[int], int]:
+        # E = q·D·Dt times the fit at weights 0..d, differenced: c_k = Δᵏ(·)(0) / E
+        pinned, E, rows = dict(red.pins), q * red.D * Dt, zip(red.lagrange, red.b, zip(*map(red.column, range(len(t)))))
+        boxed = (g * (q * Dt * b + sum(map(mul, row, t))) for (g, _, _), b, row in rows)  # per box weight, ascending
+        return _differences([E * pinned[x] if x in pinned else next(boxed) for x in range(d + 1)]), E
+
+    d, result = _scan(red, lambda: _FeasibleBox(red.box_rhs(), red.box_weights()),
+                      ((k, red.box_column(k - npin)) for k in range(npin, top + 1)), lo, top, witness, lambda lam: lam)
     return d, FeasibilityResult(False, None) if d > top else result
 
 
@@ -480,25 +482,23 @@ def _half_search(red: _Reduction, lo: int, odd: int) -> int:
     of no larger degree (Minsky and Papert 1969): sum_j t_j·s_j, s_j(w) =
     C(w, j)·C(n-w, j), of degree 2j, if f(n-w) = f(w) (odd = 0), or 1/2 +
     sum_j t_j·(n-2w)·s_j, of degree 2j+1, if f(n-w) = ¬f(w) (odd = 1).  lo
-    has that parity (sign changes pair up about n/2).  The witness (c_k =
-    Δᵏp(0)) and the last infeasible λ, unfolded, are checked on f's rows."""
+    has that parity (sign changes pair up about n/2).  _scan checks the
+    witness (c_k = Δᵏp(0)) and the last infeasible λ, unfolded, on f's rows."""
     n, q, half = red.f.n, red.eps.denominator, range(red.f.n // 2 + 1)
 
     def basis(j: int, w: int) -> int:  # s_j(w), times 2(n - 2w) if odd
         return (2 * (n - 2 * w) if odd else 1) * comb(w, j) * comb(n - w, j)
 
+    def witness(t: list[int], Dt: int, d: int) -> tuple[list[int], int]:  # (1 + odd)·Dt times p at 0..d, differenced
+        V = [odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)]
+        return _differences(V), (1 + odd) * Dt
+
     columns = ((d, [v for w in half for v in (q * basis(j, w), -q * basis(j, w))])
                for j, d in enumerate(range(odd, n + 1, 2)))
     # (2hi - q, q - 2lo) bound 2q·(p - 1/2) if odd; sized as the full search to n: no cheaper per entry
-    d, solved, lam = _scan(red, lambda: _FeasibleBox([2 * v + (-q, q)[i % 2] if odd else v
-                                                      for i, v in enumerate(red.box_rhs()[: 2 * len(half)])]),
-                           columns, lo, n)
-    if solved is not None:
-        t, Dt = solved
-        V = _differences([odd * Dt + sum(v * basis(i, w) for i, v in enumerate(t)) for w in range(d + 1)])
-        _witness(red, [Fraction(v, (1 + odd) * Dt) for v in V])  # re-checked on f: an unsound one raises
-    _certify(red, d, None if lam is None else _unfold(lam, n, odd))
-    return d
+    return _scan(red, lambda: _FeasibleBox([2 * v + (-q, q)[i % 2] if odd else v
+                                            for i, v in enumerate(red.box_rhs()[: 2 * len(half)])]),
+                 columns, lo, n, witness, lambda lam: _unfold(lam, n, odd))[0]
 
 
 def least_degree(f: SymPartialFn, eps: RationalLike = 0) -> tuple[int, FeasibilityResult]:
@@ -513,8 +513,8 @@ def degree(f: SymPartialFn, eps: RationalLike = 0) -> int:
     """Least d with a feasible degree-d profile, from an exact lower bound
     lo: lo if it is 0 (a constant fits) or n (interpolation fits), else on
     the shared reduction of (f, eps), by the half search if f is fixed by a
-    mirror at eps > 0, or by the search from lo to n; both check the two
-    sides of their answer, and _scan refuses an LP over MAX_LP_SIZE."""
+    mirror at eps > 0, or by the search from lo to n; _scan, under both,
+    checks the two sides of the answer and refuses an LP over MAX_LP_SIZE."""
     # if q fits f within eps < 1/2, q - 1/2 changes sign strictly between
     # each value change, so it has that many roots
     eps, lo = _as_eps(eps), len(f.value_changes)

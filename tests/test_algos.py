@@ -700,7 +700,7 @@ class TestIntegerLaws:
                     assert_entrywise(law, reference)
             for transform in transforms_of(alg):
                 try:
-                    allowed = algos._check_request(alg, params, transform)[3][1]
+                    allowed = algos._check_request(alg, params, transform)[2][1]
                 except ValueError:  # grover1's contract needs n divisible by 4
                     continue
                 classes = list(algos._weight_classes(plan, n, allowed, transform))

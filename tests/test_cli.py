@@ -209,6 +209,26 @@ class TestVerify:
         assert err.startswith("error:")
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (("--alg", "dw2", "--n", "2"), "dw2"),
+            (("--alg", "f1", "--n", "1"), "f1"),
+            (("--alg", "f3", "--n", "1"), "f3"),
+            (("--alg", "dhw", "--n", "5", "--k", "9"), "dhw"),
+            (("--alg", "dj", "--n", "7", "--k", "1"), "dj"),
+            (("--alg", "f2", "--n", "8", "--k", "8"), "f2"),
+            (("--alg", "dw", "--n", "8", "--k", "7", "--l", "1"), "DW"),  # dw's rule is its promise's
+        ],
+    )
+    def test_bad_instance_reads_the_same_from_run(self, capsys, argv, head):
+        # the algorithm's own rule speaks first, so verify never names parameters run was not given
+        ran = run_cli(capsys, "run", *argv, "--input", "0" * int(argv[3]))
+        verified = run_cli(capsys, "verify", *argv)
+        assert ran == verified
+        code, out, err = verified
+        assert (code, out) == (2, "") and err.startswith(f"error: {head} ") and err.count("\n") == 1, err
+
     def test_grover1_contract_needs_a_multiple_of_four(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--alg", "grover1", "--n", "6")
         assert (code, out, err) == (2, "", "error: grover1 contract needs n divisible by 4, got n=6\n")

@@ -1004,6 +1004,36 @@ class TestHalfSearch:
             sq.degree(f, eps)
 
 
+class TestFullSearchChecks:
+    """The full box search's own answers are re-checked where _scan returns
+    them: nothing pinned (eps > 0), and five pinned weights (eps = 0)."""
+
+    REQUESTS = [("THRESHOLD:9,3", F(1, 4)), ("OR:12", F(1, 3)), ("0***01**10", F(0))]
+
+    @pytest.mark.parametrize("spec, eps", REQUESTS)
+    def test_bent_witness_is_caught(self, monkeypatch, spec, eps):
+        f, run = vec(spec), polydeg._FeasibleBox.run
+        d = sq.degree(f, eps)
+        assert f not in sq.isomorphs(f)[1::2] and 0 < d < f.n  # the full search answers, on a dictionary
+
+        def bent(box):  # t_0 + 10 moves the fit off [0, 1] at some weight
+            solved = run(box)
+            return solved and ([solved[0][0] + 10 * solved[1]] + solved[0][1:], solved[1])
+
+        monkeypatch.setattr(polydeg._FeasibleBox, "run", bent)
+        with pytest.raises(RuntimeError, match="unsound witness"):
+            sq.degree(f, eps)
+        with pytest.raises(RuntimeError, match="unsound witness"):
+            sq.lp_feasible(f, eps, d)
+
+    @pytest.mark.parametrize("spec, eps", REQUESTS)
+    def test_no_fit_at_n_is_caught(self, monkeypatch, spec, eps):
+        f = vec(spec)
+        monkeypatch.setattr(polydeg._FeasibleBox, "run", lambda box: None)
+        with pytest.raises(RuntimeError, match="found no degree-n fit"):
+            sq.lp_feasible(f, eps, f.n)
+
+
 class TestQeLowerBound:
     def test_examples(self):
         assert sq.qe_lower_bound(vec("DJ:8,1")) == 2

@@ -326,6 +326,8 @@ def _check_odd(alg: str, n: int, least: int) -> None:
 def _check_quarter(alg: str, n: int) -> None:
     if n % 4:
         raise ValueError(f"{alg} needs n divisible by 4, got n={n}")
+    if n < 4:
+        raise ValueError(f"{alg} needs n >= 4, got n={n}")
 
 
 def _xquery_plan(m: int) -> Step:
@@ -354,6 +356,8 @@ def _dhw_plan(n: int, k: int) -> Step:
     padding 2k-n zeros so weight k becomes balanced."""
     if not (n + 1) // 2 <= k <= n:
         raise ValueError(f"dhw needs ceil(n/2) <= k <= n, got k={k} with n={n}")
+    if k < 1:
+        raise ValueError(f"dhw needs k >= 1, got k={k}")
     return Pair(2 * k, 0, 1)
 
 
@@ -554,9 +558,9 @@ MAX_RUN_BRANCHES = 100_000
 
 
 def _instance(alg: str, params: Mapping[str, int], what: str) -> tuple[Algorithm, list[int], Step]:
-    """The registry entry, its parameter values in order, and the instance's
-    plan, whose builder checks the algorithm's own parameter rule; n above
-    MAX_FAMILY_N is refused before it, `what` naming the refusal."""
+    """The registry entry, its parameter values in order, and the plan, whose
+    builder checks the algorithm's own rule once n above MAX_FAMILY_N (`what`
+    naming the refusal) and a subroutine's n below 1 are refused."""
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}")
     entry = ALGORITHMS[alg]
@@ -565,6 +569,8 @@ def _instance(alg: str, params: Mapping[str, int], what: str) -> tuple[Algorithm
         raise ValueError(f"{alg} needs parameters {entry.params}, missing {missing}")
     if params["n"] > MAX_FAMILY_N:
         raise ValueError(f"{what} is capped at n={MAX_FAMILY_N}, got n={params['n']}")
+    if entry.contract is not None and params["n"] < 1:
+        raise ValueError(f"{alg} contract needs n >= 1, got n={params['n']}")
     args = [params[p] for p in entry.params]
     return entry, args, entry.plan(*args)
 
@@ -603,8 +609,6 @@ def _check_request(alg: str, params: Mapping[str, int], transform: str) -> tuple
     if entry.family is not None:
         f = isomorphs(entry.family(*args))[TRANSFORMS.index(transform)]
         return plan, f, (str(f), {w: frozenset({int(v)}) for w, v in enumerate(f.values) if v != "*"})
-    if params["n"] < 1:
-        raise ValueError(f"{alg} contract needs n >= 1, got n={params['n']}")
     if transform != "identity":
         raise ValueError(f"{alg} is checked against its output contract, which takes no transform")
     return plan, None, entry.contract(*args)
@@ -620,8 +624,7 @@ def _xquery_contract(m: int) -> Contract:
 def _grover1_contract(n: int) -> Contract:
     """The reported index is a 1-position at weight n/4 and a 0-position at
     weight 3n/4."""
-    if n % 4:
-        raise ValueError(f"grover1 contract needs n divisible by 4, got n={n}")
+    _check_quarter("grover1 contract", n)
     return f"grover1-contract:n={n}", {n // 4: frozenset({"1-position"}), 3 * n // 4: frozenset({"0-position"})}
 
 

@@ -29,6 +29,12 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
         print(human, end="")
 
 
+def _report(rows: dict[str, object]) -> str:
+    """One line per label and value, every label padded to the longest plus two."""
+    width = max(map(len, rows)) + 2
+    return "".join(f"{label:<{width}}{value}\n" for label, value in rows.items())
+
+
 def _collect_params(args: argparse.Namespace) -> tuple[algos.Algorithm, dict[str, int]]:
     """The registry entry of --alg and its parameter values, in order."""
     from . import algos
@@ -72,14 +78,8 @@ def _cmd_degree(args: argparse.Namespace) -> int:
         "witness": [str(c) for c in witness.coeffs],
         "qe_lower_bound": lower,
     }
-    human = (
-        f"function        {args.fn} = {f}\n"
-        f"eps             {eps}\n"
-        f"degree          {d}\n"
-        f"witness         {witness}\n"
-        f"qe_lower_bound  {lower}\n"
-    )
-    _emit(args, payload, human)
+    rows = {"function": f"{args.fn} = {f}", "eps": eps, "degree": d, "witness": witness, "qe_lower_bound": lower}
+    _emit(args, payload, _report(rows))
     return 0
 
 
@@ -151,16 +151,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "worst_case_queries": report.worst_case_queries,
         "failures": [list(fail) for fail in report.failures[:20]],
     }
-    lines = [
-        f"algorithm           {alg}  " + "  ".join(f"{k}={v}" for k, v in params.items()),
-        f"function            {report.function}",
-        f"inputs_checked      {report.inputs_checked}",
-        f"all_exact           {report.all_exact}",
-        f"worst_case_queries  {report.worst_case_queries}",
-    ]
-    for x, desc in report.failures[:20]:
-        lines.append(f"FAILURE on {x}: {desc}")
-    _emit(args, payload, "\n".join(lines) + "\n")
+    human = _report({
+        "algorithm": f"{alg}  " + "  ".join(f"{k}={v}" for k, v in params.items()),
+        "function": report.function,
+        "inputs_checked": report.inputs_checked,
+        "all_exact": report.all_exact,
+        "worst_case_queries": report.worst_case_queries,
+    })
+    _emit(args, payload, human + "".join(f"FAILURE on {x}: {desc}\n" for x, desc in report.failures[:20]))
     return 0 if report.all_exact else 1
 
 
@@ -170,7 +168,7 @@ def _cmd_classical(args: argparse.Namespace) -> int:
     f = symfun.from_string(args.fn)
     d = classical.d_complexity(f)
     payload = {"command": "classical", "fn": args.fn, "vector": str(f), "d_complexity": d}
-    _emit(args, payload, f"function      {args.fn} = {f}\nd_complexity  {d}\n")
+    _emit(args, payload, _report({"function": f"{args.fn} = {f}", "d_complexity": d}))
     return 0
 
 
@@ -187,8 +185,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         if tag is None
         else {"kind": tag.kind.value, "param": tag.param, "transform": tag.transform},
     }
-    human = f"function  {args.fn} = {f}\nfamily    {tag if tag is not None else 'none'}\n"
-    _emit(args, payload, human)
+    _emit(args, payload, _report({"function": f"{args.fn} = {f}", "family": tag if tag is not None else "none"}))
     return 0 if tag is not None else 1
 
 
@@ -206,10 +203,7 @@ def _cmd_det(args: argparse.Namespace) -> int:
         "closed_form": str(rhs),
         "match": match,
     }
-    human = (
-        f"n={args.n} k={args.k}\ndeterminant  {lhs}\nclosed form  {rhs}\n"
-        f"match        {match}\n"
-    )
+    human = f"n={args.n} k={args.k}\n" + _report({"determinant": lhs, "closed form": rhs, "match": match})
     _emit(args, payload, human)
     return 0 if match else 1
 

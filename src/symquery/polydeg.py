@@ -234,11 +234,12 @@ def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool
 
 # _scan refuses with ValueError, before it builds them, an LP of more than
 # MAX_LP_SIZE box weights × free columns to its top degree × 64-bit words of
-# q·D, which bounds the scale of every box row (each is over its content),
-# and a pinned block of more than MAX_BLOCK_SIZE pinned weights² × weights,
-# whose Lagrange weights it would extrapolate.  On a 2-core x86 VM, MAJ:42
-# at eps = 1/8 (43 × 43) takes 2.1 s end to end, and "*"*44 + 957 random
-# 0/1, whose LP fits (D = 1), 50 s with the block cap lifted.
+# q·D, which bounds the scale of every box row's bounds (each row is over its
+# content), and a pinned block of more than MAX_BLOCK_SIZE pinned weights² ×
+# weights, whose Lagrange weights it would extrapolate.  On a 2-core x86 VM,
+# MAJ:42 at eps = 1/8 (43 × 43) takes 2.1 s end to end, and "*"*44 + 957
+# random 0/1, whose LP fits (D = 1), 30 s in degree and 76 s in least_degree
+# with the block cap lifted: its right-hand sides' q·b reach 1,206 bits.
 MAX_LP_SIZE = 2000
 MAX_BLOCK_SIZE = 32_000_000
 
@@ -256,8 +257,8 @@ class _Reduction:
     The table (lagrange, one per (f, eps)) holds the row over g_x: g_x, D/g_x
     and Λ[x][i]/g_x.  Column N, built when a search first asks, is the
     column of c_N over its content h_N, and b(x) = sum_i (Λ[x][i]/g_x)·v_i;
-    a solution u of the box rows gives c_N = u_N·h_N.  q·D bounds the scale
-    the rows carry."""
+    a solution u of the box rows gives c_N = u_N·h_N.  q·D bounds (D/g_x)·hi,
+    not q·b, which far-off pins' Lagrange weights can make far longer."""
 
     def __init__(self, f: SymPartialFn, eps: Fraction) -> None:
         p, q = eps.numerator, eps.denominator

@@ -496,6 +496,43 @@ class TestCapsBeforeWork:
             algos.simulate_domain(alg, params)
 
 
+def refusal(call, *args):
+    """The text of the ValueError a call raises, or None if it succeeds."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOneRulePerInstance:
+    def test_every_entry_point_refuses_alike(self):
+        # every id, n in -4..10 and every other parameter in -1..n+1: run on
+        # n zeros, the positional name, verify_exact and (n <= 6)
+        # simulate_domain all succeed or all raise one text, the id's own rule
+        # (dw's is its promise's or its padding's), never a weight law's; only
+        # grover1's contract, which run does not need, may refuse an n off 4Z
+        checked, mismatches = 0, []
+        for alg, entry in algos.ALGORITHMS.items():
+            positional = getattr(algos, "dw_general" if alg == "dw" else alg)
+            heads = ("DW needs", "no two-query padding") if alg == "dw" else (f"{alg} ",)
+            for n in range(-4, 11):
+                for rest in itertools.product(range(-1, max(n, 0) + 2), repeat=len(entry.params) - 1):
+                    params = dict(zip(entry.params, (n, *rest)))
+                    x = "0" * max(n, 0)
+                    texts = [refusal(algos.run, alg, params, x), refusal(positional, *params.values(), x),
+                             refusal(algos.verify_exact, alg, params)]
+                    if n <= 6:
+                        texts.append(refusal(algos.simulate_domain, alg, params))
+                    if alg == "grover1" and n % 4 and texts[:2] == [None, None]:
+                        texts = texts[2:]
+                    checked += 1
+                    if len(set(texts)) != 1 or not (texts[0] is None or texts[0].startswith(heads)):
+                        mismatches.append((alg, params, texts))
+        assert checked == 1255
+        assert mismatches == []
+
+
 def counted(alg, args, x):
     """The branch count of the class law x is in."""
     classes = algos._classes(algos.ALGORITHMS[alg].plan(*args), args[0], x.count("1"))

@@ -146,14 +146,15 @@ class TestRun:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("--alg", "xquery", "--n", "0"), "need m >= 1, got 0"),
-            (("--alg", "grover1", "--n", "0"), "need n >= 1, got 0"),
-            (("--alg", "dw1", "--n", "0"), "need n >= 1, got 0"),
-            (("--alg", "dw2", "--n", "0"), "need n >= 1, got 0"),
-            (("--alg", "dhw", "--n", "0", "--k", "0"), "need m >= 1, got 0"),
+            (("--alg", "xquery", "--n", "0"), "xquery contract needs n >= 1, got n=0"),
+            (("--alg", "grover1", "--n", "0"), "grover1 contract needs n >= 1, got n=0"),
+            (("--alg", "dw1", "--n", "0"), "dw1 needs n >= 4, got n=0"),
+            (("--alg", "dw2", "--n", "0"), "dw2 needs n >= 4, got n=0"),
+            (("--alg", "dhw", "--n", "0", "--k", "0"), "dhw needs k >= 1, got k=0"),
         ],
     )
     def test_zero_length_subroutine_call(self, capsys, argv, message):
+        # the algorithm's own rule refuses the instance before any subroutine's weight law
         code, out, err = run_cli(capsys, "run", *argv, "--input", "")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -219,6 +220,12 @@ class TestVerify:
             (("--alg", "dj", "--n", "7", "--k", "1"), "dj"),
             (("--alg", "f2", "--n", "8", "--k", "8"), "f2"),
             (("--alg", "dw", "--n", "8", "--k", "7", "--l", "1"), "DW"),  # dw's rule is its promise's
+            (("--alg", "xquery", "--n", "0"), "xquery"),
+            (("--alg", "xquery", "--n", "-1"), "xquery"),
+            (("--alg", "grover1", "--n", "0"), "grover1"),
+            (("--alg", "dw1", "--n", "0"), "dw1"),
+            (("--alg", "dw2", "--n", "-4"), "dw2"),
+            (("--alg", "dhw", "--n", "0", "--k", "0"), "dhw"),
         ],
     )
     def test_bad_instance_reads_the_same_from_run(self, capsys, argv, head):

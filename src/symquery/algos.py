@@ -12,25 +12,25 @@ Two one-query subroutines power everything:
 
 Each has one closed-form outcome law per weight, an integer numerator per
 side over a fixed denominator (m^2 for the pair test, n^3 for the search);
-the law on one input, over the same denominator, shares each side's
-numerator equally among its outcomes, which symmetry makes equally likely.
+on one input each side's mass is shared equally among its outcomes, which
+symmetry makes equally likely, so one input's listing names positions only.
 Each registry entry describes its algorithm once, as a plan: a small tree
 of pair tests on the bits padded with zeros, searches on the bits padded
 with zeros then ones (which may read the reported bit), and a first read
 of x_1 (which may complement the rest), whose leaves are an output bit or
-the subroutine's outcome itself.  The plan is walked two ways.  Per input,
-it lists every measurement branch of one execution (an AlgorithmRun) with
-its path, probability, output and query count; it multiplies the per-input
-laws' integers along the path and rounds each branch's numerator over
-denominator to a float once.  Per weight class, it gives the exact law of
-(output, queries used) in integers, each mass a numerator over the product
-of the denominators of the steps on its path, with the number of branches
-behind each pair: the plan reads explicit bits and calls the subroutines,
-so the law depends only on the weight of the input and, where the plan
-reads x_1 first, on x_1.  ``verify_exact`` certifies the whole domain from
-these laws, once per class, in time polynomial in n, and builds a Fraction
-only to print a failing branch.
-``run`` is the only per-input walk: it reads the same law's branch count
+the subroutine's outcome itself.  The plan is walked two ways.  Per weight
+class, it gives the exact law of (output, queries used) in integers, each
+mass a numerator over the product of the denominators of the steps on its
+path, with the number of branches behind each pair: the plan reads explicit
+bits and calls the subroutines, so the law depends only on the weight of
+the input and, where the plan reads x_1 first, on x_1.  Per input, it lists
+every measurement branch of one execution (an AlgorithmRun) with its path,
+probability, output and query count; the branches behind one pair share its
+mass equally, so each reads num / (den * branches) off the input's class
+law, rounded to a float once.  ``verify_exact`` certifies the whole domain
+from these laws, once per class, in time polynomial in n, and builds a
+Fraction only to print a failing branch.
+``run`` is the only per-input walk: it reads the class law's branch count
 to refuse an input before listing its branches, and the positional names
 (``dj(n, k, x)``, ...) and ``simulate_domain``, the exponential reference
 that replays every promised input, all go through it; tests check that the
@@ -244,25 +244,23 @@ def grover1_weight_law(t: int, n: int) -> tuple[int, Side, Side]:
 
 
 @lru_cache(maxsize=65536)
-def xquery_outcomes(x: str) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
-    """The pair test's outcome law on x over the weight law's denominator,
-    in measurement order: the flat outcome (0,0) with the flat mass if it
-    is nonzero, then each differing pair (i, j), i < j, with 4."""
-    den, (flat, _), (mass, pairs) = xquery_weight_law(x.count("1"), len(x))
+def xquery_outcomes(x: str) -> tuple[tuple[int, int], ...]:
+    """The pair test's outcomes on x, in measurement order: the flat outcome
+    (0,0) if its weight law gives it mass, then each differing pair (i, j),
+    i < j."""
+    _, (flat, _), _ = xquery_weight_law(x.count("1"), len(x))
     other = {bit: [j for j, b in enumerate(x, 1) if b != bit] for bit in "01"}  # opposite-bit positions
-    share = mass and mass // pairs  # no pair differs when pairs = 0
-    listed = tuple(((i, j), share) for i, bit in enumerate(x, 1) for j in other[bit][bisect(other[bit], i):])
-    return den, (((0, 0), flat),) + listed if flat else listed
+    listed = tuple((i, j) for i, bit in enumerate(x, 1) for j in other[bit][bisect(other[bit], i):])
+    return ((0, 0),) + listed if flat else listed
 
 
 @lru_cache(maxsize=65536)
-def grover_outcomes(x: str) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The one-iteration search's index law on x over the weight law's
-    denominator: each 1-position, and each 0-position, with its side's
-    mass over its side's count; indices of probability 0 are left out."""
-    den, *sides = grover1_weight_law(x.count("1"), len(x))
-    share = {bit: mass and mass // count for bit, (mass, count) in zip("10", sides)}
-    return den, tuple((i, share[bit]) for i, bit in enumerate(x, 1) if share[bit])
+def grover_outcomes(x: str) -> tuple[int, ...]:
+    """The one-iteration search's outcomes on x: each index whose side
+    (1-positions or 0-positions) the weight law gives mass."""
+    _, (ones, _), (zeros, _) = grover1_weight_law(x.count("1"), len(x))
+    mass = {"1": ones, "0": zeros}
+    return tuple(i for i, bit in enumerate(x, 1) if mass[bit])
 
 
 # ---------------------------------------------------------------------------
@@ -452,39 +450,37 @@ def _flip(x: str) -> str:
     return x.translate(FLIP)
 
 
-def _branches(step: Step, x: str, path: tuple[str, ...], num: int, den: int, used: int, out: list[BranchTrace]) -> None:
+def _branches(step: Step, x: str, path: tuple[str, ...], used: int, prob: Mapping, out: list[BranchTrace]) -> None:
     """Append to `out` every branch of `step` on the bits x, reached along
-    `path` with probability num / den after `used` queries: each step
-    multiplies in its outcome's numerator and its law's denominator, and a
-    branch rounds num / den to a float once."""
+    `path` after `used` queries.  A branch reads its probability from `prob`
+    at its key in the input's class law: its output bit, or a bare
+    subroutine's outcome in its contract's terms, and its query count."""
     if not isinstance(step, tuple):
-        out.append(BranchTrace(path, num / den, step, used))
+        out.append(BranchTrace(path, prob[step, used], step, used))
     elif type(step) is ReadFirst:
         one = x[0] == "1"
         rest = _flip(x[1:]) if one and step.complement else x[1:]
-        _branches(step.one if one else step.zero, rest, path + (f"x1={x[0]}",), num, den, used + 1, out)
+        _branches(step.one if one else step.zero, rest, path + (f"x1={x[0]}",), used + 1, prob, out)
     elif type(step) is Pair:
         bits = x + "0" * (step.length - len(x))
-        s, outcomes = xquery_outcomes(bits)
-        den *= s
-        for (i, j), p in outcomes:
-            nxt = step.flat if (i, j) == (0, 0) else step.pair
+        for i, j in xquery_outcomes(bits):
+            nxt = step.flat if i == 0 else step.pair
             here = path + (f"xq:{i},{j}",)
             if isinstance(nxt, tuple):
-                _branches(nxt, bits[: i - 1] + bits[i : j - 1] + bits[j:], here, num * p, den, used + 1, out)
+                _branches(nxt, bits[: i - 1] + bits[i : j - 1] + bits[j:], here, used + 1, prob, out)
+            elif nxt is OUTCOME:
+                out.append(BranchTrace(here, prob["flat" if i == 0 else "differing pair", used + 1], (i, j), used + 1))
             else:
-                out.append(BranchTrace(here, num * p / den, (i, j) if nxt is OUTCOME else nxt, used + 1))
+                out.append(BranchTrace(here, prob[nxt, used + 1], nxt, used + 1))
     else:
         bits = x + "0" * (step.length - len(x) - step.ones) + "1" * step.ones
-        s, outcomes = grover_outcomes(bits)
-        den *= s
-        for i, p in outcomes:
-            if step.one is OUTCOME:
-                out.append(BranchTrace(path + (f"grover:{i}",), num * p / den, i, used + 1))
-                continue
+        for i in grover_outcomes(bits):
             bit = bits[i - 1]
-            nxt = step.one if bit == "1" else step.zero
-            _branches(nxt, x, path + (f"grover:{i}", f"x{i}={bit}"), num * p, den, used + 2, out)
+            if step.one is OUTCOME:
+                out.append(BranchTrace(path + (f"grover:{i}",), prob[f"{bit}-position", used + 1], i, used + 1))
+            else:
+                nxt = step.one if bit == "1" else step.zero
+                _branches(nxt, x, path + (f"grover:{i}", f"x{i}={bit}"), used + 2, prob, out)
 
 
 # (output, queries used) -> (numerator, denominator, branches): the mass of
@@ -578,7 +574,9 @@ def _instance(alg: str, params: Mapping[str, int], what: str) -> tuple[Algorithm
 def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
     """Every branch of one execution on x.  Refuses n above MAX_FAMILY_N,
     and an input whose class law (the one verify_exact certifies) counts
-    more than MAX_RUN_BRANCHES branches, before any subroutine runs."""
+    more than MAX_RUN_BRANCHES branches, before any subroutine runs.  Each
+    branch's probability is its key's entry in that law, num / (den *
+    branches), rounded once."""
     _, _, plan = _instance(alg, params, "run")
     n = params["n"]
     _check_bits(x, n)
@@ -588,8 +586,9 @@ def run(alg: str, params: Mapping[str, int], x: str) -> AlgorithmRun:
             f"run is capped at {MAX_RUN_BRANCHES} branches, and {alg} may list more "
             f"on an input of weight {x.count('1')}; verify checks the whole domain instead"
         )
+    prob = {key: num / (den * count) for key, (num, den, count) in law.items()}
     out: list[BranchTrace] = []
-    _branches(plan, x, (), 1, 1, 0, out)
+    _branches(plan, x, (), 0, prob, out)
     return AlgorithmRun(x, tuple(out))
 
 
@@ -708,7 +707,7 @@ def simulate_domain(
     alg: str, params: Mapping[str, int], transform: str = "identity"
 ) -> VerificationReport:
     """Reference for verify_exact: replay every promised input through
-    ``run`` (integers along each path, one float per branch) and check
+    ``run`` (one float per branch, its class law entry's share) and check
     every branch (a subroutine's named in its contract's terms).  A failing
     input keeps one failure: its first wrong branch and how many more there
     are.  Exponential in n: refuses n above MAX_ENUM_N, and an input

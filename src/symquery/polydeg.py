@@ -236,10 +236,11 @@ def _is_farkas(lam: list[int], columns: list[list[int]], rhs: list[int]) -> bool
 # MAX_LP_SIZE box weights × free columns to its top degree × 64-bit words of
 # q·D, which bounds the scale of every box row's bounds (each row is over its
 # content), and a pinned block of more than MAX_BLOCK_SIZE pinned weights² ×
-# weights, whose Lagrange weights it would extrapolate.  On a 2-core x86 VM,
-# MAJ:42 at eps = 1/8 (43 × 43) takes 2.1 s end to end, and "*"*44 + 957
-# random 0/1, whose LP fits (D = 1), 30 s in degree and 76 s in least_degree
-# with the block cap lifted: its right-hand sides' q·b reach 1,206 bits.
+# weights, whose Lagrange weights it would extrapolate.  On a 2-core x86 VM
+# (Python 3.11.7, 2026-10-22), MAJ:42 at eps = 1/8 (43 × 43) takes 2.7 s end
+# to end (median of 5 fresh processes), and "*"*44 + 957 random 0/1, whose
+# LP fits (D = 1), 30 s in degree and 76 s in least_degree with the block
+# cap lifted: its right-hand sides' q·b reach 1,206 bits.
 MAX_LP_SIZE = 2000
 MAX_BLOCK_SIZE = 32_000_000
 

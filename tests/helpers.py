@@ -232,17 +232,24 @@ def registered(alg: str, params: dict, field: str):
     return getattr(entry, field)(*(params[p] for p in entry.params))
 
 
-def exact_law(outcomes: tuple[int, tuple]) -> list[tuple[object, Fraction]]:
-    """An outcome list of algos.xquery_outcomes or algos.grover_outcomes,
-    (den, ((outcome, numerator), ...)), as (outcome, Fraction) pairs."""
-    den, listed = outcomes
-    return [(o, Fraction(p, den)) for o, p in listed]
+def listed_law(alg: str, x: str) -> list[tuple[object, Fraction]]:
+    """The per-input law of the bare subroutine `alg` ("xquery" or "grover1")
+    on x, as (outcome, Fraction) pairs in listing order: algos' listing of
+    its outcomes, each carrying its side's share of the weight law, the
+    side's mass over its count.  It needs no run, so it reaches inputs whose
+    branches run's cap refuses to list."""
+    if alg == "xquery":
+        listed, weight_law, side = algos.xquery_outcomes(x), algos.xquery_weight_law, lambda o: o != (0, 0)
+    else:
+        listed, weight_law, side = algos.grover_outcomes(x), algos.grover1_weight_law, lambda i: x[i - 1] == "0"
+    den, *sides = weight_law(x.count("1"), len(x))
+    return [(o, Fraction(mass, den * count)) for o in listed for mass, count in [sides[side(o)]]]
 
 
 def pairwise_xquery_law(x: str) -> list[tuple[tuple[int, int], Fraction]]:
-    """Reference for algos.xquery_outcomes, read by exact_law, derived per
-    pair: P(0,0) = ((m - 2t)/m)^2 at weight t; each differing pair carries
-    4/m^2."""
+    """Reference for the pair test's law on x (run's branches of the bare
+    xquery, and listed_law), derived per pair: P(0,0) = ((m - 2t)/m)^2 at
+    weight t; each differing pair carries 4/m^2."""
     m = len(x)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -260,9 +267,9 @@ def pairwise_xquery_law(x: str) -> list[tuple[tuple[int, int], Fraction]]:
 
 
 def indexwise_grover1_law(x: str) -> list[tuple[int, Fraction]]:
-    """Reference for algos.grover_outcomes, read by exact_law, derived per
-    index: the amplitude on index i is (2s/n - (-1)^{x_i}) / sqrt(n),
-    s = n - 2|x|."""
+    """Reference for the one-iteration search's law on x (run's branches of
+    the bare grover1, and listed_law), derived per index: the amplitude on
+    index i is (2s/n - (-1)^{x_i}) / sqrt(n), s = n - 2|x|."""
     n = len(x)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

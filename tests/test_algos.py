@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,11 @@ from symquery import algos, qsim
 from symquery.symfun import MAX_FAMILY_N, TRANSFORMS, complement_fn
 
 from helpers import (
-    exact_law,
     fraction_grover1_weight_law,
     fraction_law,
     fraction_xquery_weight_law,
     indexwise_grover1_law,
+    listed_law,
     pairwise_xquery_law,
     registered,
 )
@@ -57,7 +58,7 @@ class TestXquery:
             for bits in itertools.product("01", repeat=m):
                 x = "".join(bits)
                 sim = dict(qsim.measure(algos.xquery_state(x)))
-                exact = dict(exact_law(algos.xquery_outcomes(x)))
+                exact = {b.output: b.probability for b in algos.xquery(m, x).branches}
                 assert set(sim) == set(exact)
                 assert all(abs(sim[o] - exact[o]) < 1e-9 for o in sim)
 
@@ -86,18 +87,22 @@ class TestGrover1:
             for bits in itertools.product("01", repeat=n):
                 x = "".join(bits)
                 sim = {i: p for (i, _), p in qsim.measure(algos.grover1_state(x))}
-                exact = dict(exact_law(algos.grover_outcomes(x)))
+                exact = {b.output: b.probability for b in algos.grover1(n, x).branches}
                 assert set(sim) == set(exact)
                 assert all(abs(sim[o] - exact[o]) < 1e-9 for o in sim)
 
 
 def assert_same_laws(x):
-    """Same list, same order, same Fractions as the per-pair and per-index
-    derivations the per-input laws replaced, from integer numerators."""
-    for law, reference in ((algos.xquery_outcomes, pairwise_xquery_law),
-                           (algos.grover_outcomes, indexwise_grover1_law)):
-        got = law(x)
-        assert exact_law(got) == reference(x) and all(type(p) is int for _, p in got[1]), (law.__name__, x)
+    """Same outcomes, same order, same Fractions as the per-pair and
+    per-index derivations, read off the listings and the weight laws'
+    shares; where run admits x, the bare subroutine's branches list the same
+    outcomes in the same order, each probability its Fraction rounded once."""
+    for alg, reference in (("xquery", pairwise_xquery_law), ("grover1", indexwise_grover1_law)):
+        want = reference(x)
+        assert listed_law(alg, x) == want, (alg, x)
+        if len(want) <= algos.MAX_RUN_BRANCHES:
+            got = [(b.output, b.probability) for b in algos.run(alg, {"n": len(x)}, x).branches]
+            assert got == [(o, float(p)) for o, p in want], (alg, x)
 
 
 class TestPerInputLaws:
@@ -592,21 +597,27 @@ class TestWeightClassEngine:
                 assert exact.all_exact, (params, t)
                 assert summary(exact) == summary(algos.simulate_domain(alg, params, t)), (params, t)
 
-    @pytest.mark.parametrize("alg", DECISION_ALGORITHMS)
+    @pytest.mark.parametrize("alg", sorted(algos.ALGORITHMS))
     def test_class_laws_match_simulated_branches(self, alg):
         # on every input, promised or not; the branches behind one (output,
         # queries used) share its class mass equally, so each listed float
-        # is exactly num / (den * branches), rounded once
+        # is exactly num / (den * branches), rounded once.  A bare
+        # subroutine's output is keyed by its contract term, as its law is.
         info = algos.ALGORITHMS[alg]
-        for params in valid_instances(alg, 8):
+        if info.family:
+            instances = list(valid_instances(alg, 8))
+        else:
+            instances = [{"n": n} for n in (range(1, 9) if alg == "xquery" else (4, 8))]
+        for params in instances:
             n, plan = params["n"], info.plan(*params.values())
             for bits in itertools.product("01", repeat=n):
                 x = "".join(bits)
                 (law,) = [law for prefix, law in algos._classes(plan, n, x.count("1")) if x.startswith(prefix)]
                 branches = algos.run(alg, params, x).branches
+                term = (lambda out: out) if info.family else partial(algos._contract_term, x)
                 simulated: dict = {}
                 for b in branches:
-                    key = (b.output, b.queries_used)
+                    key = (term(b.output), b.queries_used)
                     p, count = simulated.get(key, (0.0, 0))
                     simulated[key] = (p + b.probability, count + 1)
                 assert set(simulated) == set(law), (params, x)
@@ -614,7 +625,7 @@ class TestWeightClassEngine:
                     assert abs(simulated[key][0] - num / den) < 1e-9, (params, x, key)
                     assert simulated[key][1] == count, (params, x, key)
                 for b in branches:
-                    num, den, count = law[b.output, b.queries_used]
+                    num, den, count = law[term(b.output), b.queries_used]
                     assert b.probability == num / (den * count), (params, x, b)
 
     def test_contracts_agree_with_simulation(self):
@@ -626,23 +637,19 @@ class TestWeightClassEngine:
         assert algos.verify_exact("grover1", {"n": 8}).inputs_checked == 2 * 28
 
     def test_weight_laws_sum_the_per_input_laws(self):
-        def sides(outcomes, first):
-            """Mass and number of the listed outcomes on either side."""
-            split = [[p for o, p in exact_law(outcomes) if first(o) is side] for side in (True, False)]
-            return [(sum(ps), len(ps)) for ps in split]
-
-        def agree(law, listed):
-            # a side with no mass lists no outcome, whatever it counts
-            den, *law_sides = law
-            return all(F(p, den) == q and (not p or c == d) for (p, c), (q, d) in zip(law_sides, listed))
-
+        # each side lists as many branches as its weight law counts, each
+        # carrying the side's share, so they sum to its mass exactly; a side
+        # with no mass lists no branch, whatever it counts
         for m in range(1, 17):
             for t in range(m + 1):
                 x = "1" * t + "0" * (m - t)
-                pairs = sides(algos.xquery_outcomes(x), lambda o: o == (0, 0))
-                assert agree(algos.xquery_weight_law(t, m), pairs), (m, t)
-                indices = sides(algos.grover_outcomes(x), lambda i: x[i - 1] == "1")
-                assert agree(algos.grover1_weight_law(t, m), indices), (m, t)
+                for alg, weight_law, side in (("xquery", algos.xquery_weight_law, lambda o: o != (0, 0)),
+                                              ("grover1", algos.grover1_weight_law, lambda i: x[i - 1] == "0")):
+                    den, *sides = weight_law(t, m)
+                    branches = algos.run(alg, {"n": m}, x).branches
+                    listed = [[b.probability for b in branches if side(b.output) is s] for s in (False, True)]
+                    for (p, c), probabilities in zip(sides, listed):
+                        assert probabilities == ([p / (den * c)] * c if p else []), (alg, m, t)
 
     def test_wrong_target_fails_both_verifiers(self, monkeypatch):
         info = algos.ALGORITHMS["f1"]
